@@ -9,7 +9,7 @@ or direct region sampling, with an embedded simulator for cross-checks.
 from .model import HPnGModel, ModelError, load_model, parse_model, serialize, validate
 from .montecarlo import McConfig
 from .props import parse_property
-from .semantics import UnsupportedModelError
+from .semantics import ResourceLimitError, UnsupportedModelError
 from .simulate import estimate_probability, simulate_run
 from .transient import TransientResult, candidate_locations, transient_probability
 from .tree import PLTree, build_plt, tree_to_dot, tree_to_json
@@ -21,6 +21,7 @@ __all__ = [
     "McConfig",
     "ModelError",
     "PLTree",
+    "ResourceLimitError",
     "TransientResult",
     "UnsupportedModelError",
     "build_plt",

@@ -4,8 +4,11 @@ Subcommands: ``validate`` checks a model file, ``plt`` prints the location
 tree, ``transient`` computes a transient probability, ``simulate`` runs the
 embedded simulator, ``compare`` puts all routes side by side.
 
-Exit codes: 1 for model or property problems, 2 for nets outside the
-supported fragment, 3 for unexpected internal failures.
+Exit codes: 0 on success; 1 for model, property, file or option-value
+problems; 2 for command-line usage errors (raised by argparse as
+``SystemExit(2)``), nets outside the supported fragment and resource caps
+(location explosion, simulator step runaway); 3 for unexpected internal
+failures.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import time
 from .model import ModelError, load_model, validate
 from .montecarlo import McConfig
 from .props import PropertyError, parse_property
-from .semantics import UnsupportedModelError
+from .semantics import ResourceLimitError, UnsupportedModelError
 from .simulate import estimate_probability
 from .transient import METHODS, transient_probability
 from .tree import build_plt, dump_json, tree_to_dot
@@ -217,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except UnsupportedModelError as exc:
         print(f"unsupported model: {exc}", file=sys.stderr)
+        return 2
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

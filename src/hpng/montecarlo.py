@@ -121,11 +121,18 @@ class McResult:
 
 
 def _combine(values: list[float], sigmas: list[float]) -> tuple[float, float]:
-    """Inverse-variance combination; degenerate sigmas fall back to a mean."""
-    tiny = [s for s in sigmas if s <= 0.0]
-    if tiny:
-        exact = [v for v, s in zip(values, sigmas) if s <= 0.0]
-        return float(np.mean(exact)), 0.0
+    """Inverse-variance combination of per-iteration estimates.
+
+    Iterations count as exact only when every one has sigma 0.  A zero
+    sigma next to non-zero ones (an iteration whose samples all missed the
+    mass, say) would take all the weight, so then the plain mean of every
+    iteration is returned with the standard error of that mean.
+    """
+    if all(s <= 0.0 for s in sigmas):
+        return float(np.mean(values)), 0.0
+    if any(s <= 0.0 for s in sigmas):
+        v = np.asarray(values, dtype=float)
+        return float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v)))
     w = np.array([1.0 / s**2 for s in sigmas])
     return float(np.dot(w, values) / w.sum()), float(1.0 / math.sqrt(w.sum()))
 
@@ -261,11 +268,15 @@ def vegas_integrate(
         var = (vol * vol / (cfg.samples * cfg.samples)) * float(((contrib - mean) ** 2).sum())
         vals.append(est)
         sigmas.append(math.sqrt(var))
-        # Accumulate |f|*jac per bin and axis for refinement.
+        # Mean |f|*jac per bin and axis drives refinement.  A mean, not a
+        # sum, so the random number of samples landing in a bin does not
+        # bend the grid: a constant integrand keeps its uniform grid.
         w = np.abs(contrib)
         imp = np.zeros((dim, cfg.grid_bins))
         for d in range(dim):
-            np.add.at(imp[d], idx[:, d], w)
+            sums = np.bincount(idx[:, d], weights=w, minlength=cfg.grid_bins)
+            counts = np.bincount(idx[:, d], minlength=cfg.grid_bins)
+            imp[d] = sums / np.maximum(counts, 1)
         grid.refine(imp)
     value, sigma = _combine(vals, sigmas)
     return McResult(value, sigma, used, skipped)

@@ -22,6 +22,10 @@ class UnsupportedModelError(RuntimeError):
     """Raised when a model needs machinery beyond the supported fragment."""
 
 
+class ResourceLimitError(RuntimeError):
+    """Raised when a run hits a size cap: tree locations or simulator steps."""
+
+
 class EventKind(Enum):
     GUARD_ARC = "guardArc"
     BOUNDARY = "boundary"

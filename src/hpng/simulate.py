@@ -21,6 +21,7 @@ from .semantics import (
     _ZONE_TRUTH,
     _static_truth,
     EventKind,
+    ResourceLimitError,
     rate_adaptation,
 )
 
@@ -265,7 +266,7 @@ def simulate_run(
         if keep_trace:
             trace.append(ev)
     else:
-        raise RuntimeError("simulation exceeded the step limit")
+        raise ResourceLimitError(f"simulation exceeded the step limit of {MAX_STEPS}")
 
     _refresh(run)
     if run.time < tau_max:

@@ -19,6 +19,7 @@ from .model import HPnGModel
 from .semantics import (
     Event,
     EventKind,
+    ResourceLimitError,
     SymState,
     evolve,
     finalize_state,
@@ -291,7 +292,7 @@ def _spawn(
     if extremal_value(entry, domain, "min") > tau_max + EPS:
         return
     if len(locs) >= max_locations:
-        raise RuntimeError(f"location tree exceeds {max_locations} nodes")
+        raise ResourceLimitError(f"location tree exceeds {max_locations} nodes")
     state = _child_state(model, parent.state, ev, delta)
     child = ParametricLocation(
         id=len(locs), parent=parent.id, source=ev.describe(),

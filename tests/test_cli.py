@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+import hpng.cli
+import hpng.simulate
 from hpng.cli import main
+from hpng.tree import build_plt
 
 from conftest import MODELS
 
@@ -137,3 +140,19 @@ def test_compare_table(capsys):
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_location_cap_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(hpng.cli, "build_plt",
+                        lambda model, tau: build_plt(model, tau, max_locations=3))
+    code, _, err = run(capsys, "plt", RESERVOIR, "--tau-max", "10")
+    assert code == 2
+    assert "resource limit:" in err
+
+
+def test_step_limit_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(hpng.simulate, "MAX_STEPS", 1)
+    code, _, err = run(capsys, "simulate", RESERVOIR, "--tau-max", "10",
+                       "--time", "4", "--runs", "10")
+    assert code == 2
+    assert "resource limit:" in err

@@ -78,6 +78,14 @@ def test_combine_is_inverse_variance_weighted():
     assert v == pytest.approx(1.0, abs=1e-4)
 
 
+def test_combine_zero_sigma_iteration_does_not_win():
+    # One iteration that hit no mass must not wipe out the others.
+    v, s = _combine([0.0, 0.5, 0.52], [0.0, 0.01, 0.01])
+    assert v == pytest.approx(np.mean([0.0, 0.5, 0.52]))
+    assert s == pytest.approx(np.std([0.0, 0.5, 0.52], ddof=1) / np.sqrt(3))
+    assert _combine([0.4, 0.4], [0.0, 0.0]) == (0.4, 0.0)
+
+
 def test_mc_integrate_triangle_area():
     cfg = McConfig(samples=50_000, iterations=4, seed=0)
     box = [(0.0, 1.0), (0.0, 1.0)]

@@ -4,7 +4,8 @@ import pytest
 
 from hpng.montecarlo import stream
 from hpng.props import parse_property
-from hpng.semantics import EventKind
+import hpng.simulate
+from hpng.semantics import EventKind, ResourceLimitError
 from hpng.simulate import estimate_probability, simulate_run
 
 
@@ -147,3 +148,9 @@ def test_estimate_early_stop(reservoir_model):
 def test_estimate_rejects_bad_time(reservoir_model):
     with pytest.raises(ValueError):
         estimate_probability(reservoir_model, 10.0, 11.0, [], runs=10)
+
+
+def test_step_limit_is_a_resource_cap(reservoir_model, monkeypatch):
+    monkeypatch.setattr(hpng.simulate, "MAX_STEPS", 1)
+    with pytest.raises(ResourceLimitError):
+        simulate_run(reservoir_model, 10.0, assignment={("pump_break", 0): 3.0})

@@ -1,15 +1,19 @@
 """Transient probability computation across the three integration routes."""
 
 import json
+import logging
 
+import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import hpng.transient
 from hpng.model import parse_model
-from hpng.montecarlo import McConfig, stream
+from hpng.montecarlo import McConfig, stream, vegas_integrate
 from hpng.props import parse_property
 from hpng.transient import (
     METHODS,
+    _cube_integrand,
     candidate_locations,
     integrate_piece,
     location_pieces,
@@ -183,3 +187,112 @@ def test_rejection_sampling_mode(reservoir_tree, fast_cfg):
     res = transient_probability(reservoir_tree, 8.0, method="simplex",
                                 cfg=fast_cfg, simplex_mode="rejection")
     assert res.total == pytest.approx(1.0, abs=3.0 * res.sigma + 2e-3)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre cubature on the intervals route
+
+GATE_CFG = McConfig(samples=40_000, iterations=5, seed=0)
+
+
+def _cells(model, tree, t_prime):
+    for loc in candidate_locations(tree, t_prime):
+        for piece in location_pieces(model, tree, loc, t_prime):
+            yield loc, piece
+
+
+def _dim(piece):
+    return sum(iv.upper is not None for iv in piece.intervals)
+
+
+def test_support_split_is_exact():
+    # pump_break ~ U(6, 10): the cell [5, 7.5] of location 4 is cut at 6.
+    doc = json.loads((MODELS / "reservoir.json").read_text())
+    doc["transitions"]["general"][0]["distribution"] = {
+        "family": "uniform", "a": 6.0, "b": 10.0,
+    }
+    tree = build_plt(parse_model(json.dumps(doc)), 10.0)
+    res = transient_probability(tree, 8.0, cfg=GATE_CFG)
+    assert res.total == pytest.approx(1.0, abs=1e-9)
+    assert res.sigma <= 1e-9
+    for lid, expect in {3: 0.5, 4: 0.375, 7: 0.125}.items():
+        value, sigma = res.per_location[lid]
+        assert value == pytest.approx(expect, abs=1e-9)
+        assert sigma <= 1e-9
+
+
+def test_cubature_points_stay_within_budget(battery_model, battery_tree, monkeypatch):
+    # 4**3 + 8**3 = 576 points: the 3-D cells need the whole budget.
+    cfg = McConfig(samples=288, iterations=2, seed=0)
+    points = []
+
+    def counting_pdf(dist, x):
+        points[-1] += np.size(x)
+        return dist_pdf(dist, x)
+
+    def no_vegas(*args, **kwargs):
+        raise AssertionError("unexpected VEGAS fallback")
+
+    dist_pdf = hpng.transient.dist_pdf
+    monkeypatch.setattr(hpng.transient, "dist_pdf", counting_pdf)
+    monkeypatch.setattr(hpng.transient, "vegas_integrate", no_vegas)
+    dims = set()
+    for _, piece in _cells(battery_model, battery_tree, 8.0):
+        points.append(0)
+        integrate_piece(piece, cfg, stream(0, 0))
+        if _dim(piece):
+            dims.add(_dim(piece))
+            # each integrand point evaluates one density per bounded variable
+            assert points[-1] / _dim(piece) <= cfg.samples * cfg.iterations
+    assert dims == {1, 2, 3}
+    assert max(points) == 3 * cfg.samples * cfg.iterations
+
+
+def _battery_2d_cell(battery_model, battery_tree):
+    return next((loc, piece) for loc, piece in _cells(battery_model, battery_tree, 8.0)
+                if _dim(piece) == 2 and integrate_piece(piece, GATE_CFG, None).value > 1e-3)
+
+
+def test_over_budget_cell_falls_back_to_vegas(battery_model, battery_tree, monkeypatch):
+    loc, piece = _battery_2d_cell(battery_model, battery_tree)
+    truth = integrate_piece(piece, GATE_CFG, None).value
+    calls = []
+
+    def counting_vegas(*args, **kwargs):
+        calls.append(args[2])
+        return vegas_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(hpng.transient, "vegas_integrate", counting_vegas)
+    cfg = McConfig(samples=8, iterations=1, seed=0)     # below the 4**2 first order
+    res = integrate_piece(piece, cfg, stream(0, loc.id))
+    assert calls == [cfg]
+    assert res.samples_used == 8
+    assert res.sigma > 0
+    assert abs(res.value - truth) <= 3 * res.sigma
+
+
+def test_fallback_is_logged(battery_model, battery_tree, caplog):
+    loc, piece = _battery_2d_cell(battery_model, battery_tree)
+    with caplog.at_level(logging.DEBUG, logger="hpng"):
+        integrate_piece(piece, GATE_CFG, stream(0, loc.id))
+        assert caplog.records == []
+        integrate_piece(piece, McConfig(samples=8, iterations=1, seed=0), stream(0, loc.id))
+    [record] = caplog.records
+    assert record.name == "hpng" and record.levelno == logging.DEBUG
+    assert record.args[0] == 2           # cell dimension
+    assert record.args[-1] == 8          # point budget
+    assert "VEGAS" in record.getMessage()
+
+
+def test_cubature_agrees_with_vegas_on_every_battery_cell(battery_model, battery_tree):
+    checked = 0
+    for loc, piece in _cells(battery_model, battery_tree, 8.0):
+        if not _dim(piece):
+            continue
+        gl = integrate_piece(piece, GATE_CFG, None)
+        mc = vegas_integrate(_cube_integrand(piece), [(0.0, 1.0)] * _dim(piece),
+                             GATE_CFG, stream(0, loc.id))
+        # the floor covers cells whose VEGAS sigma is pure rounding
+        assert abs(gl.value - mc.value) <= 3 * mc.sigma + 1e-12
+        checked += 1
+    assert checked > 100

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hpng.semantics import EventKind
+from hpng.semantics import EventKind, ResourceLimitError
 from hpng.symbolic import SymInterval, const, var
 from hpng.tree import (
     _apply_bound,
@@ -161,7 +161,7 @@ def test_det_exit_cuts_partition_domain(reservoir_tree, battery_tree):
 
 
 def test_max_locations_cap(reservoir_model):
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ResourceLimitError):
         build_plt(reservoir_model, 10.0, max_locations=3)
 
 
