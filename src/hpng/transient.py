@@ -8,11 +8,12 @@ firings that are still pending.  Three routes compute that integral:
 
 ``intervals``
     Triangular bound tables decomposed so every variable has one active
-    lower and upper form, cut back to the density supports, then a
-    sequential change of variables onto the unit cube and a tensor
-    Gauss-Legendre rule at doubling orders.  Deterministic; its error
-    estimate is the gap between the last two orders.  A cell whose rule
-    would need more points than ``samples * iterations`` goes to VEGAS.
+    lower and upper form, cut where the integrand has kinks or sharp
+    peaks, then a sequential change of variables onto the unit cube and a
+    tensor Gauss-Legendre rule at doubling orders.  Deterministic; its
+    error estimate is the gap between the last two orders.  Only a cell
+    of more than five dimensions, or one whose orders do not agree within
+    ``GL_MAX_POINTS`` points, goes to VEGAS.
 ``simplex``
     A half-space region per location, vertex enumeration, triangulation,
     and per-simplex sampling of the density.
@@ -54,6 +55,14 @@ METHODS = ("intervals", "simplex", "direct")
 GL_TOL = 1e-6
 #: First Gauss-Legendre order tried per axis; it doubles from there.
 GL_START_ORDER = 4
+#: Most points one order of the rule may use on one sub-cell.  Cells of up
+#: to five dimensions fit two orders; beyond that they go to VEGAS.
+GL_MAX_POINTS = 2 ** 15
+#: Half-width, in standard deviations, of the window cut around the peak
+#: of a normal or folded normal density (about 1e-9 of the mass outside).
+PEAK_SIGMAS = 6.0
+#: Means after which an exponential density is cut (e**-21: about 1e-9).
+EXP_MEANS = 21.0
 
 _log = logging.getLogger("hpng")
 
@@ -216,34 +225,90 @@ def location_pieces(
     return pieces
 
 
-def _support_cells(piece: Piece) -> list[Piece]:
-    """The piece cut back to the supports of its bounded variables' densities.
+def _support(dist: DistributionSpec) -> tuple[float, Optional[float]]:
+    """Interval outside which a firing density is zero (upper None: unbounded)."""
+    return dist.params if dist.family == "uniform" else (0.0, None)
 
-    A density is zero outside its support, so a support bound that falls
-    inside the cell is folded in as an extra bound on its variable, and the
-    sub-cells where it is active come out of ``_decompose``.  Each sub-cell
-    then sees a density that is smooth across it.  Bounds the cell already
-    respects are skipped, so most cells come back unchanged.
+
+def _peak_cuts(dist: DistributionSpec) -> tuple[float, ...]:
+    """Points that fence in where a density concentrates its mass.
+
+    A normal-type density is cut at its peak and ``PEAK_SIGMAS`` either
+    side of it, an exponential at ``EXP_MEANS`` means; each window then
+    spans a few length scales, and the cells outside it hold about 1e-9
+    of the mass.  Without the cuts a density much narrower than its cell
+    can fall between the nodes of two successive orders, which then agree
+    on a value near zero.
     """
-    cuts = []
-    for i, iv in enumerate(piece.intervals):
-        if iv.upper is None:
-            continue
-        dist = piece.dists[i]
-        lo, hi = dist.params if dist.family == "uniform" else (0.0, None)
-        if extremal_value(iv.lower, piece.intervals, "min") < lo - EPS:
-            cuts.append(const(lo) - var(i))
-        if hi is not None and extremal_value(iv.upper, piece.intervals, "max") > hi + EPS:
-            cuts.append(var(i) - const(hi))
-    if not cuts:
-        return [piece]
+    if dist.family == "uniform":
+        return ()
+    if dist.family == "exponential":
+        return (EXP_MEANS / dist.params[0],)
+    mu, sg = dist.params
+    peak = abs(mu) if dist.family == "foldedNormal" else mu
+    return tuple(p for p in (peak - PEAK_SIGMAS * sg, peak, peak + PEAK_SIGMAS * sg)
+                 if p > 0.0)
+
+
+def _refold(piece: Piece, constraints: list[LinearForm]) -> list[Piece]:
+    """Sub-cells of the piece where every ``constraint <= 0`` holds."""
     table: list[tuple[list, list]] = [
         ([iv.lower], [] if iv.upper is None else [iv.upper]) for iv in piece.intervals
     ]
-    for con in cuts:
+    for con in constraints:
         _fold(con, table)
     return [Piece(tuple(cell), piece.dists, piece.factors)
             for cell in _decompose(table, len(table) - 1)]
+
+
+def _split(piece: Piece, form: LinearForm) -> list[Piece]:
+    """The piece split along ``form = 0`` where that hyperplane crosses it."""
+    if (extremal_value(form, piece.intervals, "min") < -EPS
+            and extremal_value(form, piece.intervals, "max") > EPS):
+        return _refold(piece, [form]) + _refold(piece, [form.scaled(-1.0)])
+    return [piece]
+
+
+def _smooth_cells(piece: Piece) -> list[Piece]:
+    """The piece cut into sub-cells on which its integrand is smooth.
+
+    Each bounded variable is clipped to the support of its density, which
+    is zero outside it.  The cell is then split, keeping both sides, where
+    a bounded variable crosses one of its density's peak cuts, and where
+    the argument of a survival factor (a pending firing, or an unbounded
+    variable past its lower bound) crosses its support bounds, the kinks
+    of its CDF, or its peak cuts.  Cuts that miss the cell are skipped, so
+    most cells come back whole.
+    """
+    ivs = piece.intervals
+    clips: list[LinearForm] = []
+    splits: list[tuple[LinearForm, tuple[float, ...]]] = []
+    survivals = list(piece.factors)
+    for i, iv in enumerate(ivs):
+        dist = piece.dists[i]
+        if iv.upper is None:
+            survivals.append((dist, iv.lower))
+            continue
+        lo, hi = _support(dist)
+        if extremal_value(iv.lower, ivs, "min") < lo - EPS:
+            clips.append(const(lo) - var(i))
+        if hi is not None and extremal_value(iv.upper, ivs, "max") > hi + EPS:
+            clips.append(var(i) - const(hi))
+        splits.append((var(i), _peak_cuts(dist)))
+    for dist, lf in survivals:
+        lo, hi = _support(dist)
+        splits.append((lf, (lo, *_peak_cuts(dist)) if hi is None else (lo, hi)))
+    cells = _refold(piece, clips) if clips else [piece]
+    for form, points in splits:
+        if not points:
+            continue
+        # a cut that misses the piece misses every sub-cell of it
+        low = extremal_value(form, ivs, "min")
+        high = extremal_value(form, ivs, "max")
+        for p in points:
+            if low + EPS < p < high - EPS:
+                cells = [sub for cell in cells for sub in _split(cell, form - p)]
+    return cells
 
 
 def _cube_integrand(piece: Piece):
@@ -293,18 +358,17 @@ def _gauss_legendre_rule(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _gauss_legendre(f, dim: int, budget: int) -> tuple[float, float, int, int]:
+def _gauss_legendre(f, dim: int) -> tuple[float, float, int, int]:
     """Integrate f over [0, 1]^dim at orders n and 2n, doubling n until they agree.
 
     Returns (Q_2n, |Q_2n - Q_n|, points used, last order evaluated).  The
     order stops doubling once the gap is within ``GL_TOL`` or once the next
-    order would take the points used past ``budget``; the gap tells the
-    two apart, and is infinite when fewer than two orders fitted.
+    order would pass ``GL_MAX_POINTS``; the gap tells the two apart.
     """
     q = gap = math.inf
     used = order = 0
     n = GL_START_ORDER
-    while used + n ** dim <= budget:
+    while n ** dim <= GL_MAX_POINTS:
         nodes, weights = _gauss_legendre_rule(n, dim)
         q2 = float(weights @ f(nodes))
         used += len(weights)
@@ -315,19 +379,34 @@ def _gauss_legendre(f, dim: int, budget: int) -> tuple[float, float, int, int]:
     return q, gap, used, order
 
 
+def _vegas_fallback(f, dim: int, order: int, gap: float, cfg: McConfig,
+                    rng: np.random.Generator) -> McResult:
+    _log.debug("intervals: %d-D cell falls back to VEGAS after order %d, "
+               "gap %.3g, budget %d points", dim, order, gap,
+               cfg.samples * cfg.iterations)
+    return vegas_integrate(f, [(0.0, 1.0)] * dim, cfg, rng)
+
+
 def integrate_piece(piece: Piece, cfg: McConfig, rng: np.random.Generator) -> McResult:
     """Integral of the joint density over one triangular cell.
 
     Cells with no bounded variable are a product of survival factors and
-    closed form.  Otherwise the cell is cut at the density supports and
-    each sub-cell's unit-cube integrand goes through a tensor
-    Gauss-Legendre rule at orders n and 2n, n = 4, 8, ..., until the two
-    agree within ``GL_TOL``; the value is Q_2n and its error estimate the
-    summed gaps |Q_2n - Q_n|, which is not a sampling sigma.  The rule
-    draws no random numbers.  Its points over all sub-cells are capped at
-    ``cfg.samples * cfg.iterations``, what VEGAS would spend on the cell;
-    when the next order would cross that cap before the gap closes, the
-    whole cell goes to ``vegas_integrate`` with ``cfg`` and ``rng``.
+    closed form.  Otherwise the cell is cut into sub-cells on which the
+    integrand is smooth (``_smooth_cells``) and each sub-cell's unit-cube
+    integrand goes through a tensor Gauss-Legendre rule at orders n and
+    2n, n = 4, 8, ..., until the two agree within ``GL_TOL``; its value is
+    Q_2n and its error estimate the gap |Q_2n - Q_n|, which is not a
+    sampling sigma.  The rule draws no random numbers and one order uses
+    at most ``GL_MAX_POINTS`` points, whatever ``cfg`` says.
+
+    VEGAS, sized by ``cfg`` and drawing from ``rng``, takes over in two
+    cases: the whole cell when its dimension leaves no room for two
+    orders, before any point is spent on the rule; and a sub-cell whose
+    gap is still open at the last order that fits, while the sub-cells
+    that converged keep their values.  Such a sub-cell costs the rule's
+    points (at most about 8/7 of ``GL_MAX_POINTS``) on top of VEGAS's.
+    The error estimate sums the gaps and adds the VEGAS sigmas in
+    quadrature.
     """
     nv = len(piece.intervals)
     bounded = [i for i, iv in enumerate(piece.intervals) if iv.upper is not None]
@@ -352,19 +431,24 @@ def integrate_piece(piece: Piece, cfg: McConfig, rng: np.random.Generator) -> Mc
         return McResult(value, 0.0, 0, 0)
 
     dim = len(bounded)
-    budget = cfg.samples * cfg.iterations
-    value = error = 0.0
-    used = 0
-    for cell in _support_cells(piece):
-        q, gap, points, order = _gauss_legendre(_cube_integrand(cell), dim, budget - used)
+    if (2 * GL_START_ORDER) ** dim > GL_MAX_POINTS:
+        return _vegas_fallback(_cube_integrand(piece), dim, 0, math.inf, cfg, rng)
+    value = gaps = var = 0.0
+    used = skipped = 0
+    for cell in _smooth_cells(piece):
+        f = _cube_integrand(cell)
+        q, gap, points, order = _gauss_legendre(f, dim)
         used += points
-        if gap > GL_TOL:
-            _log.debug("intervals: %d-D cell falls back to VEGAS after order %d, "
-                       "gap %.3g, budget %d points", dim, order, gap, budget)
-            return vegas_integrate(_cube_integrand(piece), [(0.0, 1.0)] * dim, cfg, rng)
-        value += q
-        error += gap
-    return McResult(value, error, used, 0)
+        if gap <= GL_TOL:
+            value += q
+            gaps += gap
+            continue
+        r = _vegas_fallback(f, dim, order, gap, cfg, rng)
+        value += r.value
+        var += r.sigma ** 2
+        used += r.samples_used
+        skipped += r.samples_skipped
+    return McResult(value, gaps + math.sqrt(var), used, skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ import pytest
 from scipy.special import ndtr
 
 import hpng.transient
-from hpng.model import parse_model
+from hpng.model import DistributionSpec, parse_model
 from hpng.montecarlo import McConfig, stream, vegas_integrate
 from hpng.props import parse_property
+from hpng.symbolic import SymInterval, const, var
 from hpng.transient import (
     METHODS,
+    Piece,
     _cube_integrand,
     candidate_locations,
     integrate_piece,
@@ -205,13 +207,15 @@ def _dim(piece):
     return sum(iv.upper is not None for iv in piece.intervals)
 
 
+def _reservoir_with_break(dist):
+    doc = json.loads((MODELS / "reservoir.json").read_text())
+    doc["transitions"]["general"][0]["distribution"] = dist
+    return build_plt(parse_model(json.dumps(doc)), 10.0)
+
+
 def test_support_split_is_exact():
     # pump_break ~ U(6, 10): the cell [5, 7.5] of location 4 is cut at 6.
-    doc = json.loads((MODELS / "reservoir.json").read_text())
-    doc["transitions"]["general"][0]["distribution"] = {
-        "family": "uniform", "a": 6.0, "b": 10.0,
-    }
-    tree = build_plt(parse_model(json.dumps(doc)), 10.0)
+    tree = _reservoir_with_break({"family": "uniform", "a": 6.0, "b": 10.0})
     res = transient_probability(tree, 8.0, cfg=GATE_CFG)
     assert res.total == pytest.approx(1.0, abs=1e-9)
     assert res.sigma <= 1e-9
@@ -221,31 +225,62 @@ def test_support_split_is_exact():
         assert sigma <= 1e-9
 
 
-def test_cubature_points_stay_within_budget(battery_model, battery_tree, monkeypatch):
-    # 4**3 + 8**3 = 576 points: the 3-D cells need the whole budget.
-    cfg = McConfig(samples=288, iterations=2, seed=0)
-    points = []
+ON_0_10 = (SymInterval(const(0.0), const(10.0)),)
+U_0_10 = DistributionSpec("uniform", (0.0, 10.0))
 
-    def counting_pdf(dist, x):
-        points[-1] += np.size(x)
+
+@pytest.mark.parametrize("piece, expect", [
+    # a density far narrower than its cell, peak between the nodes of orders 4 and 8
+    (Piece(ON_0_10, (DistributionSpec("normal", (5.0, 0.05)),), ()), 1.0),
+    (Piece(ON_0_10, (DistributionSpec("foldedNormal", (5.0, 0.05)),), ()), 1.0),
+    (Piece(ON_0_10, (DistributionSpec("exponential", (100.0,)),), ()), 1.0),
+    # survival factors whose step or decay falls between those nodes
+    (Piece(ON_0_10, (U_0_10,), ((DistributionSpec("normal", (5.3, 0.01)), var(0)),)), 0.53),
+    (Piece(ON_0_10, (U_0_10,), ((DistributionSpec("uniform", (5.2, 5.4)), var(0)),)), 0.53),
+    (Piece(ON_0_10, (U_0_10,), ((DistributionSpec("exponential", (100.0,)), var(0)),)), 0.001),
+    (Piece(ON_0_10 + (SymInterval(var(0), None),),
+           (U_0_10, DistributionSpec("normal", (5.3, 0.01))), ()), 0.53),
+], ids=["normal", "foldedNormal", "exponential",
+        "normal-factor", "uniform-factor", "exponential-factor", "unbounded-variable"])
+def test_sharp_integrand_is_not_missed(piece, expect):
+    res = integrate_piece(piece, GATE_CFG, stream(0, 0))
+    assert res.value == pytest.approx(expect, abs=1e-6)
+    assert res.sigma <= 1e-6
+
+
+def test_narrow_break_time_matches_closed_form():
+    # N(6.25, 0.01) puts the break between demand stop (5) and a full tank
+    # (7.5): location 4 holds all the mass at t' = 8.
+    tree = _reservoir_with_break({"family": "normal", "mu": 6.25, "sigma": 0.01})
+    res = transient_probability(tree, 8.0, cfg=GATE_CFG)
+    assert res.per_location[4][0] == pytest.approx(1.0, abs=1e-6)
+    assert res.total == pytest.approx(1.0, abs=1e-6)
+    assert res.sigma <= 1e-6
+
+
+def test_rule_does_not_depend_on_sampler_budget(battery_model, battery_tree, monkeypatch):
+    # The rule's points per order are capped by GL_MAX_POINTS, not by
+    # samples x iterations: a tiny sampler budget changes nothing.
+    sizes = []
+
+    def sizing_pdf(dist, x):
+        sizes.append(np.size(x))
         return dist_pdf(dist, x)
 
     def no_vegas(*args, **kwargs):
         raise AssertionError("unexpected VEGAS fallback")
 
     dist_pdf = hpng.transient.dist_pdf
-    monkeypatch.setattr(hpng.transient, "dist_pdf", counting_pdf)
+    monkeypatch.setattr(hpng.transient, "dist_pdf", sizing_pdf)
     monkeypatch.setattr(hpng.transient, "vegas_integrate", no_vegas)
+    tiny = McConfig(samples=8, iterations=1, seed=0)
     dims = set()
     for _, piece in _cells(battery_model, battery_tree, 8.0):
-        points.append(0)
-        integrate_piece(piece, cfg, stream(0, 0))
         if _dim(piece):
             dims.add(_dim(piece))
-            # each integrand point evaluates one density per bounded variable
-            assert points[-1] / _dim(piece) <= cfg.samples * cfg.iterations
+        assert integrate_piece(piece, tiny, None) == integrate_piece(piece, GATE_CFG, None)
     assert dims == {1, 2, 3}
-    assert max(points) == 3 * cfg.samples * cfg.iterations
+    assert 0 < max(sizes) <= hpng.transient.GL_MAX_POINTS
 
 
 def _battery_2d_cell(battery_model, battery_tree):
@@ -253,7 +288,8 @@ def _battery_2d_cell(battery_model, battery_tree):
                 if _dim(piece) == 2 and integrate_piece(piece, GATE_CFG, None).value > 1e-3)
 
 
-def test_over_budget_cell_falls_back_to_vegas(battery_model, battery_tree, monkeypatch):
+def test_cell_without_room_for_two_orders_goes_to_vegas(battery_model, battery_tree,
+                                                        monkeypatch):
     loc, piece = _battery_2d_cell(battery_model, battery_tree)
     truth = integrate_piece(piece, GATE_CFG, None).value
     calls = []
@@ -263,24 +299,55 @@ def test_over_budget_cell_falls_back_to_vegas(battery_model, battery_tree, monke
         return vegas_integrate(*args, **kwargs)
 
     monkeypatch.setattr(hpng.transient, "vegas_integrate", counting_vegas)
-    cfg = McConfig(samples=8, iterations=1, seed=0)     # below the 4**2 first order
+    monkeypatch.setattr(hpng.transient, "GL_MAX_POINTS", 8 ** 2 - 1)
+    cfg = McConfig(samples=2_000, iterations=4, seed=0)
     res = integrate_piece(piece, cfg, stream(0, loc.id))
     assert calls == [cfg]
-    assert res.samples_used == 8
+    # the whole cell went to VEGAS before the rule spent a point
+    assert res.samples_used + res.samples_skipped == cfg.samples * cfg.iterations
     assert res.sigma > 0
     assert abs(res.value - truth) <= 3 * res.sigma
 
 
-def test_fallback_is_logged(battery_model, battery_tree, caplog):
+def test_unconverged_sub_cell_alone_goes_to_vegas(monkeypatch):
+    # The normal factor splits the cell; the first sub-cell is made to
+    # miss its tolerance and only it is integrated by VEGAS.
+    piece = Piece(ON_0_10, (U_0_10,), ((DistributionSpec("normal", (5.3, 0.01)), var(0)),))
+    cells = hpng.transient._smooth_cells(piece)
+    assert len(cells) > 2
+    rule = hpng.transient._gauss_legendre
+    seen, boxes = [], []
+
+    def first_fails(f, dim):
+        q, gap, used, order = rule(f, dim)
+        seen.append(q)
+        return (q, np.inf, used, order) if len(seen) == 1 else (q, gap, used, order)
+
+    def counting_vegas(f, box, cfg, rng):
+        boxes.append(box)
+        return vegas_integrate(f, box, cfg, rng)
+
+    monkeypatch.setattr(hpng.transient, "_gauss_legendre", first_fails)
+    monkeypatch.setattr(hpng.transient, "vegas_integrate", counting_vegas)
+    cfg = McConfig(samples=2_000, iterations=4, seed=0)
+    res = integrate_piece(piece, cfg, stream(0, 0))
+    assert len(seen) == len(cells)
+    assert boxes == [[(0.0, 1.0)]]
+    assert res.value == pytest.approx(0.53, abs=3 * res.sigma + 1e-6)
+    assert res.samples_used > cfg.samples * cfg.iterations - res.samples_skipped
+
+
+def test_fallback_is_logged(battery_model, battery_tree, monkeypatch, caplog):
     loc, piece = _battery_2d_cell(battery_model, battery_tree)
+    cfg = McConfig(samples=8, iterations=1, seed=0)
     with caplog.at_level(logging.DEBUG, logger="hpng"):
-        integrate_piece(piece, GATE_CFG, stream(0, loc.id))
+        integrate_piece(piece, cfg, stream(0, loc.id))
         assert caplog.records == []
-        integrate_piece(piece, McConfig(samples=8, iterations=1, seed=0), stream(0, loc.id))
+        monkeypatch.setattr(hpng.transient, "GL_MAX_POINTS", 8 ** 2 - 1)
+        integrate_piece(piece, cfg, stream(0, loc.id))
     [record] = caplog.records
     assert record.name == "hpng" and record.levelno == logging.DEBUG
-    assert record.args[0] == 2           # cell dimension
-    assert record.args[-1] == 8          # point budget
+    assert record.args == (2, 0, np.inf, 8)  # dimension, order, gap, VEGAS budget
     assert "VEGAS" in record.getMessage()
 
 
