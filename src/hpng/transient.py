@@ -404,7 +404,7 @@ def integrate_piece(piece: Piece, cfg: McConfig, rng: np.random.Generator) -> Mc
     orders, before any point is spent on the rule; and a sub-cell whose
     gap is still open at the last order that fits, while the sub-cells
     that converged keep their values.  Such a sub-cell costs the rule's
-    points (at most about 8/7 of ``GL_MAX_POINTS``) on top of VEGAS's.
+    points (under twice ``GL_MAX_POINTS``) on top of VEGAS's.
     The error estimate sums the gaps and adds the VEGAS sigmas in
     quadrature.
     """
