@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", default=None)
     p.add_argument("--runs", type=int, default=10_000)
     p.add_argument("--half-width", type=float, default=None,
-                   help="stop when the 95%% CI half width drops below this")
+                   help="stop when the 95%% Wilson score half width drops below this")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("compare", help="all routes side by side")

@@ -152,26 +152,11 @@ def polytope_volume(verts: np.ndarray) -> float:
         return 0.0
 
 
-def sample_unit_simplex(rng: np.random.Generator, dim: int, size: int,
-                        mode: str = "sorted") -> np.ndarray:
+def sample_unit_simplex(rng: np.random.Generator, dim: int, size: int) -> np.ndarray:
     """Barycentric weights (size, dim+1) uniform over the standard simplex."""
-    if mode == "sorted":
-        u = np.sort(rng.random((size, dim)), axis=1)
-        padded = np.hstack([np.zeros((size, 1)), u, np.ones((size, 1))])
-        return np.diff(padded, axis=1)
-    if mode == "rejection":
-        out = np.empty((size, dim + 1))
-        have = 0
-        while have < size:
-            cand = rng.random((max(size, 64), dim))
-            s = cand.sum(axis=1)
-            ok = cand[s <= 1.0]
-            take = min(len(ok), size - have)
-            out[have:have + take, :dim] = ok[:take]
-            out[have:have + take, dim] = 1.0 - ok[:take].sum(axis=1)
-            have += take
-        return out
-    raise ValueError(f"unknown simplex sampling mode {mode!r}")
+    u = np.sort(rng.random((size, dim)), axis=1)
+    padded = np.hstack([np.zeros((size, 1)), u, np.ones((size, 1))])
+    return np.diff(padded, axis=1)
 
 
 def probability_over_simplex(
@@ -179,7 +164,6 @@ def probability_over_simplex(
     density,
     cfg: McConfig,
     rng: np.random.Generator,
-    mode: str = "sorted",
 ) -> McResult:
     """Monte Carlo integral of a density over one simplex."""
     vol = simplex_volume(verts) if verts.shape[1] > 1 else float(verts[1, 0] - verts[0, 0])
@@ -190,7 +174,7 @@ def probability_over_simplex(
     values, sigmas = [], []
     used = skipped = 0
     for _ in range(cfg.iterations):
-        w = sample_unit_simplex(rng, dim, n, mode)
+        w = sample_unit_simplex(rng, dim, n)
         pts = w @ verts
         fx = np.asarray(density(pts), dtype=float)
         good = np.isfinite(fx)

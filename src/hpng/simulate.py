@@ -287,6 +287,16 @@ class SimEstimate:
     half_width: float
 
 
+def _wilson_half_width(hits: int, n: int, z: float) -> float:
+    """Half the width of the Wilson score interval for ``hits`` out of ``n``.
+
+    Unlike the Wald interval it stays open when no run or every run hits.
+    """
+    p = hits / n
+    z2n = z * z / n
+    return z / (1.0 + z2n) * float(np.sqrt(p * (1.0 - p) / n + z2n / (4.0 * n)))
+
+
 def estimate_probability(
     model: HPnGModel,
     tau_max: float,
@@ -298,10 +308,12 @@ def estimate_probability(
     half_width: Optional[float] = None,
     z: float = 1.96,
 ) -> SimEstimate:
-    """Fraction of runs satisfying the property at t_prime, with a Wald CI.
+    """Fraction of runs satisfying the property at t_prime.
 
-    Stops early once the z-scaled half width drops under ``half_width``
-    (when given), but never before ``min_runs`` runs.
+    ``sigma`` is the binomial standard error at the observed fraction, and
+    ``half_width`` the half width of the z-scaled Wilson score interval.
+    Stops early once that half width drops under ``half_width`` (when
+    given), but never before ``min_runs`` runs.
     """
     if not (-EPS_SIM <= t_prime <= tau_max + EPS_SIM):
         raise ValueError(f"observation time {t_prime} outside [0, {tau_max}]")
@@ -313,11 +325,9 @@ def estimate_probability(
         if holds_concrete(model, atoms, res.observed_marking, res.observed_levels):
             hits += 1
         n += 1
-        if half_width is not None and n >= min_runs:
-            p = hits / n
-            hw = z * np.sqrt(max(p * (1 - p), 1e-12) / n)
-            if hw <= half_width:
-                break
+        if (half_width is not None and n >= min_runs
+                and _wilson_half_width(hits, n, z) <= half_width):
+            break
     p = hits / n
     sigma = float(np.sqrt(max(p * (1 - p), 0.0) / n))
-    return SimEstimate(p, sigma, n, z * sigma)
+    return SimEstimate(p, sigma, n, _wilson_half_width(hits, n, z))

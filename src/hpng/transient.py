@@ -15,10 +15,12 @@ firings that are still pending.  Three routes compute that integral:
     of more than five dimensions, or one whose orders do not agree within
     ``GL_MAX_POINTS`` points, goes to VEGAS.
 ``simplex``
-    A half-space region per location, vertex enumeration, triangulation,
-    and per-simplex sampling of the density.
+    One half-space region per location over its expired firings, vertex
+    enumeration, triangulation, and per-simplex sampling of the density;
+    pending firings enter the density as survival factors, and a location
+    with no expired firing is a closed-form survival product.
 ``direct``
-    The same region sampled through its bounding box.
+    The same region and density sampled through the region's bounding box.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -65,14 +67,6 @@ PEAK_SIGMAS = 6.0
 EXP_MEANS = 21.0
 
 _log = logging.getLogger("hpng")
-
-
-@dataclass(frozen=True)
-class PendingVar:
-    rv_label: str
-    dist: DistributionSpec
-    lower: LinearForm      # value below which the firing would already have happened
-    enabled: bool
 
 
 @dataclass(frozen=True)
@@ -113,15 +107,26 @@ def candidate_locations(tree: PLTree, t_prime: float) -> list[ParametricLocation
     return out
 
 
-def pending_vars(model: HPnGModel, loc: ParametricLocation, t_prime: float) -> list[PendingVar]:
-    out = []
-    for rv, dist, g_form, is_enabled in pending_rvs(model, loc):
-        if is_enabled:
-            lower = g_form + (const(t_prime) - loc.entry)
-        else:
-            lower = g_form
-        out.append(PendingVar(rv.label(), dist, lower, is_enabled))
-    return out
+def pending_vars(
+    model: HPnGModel, loc: ParametricLocation, t_prime: float
+) -> list[tuple[DistributionSpec, LinearForm]]:
+    """Survival factors (dist, lower) of the firings still pending at t_prime.
+
+    ``lower`` is the value below which the firing would already have
+    happened; the factor is 1 - F(lower).
+    """
+    return [
+        (dist, g_form + (const(t_prime) - loc.entry) if is_enabled else g_form)
+        for _, dist, g_form, is_enabled in pending_rvs(model, loc)
+    ]
+
+
+def _survival(factors: Sequence[tuple[DistributionSpec, LinearForm]],
+              vals: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w`` times 1 - F(lower) of every factor, at each row of ``vals``."""
+    for dist, lf in factors:
+        w = w * (1.0 - cdf(dist, lf.evaluate_batch(vals)))
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +204,7 @@ def location_pieces(
 ) -> list[Piece]:
     """Triangular cells of the restricted domain of one location at t_prime."""
     dists = tuple(model.transition(rv.transition).distribution for rv in loc.rvs)
-    pend = pending_vars(model, loc, t_prime)
-    factors = tuple((p.dist, p.lower) for p in pend)
+    factors = tuple(pending_vars(model, loc, t_prime))
     contexts: list[tuple[list[SymInterval], list[LinearForm]]] = []
     if loc.det_exits:
         for ex in loc.det_exits:
@@ -283,11 +287,9 @@ def _smooth_cells(piece: Piece) -> list[Piece]:
     ivs = piece.intervals
     clips: list[LinearForm] = []
     splits: list[tuple[LinearForm, tuple[float, ...]]] = []
-    survivals = list(piece.factors)
     for i, iv in enumerate(ivs):
         dist = piece.dists[i]
         if iv.upper is None:
-            survivals.append((dist, iv.lower))
             continue
         lo, hi = _support(dist)
         if extremal_value(iv.lower, ivs, "min") < lo - EPS:
@@ -295,7 +297,7 @@ def _smooth_cells(piece: Piece) -> list[Piece]:
         if hi is not None and extremal_value(iv.upper, ivs, "max") > hi + EPS:
             clips.append(var(i) - const(hi))
         splits.append((var(i), _peak_cuts(dist)))
-    for dist, lf in survivals:
+    for dist, lf in _survival_factors(piece):
         lo, hi = _support(dist)
         splits.append((lf, (lo, *_peak_cuts(dist)) if hi is None else (lo, hi)))
     cells = _refold(piece, clips) if clips else [piece]
@@ -311,36 +313,39 @@ def _smooth_cells(piece: Piece) -> list[Piece]:
     return cells
 
 
+def _survival_factors(piece: Piece) -> list[tuple[DistributionSpec, LinearForm]]:
+    """The piece's pending firings and its unbounded variables, as survival factors."""
+    return list(piece.factors) + [
+        (piece.dists[i], iv.lower) for i, iv in enumerate(piece.intervals) if iv.upper is None
+    ]
+
+
 def _cube_integrand(piece: Piece):
     """The cell's density integral as a function on the unit cube.
 
     Each bounded variable is mapped from [0, 1] onto its interval given the
     earlier variables, so the integrand carries the widths as Jacobian;
     unbounded variables and pending firings enter as survival factors.
+    No bound refers to an unbounded variable (``integrate_piece`` checks),
+    so those keep the value 0 in the point matrix.
     """
     nv = len(piece.intervals)
+    survivals = _survival_factors(piece)
 
     def f(u: np.ndarray) -> np.ndarray:
-        n = len(u)
-        vals = np.zeros((n, nv))
-        w = np.ones(n)
+        vals = np.zeros((len(u), nv))
+        w = np.ones(len(u))
         col = 0
         for i, iv in enumerate(piece.intervals):
-            lo = iv.lower.evaluate_batch(vals) if iv.lower.coeffs else np.full(n, iv.lower.const)
             if iv.upper is None:
-                w = w * (1.0 - cdf(piece.dists[i], lo))
-                vals[:, i] = lo
                 continue
-            hi = iv.upper.evaluate_batch(vals) if iv.upper.coeffs else np.full(n, iv.upper.const)
-            width = np.maximum(hi - lo, 0.0)
+            lo = iv.lower.evaluate_batch(vals)
+            width = np.maximum(iv.upper.evaluate_batch(vals) - lo, 0.0)
             x = lo + u[:, col] * width
             vals[:, i] = x
             w = w * width * dist_pdf(piece.dists[i], x)
             col += 1
-        for dist, lf in piece.factors:
-            low = lf.evaluate_batch(vals) if lf.coeffs else np.full(n, lf.const)
-            w = w * (1.0 - cdf(dist, low))
-        return w
+        return _survival(survivals, vals, w)
 
     return f
 
@@ -423,11 +428,7 @@ def integrate_piece(piece: Piece, cfg: McConfig, rng: np.random.Generator) -> Mc
                 raise UnsupportedModelError("unbounded variable referenced by survival factor")
 
     if not bounded:
-        value = 1.0
-        for i in free:
-            value *= float(1.0 - cdf(piece.dists[i], np.array([piece.intervals[i].lower.const]))[0])
-        for dist, lf in piece.factors:
-            value *= float(1.0 - cdf(dist, np.array([lf.const]))[0])
+        value = float(_survival(_survival_factors(piece), np.zeros((1, nv)), np.ones(1))[0])
         return McResult(value, 0.0, 0, 0)
 
     dim = len(bounded)
@@ -468,109 +469,65 @@ def location_region_terms(
     t_prime: float,
     extra_rows: tuple[LinearForm, ...] = (),
 ):
-    """Region terms (weight, polytope-or-None, densities) for one location.
+    """Region terms (weight, polytope-or-None, density) of one location: at most one.
 
-    Dimensions are the expired variables followed by the pending ones; each
-    pending variable is clipped at the tree horizon and its tail beyond it
-    re-enters as a constant survival factor with the variable substituted
-    out, one term per subset of tails.
+    The polytope's dimensions are the expired firings s_i.  Its rows
+    (``form <= 0``) are the domain bounds, 0 <= s_i <= tau, entry <= t',
+    t' <= each deterministic exit and ``extra_rows``; rows with no
+    variable are dropped when they hold, and when one fails the location
+    has no term.  The density is the product of the expired firings'
+    densities and the survival 1 - F(lower) of each pending firing, whose
+    lower bound never exceeds tau, so no tail beyond the horizon needs a
+    term of its own.  A location with no expired firing has no polytope:
+    its weight is the closed-form survival product.
     """
     tau = tree.tau_max
-    n_exp = len(loc.domain)
-    pend = pending_vars(model, loc, t_prime)
-    n_pend = len(pend)
-    exp_dists = [model.transition(rv.transition).distribution for rv in loc.rvs]
-
-    base_rows: list[tuple[np.ndarray, float]] = []
-
-    def add(form: LinearForm, pending_col: Optional[int] = None, pcoef: float = 0.0):
-        # constraint: form + pcoef * p_col <= 0
-        v = np.zeros(n_exp + n_pend)
-        v[:n_exp] = _vec(form, n_exp)
-        if pending_col is not None:
-            v[n_exp + pending_col] = pcoef
-        base_rows.append((v, -form.const))
-
+    n = len(loc.domain)
+    factors = pending_vars(model, loc, t_prime)
+    forms: list[LinearForm] = []
     for i, iv in enumerate(loc.domain):
-        lo_row = LinearForm(iv.lower.const, tuple(
-            [iv.lower.coeff(j) for j in range(i)] + [-1.0]
-        ))
-        add(lo_row)
+        forms.append(iv.lower - var(i))
         if iv.upper is not None:
-            hi_row = LinearForm(-iv.upper.const, tuple(
-                [-iv.upper.coeff(j) for j in range(i)] + [1.0]
-            ))
-            add(hi_row)
-        add(LinearForm(0.0, tuple([0.0] * i + [-1.0])))          # s_i >= 0
-        add(LinearForm(-tau, tuple([0.0] * i + [1.0])))          # s_i <= tau
+            forms.append(var(i) - iv.upper)
+        forms += [var(i, -1.0), var(i) - tau]                       # 0 <= s_i <= tau
+    forms.append(loc.entry - const(t_prime))                        # entry <= t'
+    forms += [const(t_prime) - loc.entry - ex.delta for ex in loc.det_exits]
+    forms += extra_rows
 
-    add(loc.entry - const(t_prime))                               # entry <= t'
-    for ex in loc.det_exits:
-        add(const(t_prime) - loc.entry - ex.delta)                # t' <= exit
-    for row in extra_rows:
-        add(row)
-    for j, p in enumerate(pend):
-        add(p.lower, pending_col=j, pcoef=-1.0)                   # p_j >= lower
-        add(const(-tau), pending_col=j, pcoef=1.0)                # p_j <= tau
+    rows: list[tuple[np.ndarray, float]] = []
+    for form in forms:
+        if any(abs(c) > EPS for c in form.coeffs):
+            rows.append((_vec(form, n), -form.const))
+        elif form.const > EPS_GEOM:
+            return []
+    if n == 0:
+        return [(float(_survival(factors, np.zeros((1, 0)), np.ones(1))[0]), None, None)]
+    dists = [model.transition(rv.transition).distribution for rv in loc.rvs]
 
-    terms = []
-    for mask in range(1 << n_pend):
-        weight = 1.0
-        for j in range(n_pend):
-            if mask >> j & 1:
-                weight *= float(1.0 - cdf(pend[j].dist, np.array([tau]))[0])
-        if weight <= 0.0:
-            continue
-        kept = [j for j in range(n_pend) if not mask >> j & 1]
-        cols = list(range(n_exp)) + [n_exp + j for j in kept]
-        rows = []
-        feasible = True
-        for v, rhs in base_rows:
-            sub = rhs - sum(v[n_exp + j] * tau for j in range(n_pend) if mask >> j & 1)
-            vv = v[cols]
-            if np.all(np.abs(vv) <= EPS):
-                if sub < -EPS_GEOM:
-                    feasible = False
-                    break
-                continue
-            rows.append((vv, sub))
-        if not feasible:
-            continue
-        dists = exp_dists + [pend[j].dist for j in kept]
-        dim = len(cols)
-        poly = make_polytope(rows, dim) if dim else None
-        terms.append((weight, poly, dists))
-    return terms
-
-
-def _density(dists):
-    def f(pts: np.ndarray) -> np.ndarray:
+    def density(pts: np.ndarray) -> np.ndarray:
         out = np.ones(len(pts))
         for i, dist in enumerate(dists):
             out *= dist_pdf(dist, pts[:, i])
-        return out
-    return f
+        return _survival(factors, pts, out)
+
+    return [(1.0, make_polytope(rows, n), density)]
 
 
 def _region_probability(
-    terms, method: str, cfg: McConfig, rng: np.random.Generator,
-    simplex_mode: str = "sorted",
+    terms, method: str, cfg: McConfig, rng: np.random.Generator
 ) -> tuple[float, float]:
     total = 0.0
     var = 0.0
-    for weight, poly, dists in terms:
+    for weight, poly, density in terms:
         if poly is None:
             total += weight
             continue
-        density = _density(dists)
         if method == "simplex":
-            verts = vertex_enumeration(poly)
-            for simplex in triangulate(verts):
-                r = probability_over_simplex(simplex, density, cfg, rng, simplex_mode)
-                total += weight * r.value
-                var += (weight * r.sigma) ** 2
+            results = [probability_over_simplex(simplex, density, cfg, rng)
+                       for simplex in triangulate(vertex_enumeration(poly))]
         else:
-            r = probability_over_region_direct(poly, density, cfg, rng)
+            results = [probability_over_region_direct(poly, density, cfg, rng)]
+        for r in results:
             total += weight * r.value
             var += (weight * r.sigma) ** 2
     return total, float(np.sqrt(var))
@@ -611,7 +568,6 @@ def transient_probability(
     method: str = "intervals",
     cfg: Optional[McConfig] = None,
     threads: Optional[int] = None,
-    simplex_mode: str = "sorted",
 ) -> TransientResult:
     """Probability that the property holds at time t_prime.
 
@@ -646,7 +602,7 @@ def transient_probability(
                 var += r.sigma ** 2
             return loc.id, acc * value, acc * float(np.sqrt(var))
         terms = location_region_terms(model, tree, loc, t_prime, rows)
-        value, sigma = _region_probability(terms, method, cfg, rng, simplex_mode)
+        value, sigma = _region_probability(terms, method, cfg, rng)
         return loc.id, acc * value, acc * sigma
 
     if threads and threads > 1:

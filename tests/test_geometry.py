@@ -197,30 +197,23 @@ def test_mc_volume_matches_triangulation():
 # ---------------------------------------------------------------------------
 # simplex sampling
 
-@pytest.mark.parametrize("mode", ["sorted", "rejection"])
-def test_simplex_weights_are_barycentric(mode):
+def test_simplex_weights_are_barycentric():
     rng = np.random.default_rng(6)
-    w = sample_unit_simplex(rng, 3, 500, mode)
+    w = sample_unit_simplex(rng, 3, 500)
     assert w.shape == (500, 4)
     assert np.all(w >= -1e-12)
     assert np.allclose(w.sum(axis=1), 1.0)
 
 
-@pytest.mark.parametrize("mode", ["sorted", "rejection"])
-def test_simplex_sampling_moments(mode):
+def test_simplex_sampling_moments():
     # Uniform barycentric weights are Dirichlet(1,..,1): mean 1/(d+1),
     # second moment 2/((d+1)(d+2)).
     rng = np.random.default_rng(8)
     dim = 2
-    w = sample_unit_simplex(rng, dim, 200_000, mode)
+    w = sample_unit_simplex(rng, dim, 200_000)
     assert np.allclose(w.mean(axis=0), 1.0 / (dim + 1), atol=5e-3)
     assert np.allclose((w ** 2).mean(axis=0), 2.0 / ((dim + 1) * (dim + 2)),
                        atol=5e-3)
-
-
-def test_simplex_sampling_unknown_mode():
-    with pytest.raises(ValueError):
-        sample_unit_simplex(np.random.default_rng(0), 2, 10, "fancy")
 
 
 def test_probability_over_simplex_constant_density():

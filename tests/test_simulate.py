@@ -154,3 +154,14 @@ def test_step_limit_is_a_resource_cap(reservoir_model, monkeypatch):
     monkeypatch.setattr(hpng.simulate, "MAX_STEPS", 1)
     with pytest.raises(ResourceLimitError):
         simulate_run(reservoir_model, 10.0, assignment={("pump_break", 0): 3.0})
+
+
+def test_early_stop_never_reports_a_zero_half_width(reservoir_model):
+    # The exact value is 0.005.  Seeds whose first hundred runs all miss
+    # used to stop there on a Wald interval of 0 +/- 0.
+    atoms = parse_property("m(pump_ok) = 0 & x(tank) >= 6.9", reservoir_model)
+    for seed in range(10):
+        est = estimate_probability(reservoir_model, 10.0, 6.0, atoms, seed=seed,
+                                   runs=100_000, half_width=0.01)
+        assert est.half_width > 0.0, seed
+        assert abs(est.p - 0.005) <= est.half_width, (seed, est)

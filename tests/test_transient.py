@@ -22,7 +22,6 @@ from hpng.transient import (
     location_region_terms,
     pending_vars,
     transient_probability,
-    _region_probability,
 )
 from hpng.tree import build_plt
 
@@ -55,8 +54,9 @@ def test_candidates_at_8(reservoir_tree):
 def test_pending_var_shifts_with_time(reservoir_model, reservoir_tree):
     pend = pending_vars(reservoir_model, reservoir_tree.root, 4.0)
     assert len(pend) == 1
-    assert pend[0].enabled
-    assert pend[0].lower.text([]) == "4"
+    dist, lower = pend[0]
+    assert dist.family == "uniform"
+    assert lower.text([]) == "4"
 
 
 def test_root_piece_is_pure_survival(reservoir_model, reservoir_tree):
@@ -70,19 +70,27 @@ def test_root_piece_is_pure_survival(reservoir_model, reservoir_tree):
     assert res.sigma == 0.0
 
 
-def test_root_region_terms(reservoir_model, reservoir_tree):
-    terms = location_region_terms(reservoir_model, reservoir_tree,
-                                  reservoir_tree.root, 4.0)
-    # The pending break time is one dimension; its beyond-horizon tail has
-    # weight zero and is dropped.
-    assert len(terms) == 1
-    weight, poly, dists = terms[0]
-    assert weight == 1.0
-    assert poly.dim == 1
-    value, sigma = _region_probability(
-        terms, "direct", McConfig(samples=20_000, iterations=4, seed=0),
-        stream(1, 0))
-    assert abs(value - 0.6) <= 3.0 * sigma + 1e-9
+def test_one_region_over_expired_firings(battery_model, battery_tree):
+    # Pending firings are survival factors, not dimensions, and no tail
+    # beyond the horizon gets a region of its own.
+    regions = 0
+    for loc in candidate_locations(battery_tree, 8.0):
+        terms = location_region_terms(battery_model, battery_tree, loc, 8.0)
+        assert len(terms) <= 1
+        for _, poly, _ in terms:
+            if poly is not None:
+                assert poly.dim == len(loc.domain)
+                regions += 1
+    assert regions > 0
+
+
+@pytest.mark.parametrize("method", ["simplex", "direct"])
+def test_root_region_is_closed_form(reservoir_tree, method):
+    # At t' = 4 the root has no expired firing: its mass is the survival
+    # 1 - F(4) of the pending U(0, 10) break time, with no polytope.
+    res = transient_probability(reservoir_tree, 4.0, method=method,
+                                cfg=McConfig(samples=100, iterations=2, seed=0))
+    assert res.per_location[0] == (0.6, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +191,6 @@ def test_threaded_run_matches_serial(reservoir_tree, fast_cfg):
     threaded = transient_probability(reservoir_tree, 8.0, cfg=fast_cfg, threads=4)
     assert threaded.total == serial.total
     assert threaded.per_location == serial.per_location
-
-
-def test_rejection_sampling_mode(reservoir_tree, fast_cfg):
-    res = transient_probability(reservoir_tree, 8.0, method="simplex",
-                                cfg=fast_cfg, simplex_mode="rejection")
-    assert res.total == pytest.approx(1.0, abs=3.0 * res.sigma + 2e-3)
 
 
 # ---------------------------------------------------------------------------
