@@ -126,7 +126,7 @@ def cmd_simulate(args) -> int:
         "tPrime": args.time,
         "method": "simulation",
         "total": est.p,
-        "error": est.sigma,
+        "error": est.error,
         "runs": est.runs,
         "halfWidth": est.half_width,
         "wallTimeMs": wall,
@@ -156,7 +156,7 @@ def cmd_compare(args) -> int:
     est = estimate_probability(model, args.tau_max, args.time, atoms or [],
                                seed=args.seed, runs=args.runs)
     wall = (time.perf_counter() - start) * 1000.0
-    print(f"{'simulation':<12} {est.p:>12.6f} {est.sigma:>12.2e} {wall:>8.0f}")
+    print(f"{'simulation':<12} {est.p:>12.6f} {est.error:>12.2e} {wall:>8.0f}")
     return 0
 
 

@@ -281,10 +281,23 @@ def simulate_run(
 
 @dataclass
 class SimEstimate:
+    """A simulated probability with its error.
+
+    ``sigma`` is the plug-in binomial standard error, which is 0 when no
+    run or every run hits; ``half_width`` is the half width of the z-scaled
+    Wilson score interval, which stays open there.  ``error``, that half
+    width divided by z, is the error the command line reports.
+    """
+
     p: float
     sigma: float
     runs: int
     half_width: float
+    z: float
+
+    @property
+    def error(self) -> float:
+        return self.half_width / self.z
 
 
 def _wilson_half_width(hits: int, n: int, z: float) -> float:
@@ -330,4 +343,4 @@ def estimate_probability(
             break
     p = hits / n
     sigma = float(np.sqrt(max(p * (1 - p), 0.0) / n))
-    return SimEstimate(p, sigma, n, _wilson_half_width(hits, n, z))
+    return SimEstimate(p, sigma, n, _wilson_half_width(hits, n, z), z)

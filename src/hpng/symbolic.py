@@ -239,6 +239,13 @@ def compare_remaining_times(
     return ComparisonOutcome(ComparisonKind.LOWER_BOUND, k, bound)
 
 
+def _live_len(cs: list[float], n: int) -> int:
+    """Length of ``cs[:n]`` once trailing entries within EPS are dropped, as ``_strip`` does."""
+    while n and abs(cs[n - 1]) <= EPS:
+        n -= 1
+    return n
+
+
 def extremal_value(
     form: LinearForm,
     domain: Sequence[SymInterval],
@@ -251,25 +258,47 @@ def extremal_value(
     extremizes the current coefficient.  Because each bound only references
     lower-order variables the substitution is exact, and an unbounded upper
     bound chosen with a live coefficient makes the extremum infinite.
+
+    The walk keeps the constant and the coefficients as plain floats and
+    builds no ``LinearForm``: each step does the float operations of
+    ``LinearForm.substitute``, in its order and with its stripping of
+    trailing coefficients within EPS, so the result is the one that
+    substituting forms would give, bit for bit.  Raises ``ValueError`` for
+    an unknown ``sense``, for a chosen bound that references its own or a
+    higher variable, and for a form with a live coefficient outside the
+    domain (unless the extremum is infinite first).
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
     want_max = sense == "max"
-    cur = form
+    value = form.const
+    cs = list(form.coeffs)
+    n = len(cs)                 # cs[n:] counts as zero, as after _strip
     for k in range(len(domain) - 1, -1, -1):
-        c = cur.coeff(k)
+        c = cs[k] if k < n else 0.0
         if abs(c) <= eps:
-            if k < len(cur.coeffs):
-                cur = cur.substitute(k, ZERO)
-            continue
-        iv = domain[k]
-        pick_upper = (c > 0) == want_max
-        if pick_upper:
-            if iv.upper is None:
-                return math.inf if c > 0 else -math.inf
-            cur = cur.substitute(k, iv.upper)
+            if k >= n:
+                continue
+            bound = ZERO        # drop the negligible term, as substitute(k, ZERO)
         else:
-            cur = cur.substitute(k, iv.lower)
-    if cur.top_index(eps) is not None:
+            iv = domain[k]
+            if (c > 0) == want_max:
+                if iv.upper is None:
+                    return math.inf if c > 0 else -math.inf
+                bound = iv.upper
+            else:
+                bound = iv.lower
+            if len(bound.coeffs) > k:
+                raise ValueError("replacement must reference lower-order variables only")
+        cs[k] = 0.0
+        n = _live_len(cs, n)
+        scaled = [b * c for b in bound.coeffs]
+        m = _live_len(scaled, len(scaled))
+        value = value + bound.const * c
+        top = max(n, m)
+        for z in range(top):
+            cs[z] = (cs[z] if z < n else 0.0) + (scaled[z] if z < m else 0.0)
+        n = _live_len(cs, top)
+    if any(abs(cs[z]) > eps for z in range(n)):
         raise ValueError("form references variables outside the domain")
-    return cur.const
+    return value

@@ -91,20 +91,20 @@ class TransientResult:
 # candidates and pending variables
 
 def candidate_locations(tree: PLTree, t_prime: float) -> list[ParametricLocation]:
-    """Locations that can be occupied at t_prime."""
-    out = []
-    for loc in tree.locations:
-        if extremal_value(loc.entry, loc.domain, "min") > t_prime + EPS:
-            continue
-        if loc.det_exits:
-            alive = any(
-                extremal_value(loc.entry + ex.delta, list(ex.cuts), "max") >= t_prime - EPS
-                for ex in loc.det_exits
-            )
-            if not alive:
-                continue
-        out.append(loc)
-    return out
+    """Locations that can be occupied at t_prime, in tree order.
+
+    A location qualifies when its earliest entry (``loc.earliest``) is no
+    later than t_prime and, if it has deterministic exits, one of them can
+    happen at t_prime or later (``DetExit.latest``).  Both bounds do not
+    depend on t_prime; ``build_plt`` computes them once per tree, so a
+    query only compares floats.
+    """
+    return [
+        loc for loc in tree.locations
+        if loc.earliest <= t_prime + EPS
+        and (not loc.det_exits
+             or any(ex.latest >= t_prime - EPS for ex in loc.det_exits))
+    ]
 
 
 def pending_vars(

@@ -50,21 +50,33 @@ class DetExit:
     ``delta`` is the remaining time until the exit, ``cuts`` the parent
     domain restricted to where this exit happens first.  Kept even when the
     child lies beyond the time bound, because residence in the parent is
-    still limited by it.
+    still limited by it.  ``latest`` is the latest time the exit can
+    happen, the maximum of ``entry + delta`` over ``cuts``; ``build_plt``
+    computes it when it records the exit.
     """
 
     delta: LinearForm
     cuts: tuple[SymInterval, ...]
+    latest: float
 
 
 @dataclass
 class ParametricLocation:
+    """One node of the tree: a symbolic state entered at time ``entry``.
+
+    ``earliest`` is the earliest entry time, the minimum of ``entry`` over
+    ``domain``; ``_spawn`` computes it to decide whether the location lies
+    within the time bound (the root's is 0).  The tree does not change
+    after ``build_plt`` returns, so it and ``DetExit.latest`` stay valid.
+    """
+
     id: int
     parent: Optional[int]
     source: Optional[str]
     source_kind: Optional[EventKind]
     p: float
     entry: LinearForm
+    earliest: float
     state: SymState
     domain: list[SymInterval]
     rvs: list[RvId]
@@ -228,7 +240,7 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
     """Breadth-first unfolding of the symbolic state space up to tau_max."""
     root = ParametricLocation(
         id=0, parent=None, source=None, source_kind=None, p=1.0,
-        entry=ZERO, state=initial_state(model), domain=[], rvs=[],
+        entry=ZERO, earliest=0.0, state=initial_state(model), domain=[], rvs=[],
     )
     locs = [root]
     queue: deque[int] = deque([0])
@@ -248,7 +260,8 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
             delta = grp[0].delta
             for cuts in _group_cuts(groups, gi, loc.domain):
                 contexts.append((delta, cuts))
-                loc.det_exits.append(DetExit(delta, tuple(cuts)))
+                latest = extremal_value(loc.entry + delta, cuts, "max")
+                loc.det_exits.append(DetExit(delta, tuple(cuts), latest))
                 for ev, pw in resolve_conflict(model, grp):
                     _spawn(model, locs, queue, loc, ev, ev.delta, list(cuts),
                            pw, None, tau_max, max_locations)
@@ -289,14 +302,15 @@ def _spawn(
     max_locations: int,
 ) -> None:
     entry = parent.entry + delta
-    if extremal_value(entry, domain, "min") > tau_max + EPS:
+    earliest = extremal_value(entry, domain, "min")
+    if earliest > tau_max + EPS:
         return
     if len(locs) >= max_locations:
         raise ResourceLimitError(f"location tree exceeds {max_locations} nodes")
     state = _child_state(model, parent.state, ev, delta)
     child = ParametricLocation(
         id=len(locs), parent=parent.id, source=ev.describe(),
-        source_kind=ev.kind, p=p, entry=entry, state=state,
+        source_kind=ev.kind, p=p, entry=entry, earliest=earliest, state=state,
         domain=domain, rvs=parent.rvs + [new_rv] if new_rv else list(parent.rvs),
     )
     locs.append(child)

@@ -2,16 +2,39 @@
 
 from pathlib import Path
 
+import hpng.semantics
+import hpng.symbolic
 import hpng.transient
+import hpng.tree
+from hpng.transient import candidate_locations
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_bench_tracer_installs_and_restores(monkeypatch):
+def _tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
+    return tracing
 
+
+def test_bench_tracer_installs_and_restores(monkeypatch):
+    tracing = _tracing(monkeypatch)
     original = hpng.transient.location_region_terms
     with tracing.install(tracing.Tracer()):
         assert hpng.transient.location_region_terms is not original
     assert hpng.transient.location_region_terms is original
+
+
+def test_traced_query_goes_through_the_wrapped_names(monkeypatch, reservoir_tree):
+    # The per-layer numbers count calls to the wrapped names, so the
+    # routes must reach candidate selection and the extremum walk through
+    # them and not through names bound elsewhere.
+    tracing = _tracing(monkeypatch)
+    expected = len(candidate_locations(reservoir_tree, 8.0))
+    with tracing.install(tracing.Tracer()) as tracer:
+        for mod in (hpng.tree, hpng.semantics, hpng.transient):
+            assert mod.extremal_value is not hpng.symbolic.extremal_value, mod
+        hpng.transient.transient_probability(reservoir_tree, 8.0)
+    assert tracer.aggs["transient.candidate_locations"].calls == 1
+    assert tracer.counts["candidates"] == expected
+    assert hpng.transient.extremal_value is hpng.symbolic.extremal_value

@@ -125,6 +125,31 @@ def test_simulate_half_width(capsys):
     assert doc["halfWidth"] <= 0.08
 
 
+def test_simulate_error_is_open_when_no_run_hits(capsys):
+    # Seed 7 stops at 189 runs with no hit (the exact value is 0.005): the
+    # plug-in standard error is 0 there, the Wilson half width is not.
+    code, out, _ = run(capsys, "simulate", RESERVOIR, "--tau-max", "10",
+                       "--time", "6", "--property", "m(pump_ok) = 0 & x(tank) >= 6.9",
+                       "--half-width", "0.01", "--seed", "7")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["total"] == 0.0
+    assert doc["error"] > 0.0
+    assert doc["error"] == pytest.approx(doc["halfWidth"] / 1.96)
+
+
+def test_compare_simulation_error_is_open_when_no_run_hits(capsys):
+    code, out, _ = run(capsys, "compare", RESERVOIR, "--tau-max", "10",
+                       "--time", "6", "--property", "m(pump_ok) = 0 & x(tank) >= 6.9",
+                       "--samples", "1000", "--iterations", "2",
+                       "--runs", "100", "--seed", "7")
+    assert code == 0
+    sim = out.strip().splitlines()[-1].split()
+    assert sim[0] == "simulation"
+    assert float(sim[1]) == 0.0
+    assert float(sim[2]) > 0.0
+
+
 def test_compare_table(capsys):
     code, out, _ = run(capsys, "compare", RESERVOIR, "--tau-max", "10",
                        "--time", "4", "--property", "x(tank) >= 4",

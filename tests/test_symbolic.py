@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hpng.semantics
+import hpng.transient
+import hpng.tree
+from hpng.model import load_model
+from hpng.props import parse_property
 from hpng.symbolic import (
+    EPS,
     ZERO,
     ComparisonKind,
     LinearForm,
@@ -17,6 +23,8 @@ from hpng.symbolic import (
     unbounded,
     var,
 )
+
+from conftest import MODELS
 
 
 def test_trailing_zero_coefficients_are_stripped():
@@ -137,6 +145,73 @@ def test_extremal_value_unbounded_and_errors():
         extremal_value(var(0), dom, "biggest")
     with pytest.raises(ValueError):
         extremal_value(var(3), dom, "max")
+
+
+@pytest.mark.parametrize("bad", [var(1), var(2)])
+def test_extremal_value_rejects_a_bound_on_its_own_or_a_higher_variable(bad):
+    dom = [SymInterval(const(0.0), const(1.0)), SymInterval(bad, const(3.0))]
+    with pytest.raises(ValueError):
+        extremal_value(var(1), dom, "min")
+
+
+def _substitution_walk(form, domain, sense, eps=EPS):
+    """extremal_value as a walk of LinearForm substitutions (the reference)."""
+    if sense not in ("min", "max"):
+        raise ValueError("sense must be 'min' or 'max'")
+    want_max = sense == "max"
+    cur = form
+    for k in range(len(domain) - 1, -1, -1):
+        c = cur.coeff(k)
+        if abs(c) <= eps:
+            if k < len(cur.coeffs):
+                cur = cur.substitute(k, ZERO)
+            continue
+        iv = domain[k]
+        if (c > 0) == want_max:
+            if iv.upper is None:
+                return math.inf if c > 0 else -math.inf
+            cur = cur.substitute(k, iv.upper)
+        else:
+            cur = cur.substitute(k, iv.lower)
+    if cur.top_index(eps) is not None:
+        raise ValueError("form references variables outside the domain")
+    return cur.const
+
+
+def _recorded_extremum_calls(monkeypatch):
+    """Every (form, domain, sense) a battery tau = 8 build, the bounds a
+    t' = 8 candidate scan compares, and an intervals query at t' = 8 use."""
+    calls = []
+
+    def record(form, domain, sense, eps=EPS):
+        calls.append((form, list(domain), sense))
+        return extremal_value(form, domain, sense, eps)
+
+    for mod in (hpng.tree, hpng.semantics, hpng.transient):
+        monkeypatch.setattr(mod, "extremal_value", record)
+    model = load_model(str(MODELS / "battery.json"))
+    tree = hpng.tree.build_plt(model, 8.0)
+    for loc in tree.locations:
+        calls.append((loc.entry, loc.domain, "min"))
+        calls += [(loc.entry + ex.delta, list(ex.cuts), "max") for ex in loc.det_exits]
+    atoms = parse_property("m(grid_on) >= 1", model)
+    hpng.transient.transient_probability(tree, 8.0, atoms)
+    return calls
+
+
+def test_extremal_value_is_the_substitution_walk_bit_for_bit(monkeypatch):
+    calls = _recorded_extremum_calls(monkeypatch)
+    assert len(calls) > 1000
+    assert any(math.isinf(_substitution_walk(*c)) for c in calls)
+    # Trailing coefficients within EPS are dropped after each substitution,
+    # so the o0 term below must not add 1e-10 to the 2.0 it receives.
+    tiny = LinearForm(0.0, (1e-10, 1.0))
+    dom = [SymInterval(const(1.0), const(2.0)), SymInterval(var(0, 2.0), const(5.0))]
+    calls += [(tiny, dom, "min"), (tiny, dom, "max"), (tiny.scaled(-1.0), dom, "min")]
+    for form, domain, sense in calls:
+        want = _substitution_walk(form, domain, sense)
+        got = extremal_value(form, domain, sense)
+        assert got.hex() == want.hex(), (form, domain, sense)
 
 
 coeff = st.floats(min_value=-3, max_value=3, allow_nan=False, width=32)

@@ -2,16 +2,17 @@
 
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 import hpng.transient
-from hpng.model import DistributionSpec, parse_model
+from hpng.model import DistributionSpec, load_model, parse_model
 from hpng.montecarlo import McConfig, stream, vegas_integrate
 from hpng.props import parse_property
-from hpng.symbolic import SymInterval, const, var
+from hpng.symbolic import EPS, SymInterval, const, extremal_value, var
 from hpng.transient import (
     METHODS,
     Piece,
@@ -49,6 +50,47 @@ def test_candidates_at_4(reservoir_tree):
 def test_candidates_at_8(reservoir_tree):
     ids = {loc.id for loc in candidate_locations(reservoir_tree, 8.0)}
     assert ids == {3, 4, 5, 7, 8}
+
+
+def _scan_extrema(tree):
+    """The extrema a per-query scan takes from the forms: entry minimum
+    over the domain and each exit's maximum over its cuts, per location."""
+    return [
+        (extremal_value(loc.entry, loc.domain, "min"),
+         [extremal_value(loc.entry + ex.delta, list(ex.cuts), "max")
+          for ex in loc.det_exits])
+        for loc in tree.locations
+    ]
+
+
+def _scan(tree, extrema, t_prime):
+    """Candidate ids by the per-query scan's comparisons (the oracle)."""
+    out = []
+    for loc, (entry_min, exit_max) in zip(tree.locations, extrema):
+        if entry_min > t_prime + EPS:
+            continue
+        if exit_max and not any(m >= t_prime - EPS for m in exit_max):
+            continue
+        out.append(loc.id)
+    return out
+
+
+@pytest.mark.parametrize("model_file, tau", [("battery.json", 12.0),
+                                             ("reservoir.json", 10.0)])
+def test_candidates_match_per_query_scan(model_file, tau):
+    # The stored bounds must select exactly what recomputing them per
+    # query would, also at t' on and 2 EPS either side of every bound.
+    tree = build_plt(load_model(str(MODELS / model_file)), tau)
+    extrema = _scan_extrema(tree)
+    bounds = {loc.earliest for loc in tree.locations}
+    bounds |= {ex.latest for loc in tree.locations for ex in loc.det_exits}
+    times = {0.0, tau}
+    for b in bounds:
+        if math.isfinite(b):
+            times |= {b, b - 2 * EPS, b + 2 * EPS}
+    for t_prime in sorted(times):
+        got = [loc.id for loc in candidate_locations(tree, t_prime)]
+        assert got == _scan(tree, extrema, t_prime), t_prime
 
 
 def test_pending_var_shifts_with_time(reservoir_model, reservoir_tree):
