@@ -6,6 +6,12 @@ table for those variables.  Children arise from deterministic-kind events
 (firings, boundary hits, guard crossings) and from random firings, whose
 value becomes a fresh variable bounded below by the accumulated enabling
 time and above by the delay of the deterministic event they preempt.
+
+Only locations that carry probability are built.  A cell in which some
+variable's width (upper - lower) is at most EPS everywhere has zero
+measure; every firing delay has a density, so neither the cell nor
+anything reached through it can carry mass, and the cell is dropped
+together with its subtree.
 """
 
 from __future__ import annotations
@@ -179,11 +185,18 @@ def _apply_bound(
     return out
 
 
-def _nonempty(cuts: list[SymInterval], domain: list[SymInterval]) -> bool:
+def _nonempty(cuts: list[SymInterval]) -> bool:
+    """Whether a triangular cell has positive measure.
+
+    A cell in which some variable's width (upper - lower) is at most EPS
+    everywhere has zero measure: it carries no probability, because every
+    firing delay has a density.  The widths are affine and the extremum
+    walk is exact on a triangular cell, so the test is exact up to EPS.
+    """
     for iv in cuts:
         if iv.upper is None:
             continue
-        if extremal_value(iv.upper - iv.lower, domain, "max") < -EPS:
+        if extremal_value(iv.upper - iv.lower, cuts, "max") <= EPS:
             return False
     return True
 
@@ -219,7 +232,7 @@ def _group_cuts(
             refined.extend(_apply_bound(piece, cmp.index, cmp.bound,
                                         cmp.kind is ComparisonKind.UPPER_BOUND))
         pieces = refined
-    return [p for p in pieces if _nonempty(p, domain)]
+    return [p for p in pieces if _nonempty(p)]
 
 
 def _child_state(model: HPnGModel, st: SymState, ev: Event, delta: LinearForm) -> SymState:
@@ -237,7 +250,12 @@ def _child_state(model: HPnGModel, st: SymState, ev: Event, delta: LinearForm) -
 
 
 def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) -> PLTree:
-    """Breadth-first unfolding of the symbolic state space up to tau_max."""
+    """Breadth-first unfolding of the symbolic state space up to tau_max.
+
+    An exit or a random firing whose cell has zero measure (some width at
+    most EPS over the whole cell, see ``_nonempty``) is dropped together
+    with the subtree below it: it carries no probability at any t'.
+    """
     root = ParametricLocation(
         id=0, parent=None, source=None, source_kind=None, p=1.0,
         entry=ZERO, earliest=0.0, state=initial_state(model), domain=[], rvs=[],
@@ -277,8 +295,8 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
                 if delta_ctx is None:
                     interval = SymInterval(g_form, None)
                 else:
-                    if extremal_value(delta_ctx, loc.domain, "max") <= EPS:
-                        continue  # no room to preempt a zero-delay event
+                    if extremal_value(delta_ctx, cuts, "max") <= EPS:
+                        continue  # no room to preempt: the new cell has zero measure
                     interval = SymInterval(g_form, g_form + delta_ctx)
                 fire_delta = var(n) - g_form
                 _spawn(model, locs, queue, loc, gev, fire_delta,

@@ -1,12 +1,16 @@
 """Location tree construction: structure, domains, invariants, export."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from hpng.montecarlo import McConfig
+from hpng.props import parse_property
 from hpng.semantics import EventKind, ResourceLimitError
 from hpng.symbolic import SymInterval, const, var
+from hpng.transient import _decompose, _gauss_legendre_rule, transient_probability
 from hpng.tree import (
     _apply_bound,
     build_plt,
@@ -163,6 +167,121 @@ def test_det_exit_cuts_partition_domain(reservoir_tree, battery_tree):
 def test_max_locations_cap(reservoir_model):
     with pytest.raises(ResourceLimitError):
         build_plt(reservoir_model, 10.0, max_locations=3)
+
+
+# ---------------------------------------------------------------------------
+# zero-measure pruning and the bits of the tree
+
+@pytest.fixture(scope="module")
+def battery_trees(battery_model):
+    return {tau: build_plt(battery_model, tau) for tau in (12.0, 20.0)}
+
+
+def _volume(loc):
+    """Domain volume, summed over the cells of ``_decompose``.
+
+    The Jacobian of the unit-cube map of a triangular cell is a product of
+    affine widths, of degree below n in each coordinate, so a Gauss-Legendre
+    rule of n // 2 + 1 points per axis is exact.  An unbounded variable gets
+    width 1: only a width of zero matters here.
+    """
+    n = len(loc.domain)
+    if n == 0:
+        return 1.0
+    table = [([iv.lower], [iv.lower + 1.0 if iv.upper is None else iv.upper])
+             for iv in loc.domain]
+    nodes, weights = _gauss_legendre_rule(n // 2 + 1, n)
+    total = 0.0
+    for cell in _decompose(table, n - 1):
+        vals = np.zeros((len(nodes), n))
+        w = np.ones(len(nodes))
+        for k, iv in enumerate(cell):
+            lo = iv.lower.evaluate_batch(vals)
+            width = np.maximum(iv.upper.evaluate_batch(vals) - lo, 0.0)
+            vals[:, k] = lo + nodes[:, k] * width
+            w = w * width
+        total += float(weights @ w)
+    return total
+
+
+@pytest.mark.parametrize("tau, size", [(12.0, 371), (20.0, 2110)])
+def test_every_location_carries_volume(battery_trees, tau, size):
+    # Before zero-measure cells were pruned these trees had 554 and 4,062
+    # locations, of which 183 and 1,952 had a domain of zero volume.
+    tree = battery_trees[tau]
+    assert len(tree.locations) == size
+    thin = [loc.id for loc in tree.locations if _volume(loc) < 1e-6]
+    assert thin == []
+
+
+def _grid_on(t_prime, repair=8.0):
+    c = max(0.0, t_prime - repair)
+    return max(0.0, 1.0 - t_prime / 10.0) + 0.1 * (c - c * c / 20.0)
+
+
+# Intervals answers of the unpruned trees, which the pruned ones must keep.
+GRID_ON_HEX = {4.0: "0x1.3333333333333p-1", 8.0: "0x1.9999999999998p-3",
+               12.0: "0x1.47ae147ae1478p-2", 16.0: "0x1.eb851eb851ebap-2"}
+
+
+@pytest.mark.parametrize("tau", [12.0, 20.0])
+def test_pruned_tree_keeps_the_answers(battery_trees, tau):
+    tree = battery_trees[tau]
+    atoms = parse_property("m(grid_on) >= 1", tree.model)
+    cfg = McConfig(samples=4_000, iterations=2, seed=0)
+    for t_prime, want in GRID_ON_HEX.items():
+        if t_prime > tau:
+            continue
+        got = transient_probability(tree, t_prime, atoms, method="intervals")
+        assert got.total.hex() == want, t_prime
+        for method in ("simplex", "direct"):
+            res = transient_probability(tree, t_prime, atoms, method=method, cfg=cfg)
+            assert abs(res.total - _grid_on(t_prime)) <= 3.0 * res.sigma, (method, t_prime)
+
+
+def _tree_digest(tree):
+    """SHA-256 over ``float.hex`` of every float the tree stores."""
+    h = hashlib.sha256()
+
+    def put(*xs):
+        h.update(",".join(float(x).hex() for x in xs).encode() + b";")
+
+    def form(f):
+        put(f.const, *f.coeffs)
+
+    def cells(ivs):
+        for iv in ivs:
+            form(iv.lower)
+            if iv.upper is None:
+                h.update(b"inf;")
+            else:
+                form(iv.upper)
+
+    for loc in tree.locations:
+        h.update(f"L{loc.id}:{loc.parent}:".encode())
+        put(loc.p, loc.earliest)
+        form(loc.entry)
+        cells(loc.domain)
+        for f in loc.state.x + loc.state.c + loc.state.g:
+            form(f)
+        put(*loc.state.d)
+        for ex in loc.det_exits:
+            h.update(b"exit;")
+            form(ex.delta)
+            cells(ex.cuts)
+            put(ex.latest)
+    return h.hexdigest()
+
+
+def test_tree_floats_are_pinned(battery_trees, reservoir_tree):
+    # Speed-ups of the build must not move a single bit of the tree;
+    # ``tree_to_json`` prints with ``:g`` and cannot show that.
+    assert _tree_digest(reservoir_tree) == RESERVOIR_T10_DIGEST
+    assert _tree_digest(battery_trees[20.0]) == BATTERY_T20_DIGEST
+
+
+RESERVOIR_T10_DIGEST = "bc42979959d1aa141641c143d1982470b4317d70a81aa48751d06303d09c69b5"
+BATTERY_T20_DIGEST = "f3d4cc706186ea771072c269a1bdfdfbd5f779d038f7cc8519b3d9fbb8407e35"
 
 
 # ---------------------------------------------------------------------------
