@@ -140,6 +140,16 @@ class GuardArc:
     threshold: float
 
 
+#: The model field that lists the transitions of each kind.
+_KIND_ATTR = {
+    TKind.DETERMINISTIC: "deterministic",
+    TKind.IMMEDIATE: "immediate",
+    TKind.GENERAL: "general",
+    TKind.STATIC: "static_continuous",
+    TKind.DYNAMIC: "dynamic_continuous",
+}
+
+
 @dataclass
 class HPnGModel:
     discrete_places: list[DiscretePlace]
@@ -162,8 +172,8 @@ class HPnGModel:
         self.dp_index = {p.id: i for i, p in enumerate(self.discrete_places)}
         self.cp_index = {p.id: i for i, p in enumerate(self.continuous_places)}
         self.t_ref = {}
-        for kind, lst in self._by_kind().items():
-            for i, t in enumerate(lst):
+        for kind in _KIND_ATTR:
+            for i, t in enumerate(self.transitions_of(kind)):
                 if t.id in self.t_ref or t.id in self.dp_index or t.id in self.cp_index:
                     raise ModelError(f"duplicate id {t.id!r}")
                 self.t_ref[t.id] = (kind, i)
@@ -171,21 +181,12 @@ class HPnGModel:
         if dup:
             raise ModelError(f"duplicate place id(s) {sorted(dup)}")
 
-    def _by_kind(self) -> dict[TKind, list]:
-        return {
-            TKind.DETERMINISTIC: self.deterministic,
-            TKind.IMMEDIATE: self.immediate,
-            TKind.GENERAL: self.general,
-            TKind.STATIC: self.static_continuous,
-            TKind.DYNAMIC: self.dynamic_continuous,
-        }
-
     def transition(self, tid: str):
         kind, i = self.t_ref[tid]
-        return self._by_kind()[kind][i]
+        return self.transitions_of(kind)[i]
 
     def transitions_of(self, kind: TKind) -> list:
-        return self._by_kind()[kind]
+        return getattr(self, _KIND_ATTR[kind])
 
     def input_arcs(self, tid: str) -> list[DiscreteArc]:
         return [a for a in self.discrete_arcs if a.transition == tid and a.to_transition]

@@ -15,7 +15,18 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .model import DISCRETE_KINDS, HPnGModel, TKind
-from .symbolic import EPS, LinearForm, SymInterval, ZERO, const, extremal_value
+from .symbolic import (
+    EPS,
+    ComparisonKind,
+    ComparisonOutcome,
+    LinearForm,
+    SymInterval,
+    ZERO,
+    compare_remaining_times,
+    const,
+    extremal_value,
+    var,
+)
 
 
 class UnsupportedModelError(RuntimeError):
@@ -292,8 +303,14 @@ def finalize_state(
     c: tuple[LinearForm, ...],
     g: tuple[LinearForm, ...],
     gs_cont: Sequence[Optional[bool]],
+    drifts: Optional[dict] = None,
 ) -> SymState:
-    """Recompute derived fields (guard truths, enabling, drift) after a change."""
+    """Recompute derived fields (guard truths, enabling, drift) after a change.
+
+    The drift depends only on the enabling vector and the places pinned at
+    a bound.  ``drifts``, when given, memoizes it on that key across calls
+    on one model (``build_plt`` passes one dict per build).
+    """
     truths = _marking_guard_truths(model, m, None)
     gs = []
     for i, t in enumerate(truths):
@@ -305,10 +322,14 @@ def finalize_state(
             gs.append(t)
     gs_t = tuple(gs)
     e = _enabling_vector(model, m, gs_t)
-    enab = dict(zip(flat_order(model), e))
     at_lower, at_upper = _pinned(model, x)
-    _, drift = rate_adaptation(model, enab, at_lower, at_upper)
-    d = tuple(drift[p.id] for p in model.continuous_places)
+    key = (e, frozenset(at_lower), frozenset(at_upper))
+    d = None if drifts is None else drifts.get(key)
+    if d is None:
+        _, drift = rate_adaptation(model, dict(zip(flat_order(model), e)), at_lower, at_upper)
+        d = tuple(drift[p.id] for p in model.continuous_places)
+        if drifts is not None:
+            drifts[key] = d
     return SymState(m, x, c, d, g, e, gs_t)
 
 
@@ -447,40 +468,38 @@ def min_det_events(
     An event is dropped iff another one finishes strictly earlier over the
     entire domain; overlapping events survive and get their domains cut
     against each other when children are built.
+
+    Each pair is compared once.  The reverse outcome is derived, not
+    recomputed (``ComparisonOutcome.reversed``): it has the same index and
+    bound with the kind swapped, because IEEE subtraction and negation are
+    antisymmetric.  The bound can differ from a recomputed one only in the
+    sign of a zero, which no dominance decision sees.
     """
-    from .symbolic import ComparisonKind, compare_remaining_times
-
     det = [ev for ev in events if ev.kind is not EventKind.GENERAL]
-    keep: list[Event] = []
-    for ev in det:
-        dominated = False
-        for other in det:
-            if other is ev:
+    dominated = [False] * len(det)
+    for i, ev in enumerate(det):
+        for j in range(i + 1, len(det)):
+            if dominated[i] and dominated[j]:
                 continue
-            cmp = compare_remaining_times(other.delta, ev.delta)
-            if cmp.kind is ComparisonKind.ALWAYS_BEFORE:
-                dominated = True
-            elif cmp.kind in (ComparisonKind.UPPER_BOUND, ComparisonKind.LOWER_BOUND):
-                # other < ev somewhere; ev survives only where ev <= other is
-                # feasible.  Check feasibility of the reverse condition.
-                rev = compare_remaining_times(ev.delta, other.delta)
-                if rev.kind is ComparisonKind.UPPER_BOUND:
-                    slack = rev.bound - _var_form(rev.index)
-                    if extremal_value(slack, domain, "max") < -EPS:
-                        dominated = True
-                elif rev.kind is ComparisonKind.LOWER_BOUND:
-                    slack = _var_form(rev.index) - rev.bound
-                    if extremal_value(slack, domain, "max") < -EPS:
-                        dominated = True
-            if dominated:
-                break
-        if not dominated:
-            keep.append(ev)
-    return keep
+            cmp = compare_remaining_times(ev.delta, det[j].delta)
+            dominated[j] = dominated[j] or _beaten(cmp, domain)
+            dominated[i] = dominated[i] or _beaten(cmp.reversed(), domain)
+    return [ev for ev, dom in zip(det, dominated) if not dom]
 
 
-def _var_form(k: int) -> LinearForm:
-    return LinearForm(0.0, tuple([0.0] * k + [1.0]))
+def _beaten(cmp: ComparisonOutcome, domain: Sequence[SymInterval]) -> bool:
+    """Whether the second form of ``cmp`` is strictly later everywhere in the domain."""
+    if cmp.kind is ComparisonKind.ALWAYS_BEFORE:
+        return True
+    if cmp.kind is ComparisonKind.UPPER_BOUND:
+        # first <= second iff o[k] <= bound, so second <= first needs
+        # o[k] >= bound somewhere in the domain.
+        slack = var(cmp.index) - cmp.bound
+    elif cmp.kind is ComparisonKind.LOWER_BOUND:
+        slack = cmp.bound - var(cmp.index)
+    else:
+        return False
+    return extremal_value(slack, domain, "max") < -EPS
 
 
 def resolve_conflict(model: HPnGModel, events: list[Event]) -> list[tuple[Event, float]]:

@@ -54,16 +54,22 @@ class LinearForm:
 
     def __add__(self, other: "LinearForm | float") -> "LinearForm":
         if isinstance(other, (int, float)):
-            return LinearForm(self.const + other, self.coeffs)
+            return _stripped(self.const + other, self.coeffs)
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0.0] * (n - len(self.coeffs))
         b = list(other.coeffs) + [0.0] * (n - len(other.coeffs))
         return LinearForm(self.const + other.const, tuple(x + y for x, y in zip(a, b)))
 
     def __sub__(self, other: "LinearForm | float") -> "LinearForm":
+        """``self + other.scaled(-1.0)``, bit for bit, without the negated copy."""
         if isinstance(other, (int, float)):
-            return LinearForm(self.const - other, self.coeffs)
-        return self + other.scaled(-1.0)
+            return _stripped(self.const - other, self.coeffs)
+        a, b = self.coeffs, other.coeffs
+        # x - (-0.0) is x + 0.0: a coefficient past the end of ``other``
+        # comes out as it would from adding the zero-padded negation.
+        a = a + (0.0,) * (len(b) - len(a))
+        b = b + (-0.0,) * (len(a) - len(b))
+        return LinearForm(self.const - other.const, tuple(x - y for x, y in zip(a, b)))
 
     def scaled(self, factor: float) -> "LinearForm":
         return LinearForm(self.const * factor, tuple(c * factor for c in self.coeffs))
@@ -151,6 +157,14 @@ class LinearForm:
         return self.text()
 
 
+def _stripped(const: float, coeffs: tuple[float, ...]) -> LinearForm:
+    """A form built without ``_strip``, from another form's (stripped) coefficients."""
+    form = object.__new__(LinearForm)
+    object.__setattr__(form, "const", float(const))
+    object.__setattr__(form, "coeffs", coeffs)
+    return form
+
+
 def const(value: float) -> LinearForm:
     return LinearForm(value)
 
@@ -208,6 +222,26 @@ class ComparisonOutcome:
     kind: ComparisonKind
     index: Optional[int] = None
     bound: Optional[LinearForm] = None
+
+    def reversed(self) -> "ComparisonOutcome":
+        """The outcome of comparing the two forms the other way round.
+
+        ``compare_remaining_times(b, a)`` has the index and bound of
+        ``compare_remaining_times(a, b)`` with the kind swapped: the
+        difference it solves is the exact negation of this one, because
+        IEEE subtraction is antisymmetric.  Only a zero in the bound may
+        come out with the other sign.
+        """
+        return ComparisonOutcome(_REVERSED[self.kind], self.index, self.bound)
+
+
+_REVERSED = {
+    ComparisonKind.EQUAL: ComparisonKind.EQUAL,
+    ComparisonKind.UPPER_BOUND: ComparisonKind.LOWER_BOUND,
+    ComparisonKind.LOWER_BOUND: ComparisonKind.UPPER_BOUND,
+    ComparisonKind.ALWAYS_BEFORE: ComparisonKind.NEVER_BEFORE,
+    ComparisonKind.NEVER_BEFORE: ComparisonKind.ALWAYS_BEFORE,
+}
 
 
 def compare_remaining_times(

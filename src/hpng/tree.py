@@ -235,7 +235,8 @@ def _group_cuts(
     return [p for p in pieces if _nonempty(p)]
 
 
-def _child_state(model: HPnGModel, st: SymState, ev: Event, delta: LinearForm) -> SymState:
+def _child_state(model: HPnGModel, st: SymState, ev: Event, delta: LinearForm,
+                 drifts: dict) -> SymState:
     moved = evolve(model, st, delta)
     m, c, g = moved.m, list(moved.c), list(moved.g)
     if ev.kind in (EventKind.IMMEDIATE, EventKind.DETERMINISTIC, EventKind.GENERAL):
@@ -246,7 +247,7 @@ def _child_state(model: HPnGModel, st: SymState, ev: Event, delta: LinearForm) -
     ]
     if ev.kind is EventKind.GUARD_ARC:
         gs_cont[ev.arc_index] = ev.new_truth
-    return finalize_state(model, m, moved.x, tuple(c), tuple(g), gs_cont)
+    return finalize_state(model, m, moved.x, tuple(c), tuple(g), gs_cont, drifts)
 
 
 def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) -> PLTree:
@@ -262,6 +263,7 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
     )
     locs = [root]
     queue: deque[int] = deque([0])
+    drifts: dict = {}       # finalize_state's drift memo for this build
 
     while queue:
         lid = queue.popleft()
@@ -282,7 +284,7 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
                 loc.det_exits.append(DetExit(delta, tuple(cuts), latest))
                 for ev, pw in resolve_conflict(model, grp):
                     _spawn(model, locs, queue, loc, ev, ev.delta, list(cuts),
-                           pw, None, tau_max, max_locations)
+                           pw, None, tau_max, max_locations, drifts)
         if not groups:
             contexts.append((None, list(loc.domain)))
 
@@ -301,7 +303,7 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
                 fire_delta = var(n) - g_form
                 _spawn(model, locs, queue, loc, gev, fire_delta,
                        list(cuts) + [interval], 1.0,
-                       RvId(gev.target, count), tau_max, max_locations)
+                       RvId(gev.target, count), tau_max, max_locations, drifts)
 
     return PLTree(model, tau_max, locs)
 
@@ -318,6 +320,7 @@ def _spawn(
     new_rv: Optional[RvId],
     tau_max: float,
     max_locations: int,
+    drifts: dict,
 ) -> None:
     entry = parent.entry + delta
     earliest = extremal_value(entry, domain, "min")
@@ -325,7 +328,7 @@ def _spawn(
         return
     if len(locs) >= max_locations:
         raise ResourceLimitError(f"location tree exceeds {max_locations} nodes")
-    state = _child_state(model, parent.state, ev, delta)
+    state = _child_state(model, parent.state, ev, delta, drifts)
     child = ParametricLocation(
         id=len(locs), parent=parent.id, source=ev.describe(),
         source_kind=ev.kind, p=p, entry=entry, earliest=earliest, state=state,

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import hpng
 import hpng.semantics
 import hpng.symbolic
 import hpng.transient
@@ -38,3 +39,17 @@ def test_traced_query_goes_through_the_wrapped_names(monkeypatch, reservoir_tree
     assert tracer.aggs["transient.candidate_locations"].calls == 1
     assert tracer.counts["candidates"] == expected
     assert hpng.transient.extremal_value is hpng.symbolic.extremal_value
+
+
+def test_traced_build_goes_through_the_wrapped_names(monkeypatch, battery_model):
+    # The tree build compares pairs and memoizes drifts; the per-layer
+    # numbers still need its comparisons, and the memo's misses, to reach
+    # the names the tracer wraps.
+    tracing = _tracing(monkeypatch)
+    with tracing.install(tracing.Tracer()) as tracer:
+        hpng.build_plt(battery_model, 12.0)
+    locations = tracer.counts["locations"]
+    assert locations == 371
+    assert tracer.aggs["semantics.min_det_events"].calls == locations
+    assert tracer.aggs["symbolic.compare_remaining_times"].calls > 0
+    assert 0 < tracer.aggs["semantics.rate_adaptation"].calls < locations

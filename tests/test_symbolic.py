@@ -253,3 +253,37 @@ def test_compare_identical_forms_is_equal():
     assert compare_remaining_times(f, f + 0.0).kind is ComparisonKind.EQUAL
     assert compare_remaining_times(f, f + 1.0).kind is ComparisonKind.ALWAYS_BEFORE
     assert compare_remaining_times(f + 1.0, f).kind is ComparisonKind.NEVER_BEFORE
+
+
+signed = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-10, 3.0]) | coeff
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(signed, max_size=4), b=st.lists(signed, max_size=4))
+def test_subtraction_is_adding_the_negation_bit_for_bit(a, b):
+    # Signed zeros included: a coefficient past the end of the shorter
+    # form must come out as adding the zero-padded negation leaves it.
+    x = LinearForm(a[0] if a else 0.0, tuple(a[1:]))
+    y = LinearForm(b[0] if b else 0.0, tuple(b[1:]))
+    got, want = x - y, x + y.scaled(-1.0)
+    assert [v.hex() for v in (got.const, *got.coeffs)] == \
+        [v.hex() for v in (want.const, *want.coeffs)]
+    # Adding a number keeps the coefficients, which need no stripping.
+    for other in (2.5, -0.0, 3):
+        for got in (x + other, x - other):
+            assert type(got.const) is float
+            assert got.coeffs == x.coeffs == LinearForm(0.0, x.coeffs).coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(signed, min_size=1, max_size=4), b=st.lists(signed, min_size=1, max_size=4))
+def test_reversed_comparison_is_the_recomputed_one(a, b):
+    x = LinearForm(a[0], tuple(a[1:]))
+    y = LinearForm(b[0], tuple(b[1:]))
+    derived = compare_remaining_times(x, y).reversed()
+    explicit = compare_remaining_times(y, x)
+    assert (derived.kind, derived.index) == (explicit.kind, explicit.index)
+    if explicit.bound is not None:
+        # Equal up to the sign of a zero.
+        assert [v.hex() if v else 0 for v in (derived.bound.const, *derived.bound.coeffs)] == \
+            [v.hex() if v else 0 for v in (explicit.bound.const, *explicit.bound.coeffs)]

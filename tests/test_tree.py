@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
+import hpng.semantics
 from hpng.montecarlo import McConfig
 from hpng.props import parse_property
 from hpng.semantics import EventKind, ResourceLimitError
-from hpng.symbolic import SymInterval, const, var
+from hpng.symbolic import ComparisonKind, SymInterval, compare_remaining_times, const, var
 from hpng.transient import _decompose, _gauss_legendre_rule, transient_probability
 from hpng.tree import (
     _apply_bound,
@@ -282,6 +283,30 @@ def test_tree_floats_are_pinned(battery_trees, reservoir_tree):
 
 RESERVOIR_T10_DIGEST = "bc42979959d1aa141641c143d1982470b4317d70a81aa48751d06303d09c69b5"
 BATTERY_T20_DIGEST = "f3d4cc706186ea771072c269a1bdfdfbd5f779d038f7cc8519b3d9fbb8407e35"
+
+
+def _zero_blind(form):
+    return [0.0 if x == 0.0 else x.hex() for x in (form.const, *form.coeffs)]
+
+
+def test_derived_reverse_comparison_is_the_recomputed_one(monkeypatch, battery_model):
+    pairs = []
+
+    def record(a, b, *args):
+        pairs.append((a, b))
+        return compare_remaining_times(a, b, *args)
+
+    monkeypatch.setattr(hpng.semantics, "compare_remaining_times", record)
+    build_plt(battery_model, 12.0)
+    crossing = 0
+    for a, b in pairs:
+        derived = compare_remaining_times(a, b).reversed()
+        explicit = compare_remaining_times(b, a)
+        assert (derived.kind, derived.index) == (explicit.kind, explicit.index)
+        if explicit.kind in (ComparisonKind.UPPER_BOUND, ComparisonKind.LOWER_BOUND):
+            crossing += 1
+            assert _zero_blind(derived.bound) == _zero_blind(explicit.bound)
+    assert crossing > 100
 
 
 # ---------------------------------------------------------------------------
