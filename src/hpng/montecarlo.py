@@ -118,6 +118,9 @@ class McResult:
     sigma: float
     samples_used: int
     samples_skipped: int = 0
+    # VEGAS only: chi^2 per degree of freedom of the iterations around
+    # their combined value; None when it is undefined (see ``_chi2_dof``).
+    chi2_dof: Optional[float] = None
 
 
 def _combine(values: list[float], sigmas: list[float]) -> tuple[float, float]:
@@ -135,6 +138,21 @@ def _combine(values: list[float], sigmas: list[float]) -> tuple[float, float]:
         return float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v)))
     w = np.array([1.0 / s**2 for s in sigmas])
     return float(np.dot(w, values) / w.sum()), float(1.0 / math.sqrt(w.sum()))
+
+
+def _chi2_dof(values: list[float], sigmas: list[float], mean: float) -> Optional[float]:
+    """chi^2 / dof of per-iteration estimates around their combined value.
+
+    chi^2 = sum (I_i - I)^2 / sigma_i^2 over m iterations, with m - 1
+    degrees of freedom (Lepage, J. Comput. Phys. 27, 1978).  Consistent
+    iterations give about 1; well above 1 means the iterations disagree by
+    more than their sigmas allow, so the combined sigma understates the
+    error.  None with fewer than two iterations or a zero sigma.
+    """
+    if len(values) < 2 or any(s <= 0.0 for s in sigmas):
+        return None
+    chi2 = sum((v - mean) ** 2 / (s * s) for v, s in zip(values, sigmas))
+    return chi2 / (len(values) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +258,7 @@ def vegas_integrate(
     Separable per-axis grids are refined after each iteration toward equal
     |f| mass per bin; estimates from all iterations combine by inverse
     variance, which keeps early badly-adapted iterations from dominating.
+    The result carries the iterations' chi^2 / dof (``_chi2_dof``).
     """
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
@@ -279,4 +298,4 @@ def vegas_integrate(
             imp[d] = sums / np.maximum(counts, 1)
         grid.refine(imp)
     value, sigma = _combine(vals, sigmas)
-    return McResult(value, sigma, used, skipped)
+    return McResult(value, sigma, used, skipped, _chi2_dof(vals, sigmas, value))

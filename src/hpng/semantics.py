@@ -5,12 +5,17 @@ clocks and accumulated enabling times are affine forms over the expired
 random firings.  Within one location every comparison a rule needs (level
 vs. guard threshold, level vs. boundary) has a uniform answer over the
 location's domain, which the event machinery guarantees by splitting.
+
+Rules that do not depend on the symbolic form of a state (guard truths of
+discrete places, enabling, which places sit at a bound, and the drift those
+give) work on a ``CompiledNet``, the model compiled once into index tables.
+The simulator applies the same tables and the same drift memo to floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -110,6 +115,86 @@ def guard_key(model: HPnGModel, arc_index: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# compiled net
+
+@dataclass
+class CompiledNet:
+    """A model compiled into index tables, with a memo of solved drifts.
+
+    Transition rows follow ``flat_order``; places and guard arcs are
+    referred to by their index in the model.  The tables never change.
+    ``drifts`` maps (enabling vector, pinned-lower set, pinned-upper set)
+    to the drift per continuous place.  That key space is finite, while
+    markings and levels are not, so nothing is ever keyed on those.
+    ``build_plt`` compiles one net per build and ``estimate_probability``
+    one per estimate.
+    """
+
+    model: HPnGModel
+    order: tuple[str, ...]                        # flat transition order
+    index: dict[str, int]                         # transition id -> flat index
+    guards: tuple[tuple[int, ...], ...]           # per flat transition: guard arcs
+    inputs: tuple[tuple[tuple[int, int], ...], ...]   # per flat transition: (place, weight) taken
+    outputs: tuple[tuple[tuple[int, int], ...], ...]  # per flat transition: (place, weight) given
+    det_at: tuple[int, ...]                       # flat index per deterministic transition
+    imm_at: tuple[int, ...]                       # flat index per immediate transition
+    gen_at: tuple[int, ...]                       # flat index per general transition
+    discrete_guards: tuple[tuple[int, int, str, float], ...]    # (arc, discrete place, op, threshold)
+    continuous_guards: tuple[tuple[int, int, str, float], ...]  # (arc, continuous place, op, threshold)
+    places: tuple[tuple[str, float, bool], ...]   # continuous: (id, capacity, capacity finite)
+    drifts: dict = field(default_factory=dict)
+
+    def drift(self, e: tuple[bool, ...], at_lower: frozenset, at_upper: frozenset,
+              solve) -> tuple[float, ...]:
+        """Drift per continuous place, solved by ``solve`` on a memo miss.
+
+        ``solve`` is ``rate_adaptation`` as the caller's module names it,
+        so that a wrapper put on that name sees every miss.
+        """
+        key = (e, at_lower, at_upper)
+        d = self.drifts.get(key)
+        if d is None:
+            _, by_place = solve(self.model, dict(zip(self.order, e)), at_lower, at_upper)
+            d = self.drifts[key] = tuple(by_place[pid] for pid, _, _ in self.places)
+        return d
+
+
+def compile_net(model: HPnGModel) -> CompiledNet:
+    """Index tables of ``model`` and an empty drift memo."""
+    order = tuple(flat_order(model))
+    index = {tid: i for i, tid in enumerate(order)}
+    guards: list[list[int]] = [[] for _ in order]
+    for ai, arc in enumerate(model.guard_arcs):
+        guards[index[arc.transition]].append(ai)
+    inputs: list[list[tuple[int, int]]] = [[] for _ in order]
+    outputs: list[list[tuple[int, int]]] = [[] for _ in order]
+    for arc in model.discrete_arcs:
+        side = inputs if arc.to_transition else outputs
+        side[index[arc.transition]].append((model.dp_index[arc.place], arc.weight))
+    discrete_guards, continuous_guards = [], []
+    for ai, arc in enumerate(model.guard_arcs):
+        if arc.place in model.dp_index:
+            discrete_guards.append((ai, model.dp_index[arc.place], arc.op, arc.threshold))
+        else:
+            continuous_guards.append((ai, model.cp_index[arc.place], arc.op, arc.threshold))
+    return CompiledNet(
+        model=model,
+        order=order,
+        index=index,
+        guards=tuple(map(tuple, guards)),
+        inputs=tuple(map(tuple, inputs)),
+        outputs=tuple(map(tuple, outputs)),
+        det_at=tuple(index[t.id] for t in model.deterministic),
+        imm_at=tuple(index[t.id] for t in model.immediate),
+        gen_at=tuple(index[t.id] for t in model.general),
+        discrete_guards=tuple(discrete_guards),
+        continuous_guards=tuple(continuous_guards),
+        places=tuple((p.id, p.capacity, not math.isinf(p.capacity))
+                     for p in model.continuous_places),
+    )
+
+
+# ---------------------------------------------------------------------------
 # guard truth
 
 def _static_truth(op: str, value: float, threshold: float, eps: float = EPS) -> bool:
@@ -162,22 +247,48 @@ def enabled(model: HPnGModel, state: SymState, tid: str) -> bool:
     return True
 
 
-def _enabling_vector(model: HPnGModel, m: tuple[int, ...], gs: tuple[bool, ...]) -> tuple[bool, ...]:
-    probe = SymState(m, (), (), (), (), (), gs)
-    return tuple(enabled(model, probe, tid) for tid in flat_order(model))
+def set_marking_guards(net: CompiledNet, m: Sequence[int], gs: list) -> None:
+    """Overwrite the truths of the discrete-place guards in ``gs`` from marking m."""
+    for ai, pi, op, threshold in net.discrete_guards:
+        gs[ai] = _static_truth(op, float(m[pi]), threshold)
 
 
-def _marking_guard_truths(model: HPnGModel, m: tuple[int, ...],
-                          prev: Optional[tuple[bool, ...]]) -> list[Optional[bool]]:
-    """Truths for discrete-place guards; continuous ones keep their old value."""
-    out: list[Optional[bool]] = []
-    for i, arc in enumerate(model.guard_arcs):
-        if arc.place in model.dp_index:
-            out.append(_static_truth(arc.op, float(m[model.dp_index[arc.place]]),
-                                     arc.threshold))
+def enabling(net: CompiledNet, m: Sequence[int], gs: Sequence[bool]) -> tuple[bool, ...]:
+    """Enabling per flat transition: the rule of ``enabled`` on the net's tables.
+
+    Only discrete transitions have input arcs, so the token test is empty
+    for continuous ones.  Plain loops: the simulator calls this every step.
+    """
+    out = []
+    for guards, inputs in zip(net.guards, net.inputs):
+        for ai in guards:
+            if not gs[ai]:
+                out.append(False)
+                break
         else:
-            out.append(None if prev is None else prev[i])
-    return out
+            for pi, w in inputs:
+                if m[pi] < w:
+                    out.append(False)
+                    break
+            else:
+                out.append(True)
+    return tuple(out)
+
+
+def pinned(net: CompiledNet, levels: Sequence[Optional[float]]) -> tuple[frozenset, frozenset]:
+    """Continuous places at their lower and at their upper bound.
+
+    ``levels`` holds each place's level, or None where it is not constant.
+    """
+    at_lower, at_upper = [], []
+    for (pid, capacity, finite), level in zip(net.places, levels):
+        if level is None:
+            continue
+        if abs(level) <= EPS:
+            at_lower.append(pid)
+        if finite and abs(level - capacity) <= EPS:
+            at_upper.append(pid)
+    return frozenset(at_lower), frozenset(at_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +396,6 @@ def _reduce(model: HPnGModel, actual: dict[str, float], arcs, budget: float) -> 
 # ---------------------------------------------------------------------------
 # state construction
 
-def _pinned(model: HPnGModel, x: tuple[LinearForm, ...]) -> tuple[set[str], set[str]]:
-    at_lower, at_upper = set(), set()
-    for place, form in zip(model.continuous_places, x):
-        if form.is_constant():
-            if abs(form.const) <= EPS:
-                at_lower.add(place.id)
-            if not math.isinf(place.capacity) and abs(form.const - place.capacity) <= EPS:
-                at_upper.add(place.id)
-    return at_lower, at_upper
-
-
 def finalize_state(
     model: HPnGModel,
     m: tuple[int, ...],
@@ -303,75 +403,73 @@ def finalize_state(
     c: tuple[LinearForm, ...],
     g: tuple[LinearForm, ...],
     gs_cont: Sequence[Optional[bool]],
-    drifts: Optional[dict] = None,
+    net: Optional[CompiledNet] = None,
 ) -> SymState:
     """Recompute derived fields (guard truths, enabling, drift) after a change.
 
-    The drift depends only on the enabling vector and the places pinned at
-    a bound.  ``drifts``, when given, memoizes it on that key across calls
-    on one model (``build_plt`` passes one dict per build).
+    ``gs_cont`` gives the truth of every continuous-place guard; entries for
+    discrete-place guards are ignored.  The drift comes from ``net``'s memo
+    (``build_plt`` passes one net per build); without a net, one is
+    compiled for this call.
     """
-    truths = _marking_guard_truths(model, m, None)
-    gs = []
-    for i, t in enumerate(truths):
-        if t is None:
-            if gs_cont[i] is None:
-                raise ValueError(f"continuous guard {i} truth unknown")
-            gs.append(bool(gs_cont[i]))
-        else:
-            gs.append(t)
+    if net is None:
+        net = compile_net(model)
+    gs = [None if t is None else bool(t) for t in gs_cont]
+    set_marking_guards(net, m, gs)
+    for ai, _, _, _ in net.continuous_guards:
+        if gs[ai] is None:
+            raise ValueError(f"continuous guard {ai} truth unknown")
     gs_t = tuple(gs)
-    e = _enabling_vector(model, m, gs_t)
-    at_lower, at_upper = _pinned(model, x)
-    key = (e, frozenset(at_lower), frozenset(at_upper))
-    d = None if drifts is None else drifts.get(key)
-    if d is None:
-        _, drift = rate_adaptation(model, dict(zip(flat_order(model), e)), at_lower, at_upper)
-        d = tuple(drift[p.id] for p in model.continuous_places)
-        if drifts is not None:
-            drifts[key] = d
+    e = enabling(net, m, gs_t)
+    at_lower, at_upper = pinned(net, [f.const if f.is_constant() else None for f in x])
+    d = net.drift(e, at_lower, at_upper, rate_adaptation)
     return SymState(m, x, c, d, g, e, gs_t)
 
 
-def initial_state(model: HPnGModel) -> SymState:
+def initial_state(model: HPnGModel, net: Optional[CompiledNet] = None) -> SymState:
+    if net is None:
+        net = compile_net(model)
     m = tuple(p.tokens for p in model.discrete_places)
     x = tuple(const(p.level) for p in model.continuous_places)
     n_clocks = len(model.deterministic) + len(model.immediate)
     c = tuple(ZERO for _ in range(n_clocks))
     g = tuple(ZERO for _ in model.general)
-    gs_cont: list[Optional[bool]] = []
-    for arc in model.guard_arcs:
-        if arc.place in model.cp_index:
-            level = model.continuous_places[model.cp_index[arc.place]].level
-            gs_cont.append(_static_truth(arc.op, level, arc.threshold))
-        else:
-            gs_cont.append(None)
-    return finalize_state(model, m, x, c, g, gs_cont)
+    gs_cont: list[Optional[bool]] = [None] * len(model.guard_arcs)
+    for ai, pi, op, threshold in net.continuous_guards:
+        gs_cont[ai] = _static_truth(op, model.continuous_places[pi].level, threshold)
+    return finalize_state(model, m, x, c, g, gs_cont, net)
 
 
-def evolve(model: HPnGModel, state: SymState, delta: LinearForm) -> SymState:
+def evolve(model: HPnGModel, state: SymState, delta: LinearForm,
+           net: Optional[CompiledNet] = None) -> SymState:
     """Let time pass: levels move with drift, active clocks accumulate."""
+    if net is None:
+        net = compile_net(model)
     x = tuple(form + delta.scaled(d) for form, d in zip(state.x, state.d))
     clocks = list(state.c)
-    for i, t in enumerate(model.deterministic):
-        if state.e[flat_index(model, t.id)]:
+    for i, fi in enumerate(net.det_at):
+        if state.e[fi]:
             clocks[i] = clocks[i] + delta
     g = list(state.g)
-    for i, t in enumerate(model.general):
-        if state.e[flat_index(model, t.id)]:
+    for i, fi in enumerate(net.gen_at):
+        if state.e[fi]:
             g[i] = g[i] + delta
     return replace(state, x=x, c=tuple(clocks), g=tuple(g))
 
 
-def fire(model: HPnGModel, state: SymState, tid: str) -> tuple[tuple[int, ...], list[LinearForm], list[LinearForm]]:
+def fire(model: HPnGModel, state: SymState, tid: str,
+         net: Optional[CompiledNet] = None) -> tuple[tuple[int, ...], list[LinearForm], list[LinearForm]]:
     """Token moves and clock resets caused by one discrete firing."""
+    if net is None:
+        net = compile_net(model)
+    fi = net.index[tid]
     m = list(state.m)
-    for arc in model.input_arcs(tid):
-        m[model.dp_index[arc.place]] -= arc.weight
-        if m[model.dp_index[arc.place]] < 0:
+    for pi, w in net.inputs[fi]:
+        m[pi] -= w
+        if m[pi] < 0:
             raise RuntimeError(f"firing disabled transition {tid}")
-    for arc in model.output_arcs(tid):
-        m[model.dp_index[arc.place]] += arc.weight
+    for pi, w in net.outputs[fi]:
+        m[pi] += w
     c = list(state.c)
     kind, idx = model.t_ref[tid]
     if kind is TKind.DETERMINISTIC:
@@ -386,7 +484,8 @@ def fire(model: HPnGModel, state: SymState, tid: str) -> tuple[tuple[int, ...], 
 # event detection
 
 def next_events(
-    model: HPnGModel, state: SymState, domain: Sequence[SymInterval]
+    model: HPnGModel, state: SymState, domain: Sequence[SymInterval],
+    net: Optional[CompiledNet] = None,
 ) -> list[Event]:
     """All events that can end the current location.
 
@@ -395,41 +494,38 @@ def next_events(
     symbolic-delay events.  Events whose remaining time is negative over the
     whole domain are dropped.
     """
+    if net is None:
+        net = compile_net(model)
     events: list[Event] = []
 
-    for i, t in enumerate(model.immediate):
-        if state.e[flat_index(model, t.id)]:
+    for t, fi in zip(model.immediate, net.imm_at):
+        if state.e[fi]:
             events.append(Event(EventKind.IMMEDIATE, t.id, ZERO))
 
-    for i, t in enumerate(model.deterministic):
-        if state.e[flat_index(model, t.id)]:
+    for i, (t, fi) in enumerate(zip(model.deterministic, net.det_at)):
+        if state.e[fi]:
             delta = const(t.firing_time) - state.c[i]
             if extremal_value(delta, domain, "max") >= -EPS:
                 events.append(Event(EventKind.DETERMINISTIC, t.id, delta))
 
-    for t in model.general:
-        if state.e[flat_index(model, t.id)]:
+    for t, fi in zip(model.general, net.gen_at):
+        if state.e[fi]:
             events.append(Event(EventKind.GENERAL, t.id, None))
 
-    for pi, place in enumerate(model.continuous_places):
-        d = state.d[pi]
-        level = state.x[pi]
+    for (pid, capacity, finite), d, level in zip(net.places, state.d, state.x):
         if d < -EPS:
-            pinned = level.is_constant() and abs(level.const) <= EPS
-            if not pinned:
-                events.append(Event(EventKind.BOUNDARY, place.id,
+            at_bound = level.is_constant() and abs(level.const) <= EPS
+            if not at_bound:
+                events.append(Event(EventKind.BOUNDARY, pid,
                                     level.scaled(-1.0 / d), at_upper=False))
-        elif d > EPS and not math.isinf(place.capacity):
-            pinned = level.is_constant() and abs(level.const - place.capacity) <= EPS
-            if not pinned:
-                events.append(Event(EventKind.BOUNDARY, place.id,
-                                    (const(place.capacity) - level).scaled(1.0 / d),
+        elif d > EPS and finite:
+            at_bound = level.is_constant() and abs(level.const - capacity) <= EPS
+            if not at_bound:
+                events.append(Event(EventKind.BOUNDARY, pid,
+                                    (const(capacity) - level).scaled(1.0 / d),
                                     at_upper=True))
 
-    for ai, arc in enumerate(model.guard_arcs):
-        if arc.place not in model.cp_index:
-            continue
-        pi = model.cp_index[arc.place]
+    for ai, pi, op, threshold in net.continuous_guards:
         d = state.d[pi]
         level = state.x[pi]
         if abs(d) <= EPS:
@@ -437,22 +533,22 @@ def next_events(
             # when the level reaches the threshold in the same instant the
             # place gets pinned, only one of the coincident crossings wins
             # the step and the rest must be caught up here at zero delay.
-            nz = _level_zone(level, arc.threshold, domain)
-            nt = _ZONE_TRUTH[arc.op][nz]
+            nz = _level_zone(level, threshold, domain)
+            nt = _ZONE_TRUTH[op][nz]
             if nt != state.gs[ai]:
                 events.append(Event(EventKind.GUARD_ARC, guard_key(model, ai),
                                     ZERO, new_truth=nt, arc_index=ai))
             continue
-        zone = _level_zone(level, arc.threshold, domain)
+        zone = _level_zone(level, threshold, domain)
         order = ("at", "above") if d > 0 else ("at", "below")
         if zone == "above" and d > 0 or zone == "below" and d < 0:
             continue  # moving away from the threshold
         candidates = order if zone != "at" else (order[1],)
         truth = state.gs[ai]
         for nz in candidates:
-            nt = _ZONE_TRUTH[arc.op][nz]
+            nt = _ZONE_TRUTH[op][nz]
             if nt != truth:
-                delta = ZERO if zone == "at" else (const(arc.threshold) - level).scaled(1.0 / d)
+                delta = ZERO if zone == "at" else (const(threshold) - level).scaled(1.0 / d)
                 events.append(Event(EventKind.GUARD_ARC, guard_key(model, ai), delta,
                                     new_truth=nt, arc_index=ai))
                 break

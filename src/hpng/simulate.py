@@ -1,28 +1,37 @@
 """Discrete-event simulation with concrete delays.
 
-Mirrors the symbolic execution rules on plain floats: same enabling and
-guard conventions, same rate adaptation, same event precedence.  Random
-firings draw their total enabled time either from the model distributions
-or from a caller-fixed assignment, which makes single runs replayable
-against the symbolic tree.
+Runs the symbolic execution rules on plain floats.  Guard truths of
+discrete places, enabling, the places pinned at a bound and the drift come
+from the same compiled net as the tree build (``semantics.CompiledNet``),
+and drifts are memoized on the same key: the enabling vector and the
+pinned sets.  Guard zones and event precedence follow ``next_events`` and
+``resolve_conflict``.  Random firings draw their total enabled time either
+from the model distributions or from a caller-fixed assignment, which
+makes single runs replayable against the symbolic tree.  Answers are
+bit-identical per seed whether or not a net is shared across runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .model import HPnGModel, TKind
+from .model import HPnGModel
 from .montecarlo import sample, stream
 from .props import Atom, holds_concrete
 from .semantics import (
     _ZONE_TRUTH,
     _static_truth,
+    CompiledNet,
     EventKind,
     ResourceLimitError,
+    compile_net,
+    enabling,
+    pinned,
     rate_adaptation,
+    set_marking_guards,
 )
 
 EPS_SIM = 1e-9
@@ -58,82 +67,70 @@ class SimResult:
 
 @dataclass
 class _Run:
-    model: HPnGModel
+    """One run's state, indexed like the model's lists."""
+
+    net: CompiledNet
     time: float
-    m: dict[str, int]
-    x: dict[str, float]
-    clocks: dict[str, float]
-    g: dict[str, float]
-    counts: dict[str, int]
-    gs: list[bool]
-    enab: dict[str, bool] = field(default_factory=dict)
-    drift: dict[str, float] = field(default_factory=dict)
+    m: list[int]            # tokens per discrete place
+    x: list[float]          # level per continuous place
+    clocks: list[float]     # per deterministic transition
+    g: list[float]          # enabled time per general transition
+    counts: list[int]       # firings so far per general transition
+    gs: list[bool]          # guard-arc truths
+    enab: tuple[bool, ...] = ()
+    drift: tuple[float, ...] = ()
 
 
 def _refresh(run: _Run) -> None:
-    model = run.model
-    for i, arc in enumerate(model.guard_arcs):
-        if arc.place in model.dp_index:
-            run.gs[i] = _static_truth(arc.op, float(run.m[arc.place]), arc.threshold)
-    enab = {}
-    for tid, (kind, _) in model.t_ref.items():
-        ok = all(run.gs[i] for i, a in enumerate(model.guard_arcs) if a.transition == tid)
-        if ok and kind in (TKind.DETERMINISTIC, TKind.IMMEDIATE, TKind.GENERAL):
-            ok = all(run.m[a.place] >= a.weight for a in model.input_arcs(tid))
-        enab[tid] = ok
-    run.enab = enab
-    at_lower = {p.id for p in model.continuous_places if abs(run.x[p.id]) <= EPS_SIM}
-    at_upper = {
-        p.id for p in model.continuous_places
-        if not np.isinf(p.capacity) and abs(run.x[p.id] - p.capacity) <= EPS_SIM
-    }
-    _, run.drift = rate_adaptation(model, enab, at_lower, at_upper)
+    net = run.net
+    set_marking_guards(net, run.m, run.gs)
+    run.enab = enabling(net, run.m, run.gs)
+    at_lower, at_upper = pinned(net, run.x)
+    run.drift = net.drift(run.enab, at_lower, at_upper, rate_adaptation)
 
 
 def _candidate_events(
     run: _Run, values: dict[tuple[str, int], float], rng
 ) -> list[tuple[float, EventKind, str, int, float, Optional[bool]]]:
-    model = run.model
+    net = run.net
+    model = net.model
+    enab, drift, x = run.enab, run.drift, run.x
     out = []
 
-    for t in model.immediate:
-        if run.enab[t.id]:
+    for t, fi in zip(model.immediate, net.imm_at):
+        if enab[fi]:
             out.append((0.0, EventKind.IMMEDIATE, t.id, t.priority, t.weight, None))
-    for t in model.deterministic:
-        if run.enab[t.id]:
-            out.append((t.firing_time - run.clocks[t.id], EventKind.DETERMINISTIC,
+    for i, (t, fi) in enumerate(zip(model.deterministic, net.det_at)):
+        if enab[fi]:
+            out.append((t.firing_time - run.clocks[i], EventKind.DETERMINISTIC,
                         t.id, t.priority, t.weight, None))
-    for t in model.general:
-        if run.enab[t.id]:
-            key = (t.id, run.counts[t.id])
+    for i, (t, fi) in enumerate(zip(model.general, net.gen_at)):
+        if enab[fi]:
+            key = (t.id, run.counts[i])
             if key not in values:
                 values[key] = float(sample(t.distribution, rng, 1)[0])
-            out.append((values[key] - run.g[t.id], EventKind.GENERAL,
+            out.append((values[key] - run.g[i], EventKind.GENERAL,
                         t.id, 0, 1.0, None))
 
-    for p in model.continuous_places:
-        d = run.drift.get(p.id, 0.0)
-        lvl = run.x[p.id]
+    for (pid, capacity, finite), d, lvl in zip(net.places, drift, x):
         if d < -EPS_SIM and lvl > EPS_SIM:
-            out.append((lvl / -d, EventKind.BOUNDARY, p.id, 0, 1.0, None))
-        elif d > EPS_SIM and not np.isinf(p.capacity) and p.capacity - lvl > EPS_SIM:
-            out.append(((p.capacity - lvl) / d, EventKind.BOUNDARY, p.id, 0, 1.0, None))
+            out.append((lvl / -d, EventKind.BOUNDARY, pid, 0, 1.0, None))
+        elif d > EPS_SIM and finite and capacity - lvl > EPS_SIM:
+            out.append(((capacity - lvl) / d, EventKind.BOUNDARY, pid, 0, 1.0, None))
 
-    for i, arc in enumerate(model.guard_arcs):
-        if arc.place not in model.cp_index:
-            continue
-        d = run.drift.get(arc.place, 0.0)
-        lvl = run.x[arc.place]
-        if abs(lvl - arc.threshold) <= EPS_SIM:
+    for i, pi, op, threshold in net.continuous_guards:
+        d = drift[pi]
+        lvl = x[pi]
+        if abs(lvl - threshold) <= EPS_SIM:
             zone = "at"
-        elif lvl < arc.threshold:
+        elif lvl < threshold:
             zone = "below"
         else:
             zone = "above"
         if abs(d) <= EPS_SIM:
             # Flat level: no crossing, but reconcile a stale stored truth
             # (the crossing may have coincided with the place pinning).
-            nt = _ZONE_TRUTH[arc.op][zone]
+            nt = _ZONE_TRUTH[op][zone]
             if nt != run.gs[i]:
                 out.append((0.0, EventKind.GUARD_ARC, f"g{i}", 0, 1.0, nt))
             continue
@@ -142,48 +139,50 @@ def _candidate_events(
             continue
         candidates = order if zone != "at" else (order[1],)
         for nz in candidates:
-            nt = _ZONE_TRUTH[arc.op][nz]
+            nt = _ZONE_TRUTH[op][nz]
             if nt != run.gs[i]:
-                delta = 0.0 if zone == "at" else (arc.threshold - lvl) / d
+                delta = 0.0 if zone == "at" else (threshold - lvl) / d
                 out.append((delta, EventKind.GUARD_ARC, f"g{i}", 0, 1.0, nt))
                 break
     return out
 
 
 def _advance(run: _Run, delta: float) -> None:
-    model = run.model
+    net = run.net
     run.time += delta
-    for p in model.continuous_places:
-        lvl = run.x[p.id] + run.drift.get(p.id, 0.0) * delta
-        lo, hi = 0.0, p.capacity
-        run.x[p.id] = min(max(lvl, lo), hi) if not np.isinf(hi) else max(lvl, lo)
-    for t in model.deterministic:
-        if run.enab[t.id]:
-            run.clocks[t.id] += delta
-    for t in model.general:
-        if run.enab[t.id]:
-            run.g[t.id] += delta
+    x = run.x
+    for k, ((_, capacity, finite), d) in enumerate(zip(net.places, run.drift)):
+        lvl = x[k] + d * delta
+        x[k] = min(max(lvl, 0.0), capacity) if finite else max(lvl, 0.0)
+    for i, fi in enumerate(net.det_at):
+        if run.enab[fi]:
+            run.clocks[i] += delta
+    for i, fi in enumerate(net.gen_at):
+        if run.enab[fi]:
+            run.g[i] += delta
 
 
 def _apply(run: _Run, ev: SimEvent, values: dict, fired: list) -> None:
-    model = run.model
+    net = run.net
+    model = net.model
     if ev.kind in (EventKind.IMMEDIATE, EventKind.DETERMINISTIC, EventKind.GENERAL):
         tid = ev.target
-        for a in model.input_arcs(tid):
-            run.m[a.place] -= a.weight
-        for a in model.output_arcs(tid):
-            run.m[a.place] += a.weight
+        fi = net.index[tid]
+        for pi, w in net.inputs[fi]:
+            run.m[pi] -= w
+        for pi, w in net.outputs[fi]:
+            run.m[pi] += w
+        _, idx = model.t_ref[tid]
         if ev.kind is EventKind.DETERMINISTIC:
-            run.clocks[tid] = 0.0
+            run.clocks[idx] = 0.0
         if ev.kind is EventKind.GENERAL:
-            idx = run.counts[tid]
-            fired.append((tid, idx, values[(tid, idx)], run.time))
-            run.counts[tid] += 1
-            run.g[tid] = 0.0
+            count = run.counts[idx]
+            fired.append((tid, count, values[(tid, count)], run.time))
+            run.counts[idx] += 1
+            run.g[idx] = 0.0
     elif ev.kind is EventKind.BOUNDARY:
-        p = next(pl for pl in model.continuous_places if pl.id == ev.target)
-        d = run.drift.get(p.id, 0.0)
-        run.x[p.id] = p.capacity if d > 0 else 0.0
+        k = model.cp_index[ev.target]
+        run.x[k] = net.places[k][1] if run.drift[k] > 0 else 0.0
     elif ev.kind is EventKind.GUARD_ARC:
         run.gs[int(ev.target[1:])] = bool(ev.truth)
 
@@ -195,31 +194,35 @@ def simulate_run(
     rng: Optional[np.random.Generator] = None,
     observe_at: Optional[float] = None,
     keep_trace: bool = False,
+    net: Optional[CompiledNet] = None,
 ) -> SimResult:
     """One run up to tau_max.
 
     ``assignment`` fixes random firing values as total enabled time per
     (transition, firing index); missing entries are sampled from ``rng``.
-    ``observe_at`` records marking and levels at that time point.
+    ``observe_at`` records marking and levels at that time point.  ``net``
+    is the compiled model, shared by the runs of one estimate so they
+    share its drift memo; without it the run compiles its own.
     """
     if rng is None:
         rng = stream(0, 0)
+    if net is None:
+        net = compile_net(model)
     values = dict(assignment) if assignment else {}
     run = _Run(
-        model=model,
+        net=net,
         time=0.0,
-        m={p.id: p.tokens for p in model.discrete_places},
-        x={p.id: p.level for p in model.continuous_places},
-        clocks={t.id: 0.0 for t in model.deterministic},
-        g={t.id: 0.0 for t in model.general},
-        counts={t.id: 0 for t in model.general},
-        gs=[],
+        m=[p.tokens for p in model.discrete_places],
+        x=[p.level for p in model.continuous_places],
+        clocks=[0.0] * len(model.deterministic),
+        g=[0.0] * len(model.general),
+        counts=[0] * len(model.general),
+        gs=[False] * len(model.guard_arcs),
     )
-    for arc in model.guard_arcs:
-        if arc.place in model.dp_index:
-            run.gs.append(_static_truth(arc.op, float(run.m[arc.place]), arc.threshold))
-        else:
-            run.gs.append(_static_truth(arc.op, run.x[arc.place], arc.threshold))
+    for i, pi, op, threshold in net.continuous_guards:   # discrete ones: _refresh
+        run.gs[i] = _static_truth(op, run.x[pi], threshold)
+    place_ids = [pid for pid, _, _ in net.places]
+    marking_ids = [p.id for p in model.discrete_places]
 
     trace: list[SimEvent] = []
     fired: list[tuple[str, int, float, float]] = []
@@ -232,11 +235,8 @@ def simulate_run(
             return
         if run.time + now_delta >= observe_at - EPS_SIM:
             dt = observe_at - run.time
-            obs_m = dict(run.m)
-            obs_x = {
-                p.id: run.x[p.id] + run.drift.get(p.id, 0.0) * dt
-                for p in model.continuous_places
-            }
+            obs_m = dict(zip(marking_ids, run.m))
+            obs_x = {pid: lvl + d * dt for pid, lvl, d in zip(place_ids, run.x, run.drift)}
 
     for _ in range(MAX_STEPS):
         _refresh(run)
@@ -276,7 +276,8 @@ def simulate_run(
     elif observe_at is not None:
         observe(0.0)
 
-    return SimResult(run.time, dict(run.m), dict(run.x), trace, fired, obs_m, obs_x)
+    return SimResult(run.time, dict(zip(marking_ids, run.m)), dict(zip(place_ids, run.x)),
+                     trace, fired, obs_m, obs_x)
 
 
 @dataclass
@@ -330,11 +331,12 @@ def estimate_probability(
     """
     if not (-EPS_SIM <= t_prime <= tau_max + EPS_SIM):
         raise ValueError(f"observation time {t_prime} outside [0, {tau_max}]")
+    net = compile_net(model)    # shared by every run, with its drift memo
     hits = 0
     n = 0
     while n < runs:
         rng = stream(seed, n)
-        res = simulate_run(model, tau_max, rng=rng, observe_at=t_prime)
+        res = simulate_run(model, tau_max, rng=rng, observe_at=t_prime, net=net)
         if holds_concrete(model, atoms, res.observed_marking, res.observed_levels):
             hits += 1
         n += 1

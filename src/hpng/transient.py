@@ -65,6 +65,9 @@ GL_MAX_POINTS = 2 ** 15
 PEAK_SIGMAS = 6.0
 #: Means after which an exponential density is cut (e**-21: about 1e-9).
 EXP_MEANS = 21.0
+#: chi^2 / dof of VEGAS iterations above which the fallback's log record
+#: flags them as inconsistent.
+VEGAS_CHI2_DOF_MAX = 2.0
 
 _log = logging.getLogger("hpng")
 
@@ -386,10 +389,23 @@ def _gauss_legendre(f, dim: int) -> tuple[float, float, int, int]:
 
 def _vegas_fallback(f, dim: int, order: int, gap: float, cfg: McConfig,
                     rng: np.random.Generator) -> McResult:
+    """VEGAS on the unit cube, logged with the iterations' chi^2 / dof.
+
+    A chi^2 / dof above ``VEGAS_CHI2_DOF_MAX`` marks the iterations as
+    inconsistent: their spread exceeds what their sigmas allow.  It is
+    reported as NaN when undefined (one iteration, or a zero sigma).
+    """
+    r = vegas_integrate(f, [(0.0, 1.0)] * dim, cfg, rng)
+    if r.chi2_dof is None:
+        chi2, verdict = math.nan, "unchecked"
+    else:
+        chi2 = r.chi2_dof
+        verdict = "inconsistent" if chi2 > VEGAS_CHI2_DOF_MAX else "consistent"
     _log.debug("intervals: %d-D cell falls back to VEGAS after order %d, "
-               "gap %.3g, budget %d points", dim, order, gap,
-               cfg.samples * cfg.iterations)
-    return vegas_integrate(f, [(0.0, 1.0)] * dim, cfg, rng)
+               "gap %.3g, budget %d points; chi2/dof %.3g over %d iterations (%s)",
+               dim, order, gap, cfg.samples * cfg.iterations, chi2, cfg.iterations,
+               verdict)
+    return r
 
 
 def integrate_piece(piece: Piece, cfg: McConfig, rng: np.random.Generator) -> McResult:

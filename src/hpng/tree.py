@@ -23,14 +23,15 @@ from typing import Optional
 
 from .model import HPnGModel
 from .semantics import (
+    CompiledNet,
     Event,
     EventKind,
     ResourceLimitError,
     SymState,
+    compile_net,
     evolve,
     finalize_state,
     fire,
-    flat_index,
     initial_state,
     min_det_events,
     next_events,
@@ -127,10 +128,13 @@ def pending_rvs(model: HPnGModel, loc: ParametricLocation):
     Yields (rv, distribution, enabling-time form, enabled) per general
     transition, skipping ones that never started accumulating.
     """
+    # General transitions sit together in flat order, after the
+    # deterministic and immediate ones.
+    first = len(model.deterministic) + len(model.immediate)
     for gi, t in enumerate(model.general):
         count = sum(1 for rv in loc.rvs if rv.transition == t.id)
         g_form = loc.state.g[gi]
-        is_enabled = loc.state.e[flat_index(model, t.id)]
+        is_enabled = loc.state.e[first + gi]
         if not is_enabled and g_form.is_constant() and abs(g_form.const) <= EPS:
             continue
         yield RvId(t.id, count), t.distribution, g_form, is_enabled
@@ -216,9 +220,15 @@ def _group_coincident(events: list[Event]) -> list[list[Event]]:
 def _group_cuts(
     groups: list[list[Event]], gi: int, domain: list[SymInterval]
 ) -> list[list[SymInterval]]:
-    """Cells of the domain where group gi finishes first; may be empty."""
+    """Cells of the domain where group gi finishes first; may be empty.
+
+    A cell that no comparison cut is the location's own domain, which was
+    tested for positive measure when the location was spawned; only cells
+    that were cut are tested here.
+    """
     pieces = [list(domain)]
     rep = groups[gi][0]
+    cut = False
     for gj, other in enumerate(groups):
         if gj == gi or not pieces:
             continue
@@ -231,23 +241,25 @@ def _group_cuts(
         for piece in pieces:
             refined.extend(_apply_bound(piece, cmp.index, cmp.bound,
                                         cmp.kind is ComparisonKind.UPPER_BOUND))
+        cut = cut or refined != pieces
         pieces = refined
+    if not cut:
+        return pieces
     return [p for p in pieces if _nonempty(p)]
 
 
 def _child_state(model: HPnGModel, st: SymState, ev: Event, delta: LinearForm,
-                 drifts: dict) -> SymState:
-    moved = evolve(model, st, delta)
+                 net: CompiledNet) -> SymState:
+    moved = evolve(model, st, delta, net)
     m, c, g = moved.m, list(moved.c), list(moved.g)
     if ev.kind in (EventKind.IMMEDIATE, EventKind.DETERMINISTIC, EventKind.GENERAL):
-        m, c, g = fire(model, moved, ev.target)
-    gs_cont = [
-        (moved.gs[i] if model.guard_arcs[i].place in model.cp_index else None)
-        for i in range(len(model.guard_arcs))
-    ]
+        m, c, g = fire(model, moved, ev.target, net)
+    gs_cont: list[Optional[bool]] = [None] * len(model.guard_arcs)
+    for ai, _, _, _ in net.continuous_guards:
+        gs_cont[ai] = moved.gs[ai]
     if ev.kind is EventKind.GUARD_ARC:
         gs_cont[ev.arc_index] = ev.new_truth
-    return finalize_state(model, m, moved.x, tuple(c), tuple(g), gs_cont, drifts)
+    return finalize_state(model, m, moved.x, tuple(c), tuple(g), gs_cont, net)
 
 
 def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) -> PLTree:
@@ -257,18 +269,18 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
     most EPS over the whole cell, see ``_nonempty``) is dropped together
     with the subtree below it: it carries no probability at any t'.
     """
+    net = compile_net(model)    # tables and drift memo for this build
     root = ParametricLocation(
         id=0, parent=None, source=None, source_kind=None, p=1.0,
-        entry=ZERO, earliest=0.0, state=initial_state(model), domain=[], rvs=[],
+        entry=ZERO, earliest=0.0, state=initial_state(model, net), domain=[], rvs=[],
     )
     locs = [root]
     queue: deque[int] = deque([0])
-    drifts: dict = {}       # finalize_state's drift memo for this build
 
     while queue:
         lid = queue.popleft()
         loc = locs[lid]
-        events = next_events(model, loc.state, loc.domain)
+        events = next_events(model, loc.state, loc.domain, net)
         gens = [ev for ev in events if ev.kind is EventKind.GENERAL]
         det = min_det_events(
             model, [ev for ev in events if ev.kind is not EventKind.GENERAL], loc.domain
@@ -284,7 +296,7 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
                 loc.det_exits.append(DetExit(delta, tuple(cuts), latest))
                 for ev, pw in resolve_conflict(model, grp):
                     _spawn(model, locs, queue, loc, ev, ev.delta, list(cuts),
-                           pw, None, tau_max, max_locations, drifts)
+                           pw, None, tau_max, max_locations, net)
         if not groups:
             contexts.append((None, list(loc.domain)))
 
@@ -303,7 +315,7 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
                 fire_delta = var(n) - g_form
                 _spawn(model, locs, queue, loc, gev, fire_delta,
                        list(cuts) + [interval], 1.0,
-                       RvId(gev.target, count), tau_max, max_locations, drifts)
+                       RvId(gev.target, count), tau_max, max_locations, net)
 
     return PLTree(model, tau_max, locs)
 
@@ -320,7 +332,7 @@ def _spawn(
     new_rv: Optional[RvId],
     tau_max: float,
     max_locations: int,
-    drifts: dict,
+    net: CompiledNet,
 ) -> None:
     entry = parent.entry + delta
     earliest = extremal_value(entry, domain, "min")
@@ -328,7 +340,7 @@ def _spawn(
         return
     if len(locs) >= max_locations:
         raise ResourceLimitError(f"location tree exceeds {max_locations} nodes")
-    state = _child_state(model, parent.state, ev, delta, drifts)
+    state = _child_state(model, parent.state, ev, delta, net)
     child = ParametricLocation(
         id=len(locs), parent=parent.id, source=ev.describe(),
         source_kind=ev.kind, p=p, entry=entry, earliest=earliest, state=state,

@@ -53,3 +53,22 @@ def test_traced_build_goes_through_the_wrapped_names(monkeypatch, battery_model)
     assert tracer.aggs["semantics.min_det_events"].calls == locations
     assert tracer.aggs["symbolic.compare_remaining_times"].calls > 0
     assert 0 < tracer.aggs["semantics.rate_adaptation"].calls < locations
+
+
+def test_traced_estimate_goes_through_the_wrapped_names(monkeypatch, reservoir_model):
+    # The simulator's per-layer numbers count runs, property checks, steps
+    # and drift solves through the names the tracer wraps.  Drifts are
+    # memoized per estimate, so far fewer solves than steps reach
+    # rate_adaptation.
+    tracing = _tracing(monkeypatch)
+    atoms = hpng.parse_property("m(pump_ok) >= 1", reservoir_model)
+    runs = 200
+    with tracing.install(tracing.Tracer()) as tracer:
+        hpng.estimate_probability(reservoir_model, 10.0, 6.0, atoms, seed=0, runs=runs)
+    aggs = tracer.aggs
+    assert aggs["simulate.estimate_probability"].calls == 1
+    assert aggs["simulate.simulate_run"].calls == runs
+    assert aggs["props.holds_concrete"].calls == runs
+    steps = aggs["simulate.step"].calls
+    assert steps >= 1
+    assert 0 < aggs["semantics.rate_adaptation"].calls < steps

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from hpng.model import DistributionSpec
 from hpng.montecarlo import (
     McConfig,
+    _chi2_dof,
     _combine,
     cdf,
     mc_integrate,
@@ -84,6 +85,23 @@ def test_combine_zero_sigma_iteration_does_not_win():
     assert v == pytest.approx(np.mean([0.0, 0.5, 0.52]))
     assert s == pytest.approx(np.std([0.0, 0.5, 0.52], ddof=1) / np.sqrt(3))
     assert _combine([0.4, 0.4], [0.0, 0.0]) == (0.4, 0.0)
+
+
+def test_chi2_dof_of_iterations():
+    # Two iterations 2 sigma apart around their mean: chi^2 = 1 + 1, one dof.
+    assert _chi2_dof([1.0, 3.0], [1.0, 1.0], 2.0) == pytest.approx(2.0)
+    assert _chi2_dof([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], 1.0) == 0.0
+    assert _chi2_dof([1.0], [0.1], 1.0) is None          # no degree of freedom
+    assert _chi2_dof([1.0, 2.0], [0.0, 0.1], 1.0) is None  # a zero sigma
+
+
+def test_vegas_reports_chi2_dof():
+    cfg = McConfig(samples=4_000, iterations=5, seed=0)
+    res = vegas_integrate(lambda p: 1.0 + p[:, 0], [(0.0, 1.0)], cfg, stream(4, 0))
+    assert res.chi2_dof is not None and 0.0 < res.chi2_dof < 5.0
+    single = McConfig(samples=4_000, iterations=1, seed=0)
+    assert vegas_integrate(lambda p: 1.0 + p[:, 0], [(0.0, 1.0)], single,
+                           stream(4, 0)).chi2_dof is None
 
 
 def test_mc_integrate_triangle_area():

@@ -4,11 +4,15 @@ import json
 
 import pytest
 
+import hpng.simulate
 from hpng.model import TKind, parse_model
+from hpng.montecarlo import stream
 from hpng.semantics import (
     EventKind,
     SymState,
+    compile_net,
     enabled,
+    enabling,
     evolve,
     finalize_state,
     fire,
@@ -23,6 +27,7 @@ from hpng.semantics import (
     _water_fill,
 )
 from hpng.symbolic import ZERO, SymInterval, const, var
+from hpng.tree import build_plt
 
 
 def _doc(**kwargs):
@@ -92,6 +97,42 @@ def test_enabled_checks_tokens_and_guards(reservoir_model):
     assert not enabled(reservoir_model, drained, "pump_break")
     no_guard = SymState(s.m, s.x, s.c, s.d, s.g, s.e, (False, True))
     assert not enabled(reservoir_model, no_guard, "inflow")
+
+
+def _enabled_per_transition(model, m, gs):
+    probe = SymState(tuple(m), (), (), (), (), (), tuple(gs))
+    return tuple(enabled(model, probe, tid) for tid in flat_order(model))
+
+
+def test_compiled_enabling_is_enabled_at_every_location(battery_model):
+    tree = build_plt(battery_model, 12.0)
+    net = compile_net(battery_model)
+    for loc in tree.locations:
+        st = loc.state
+        want = _enabled_per_transition(battery_model, st.m, st.gs)
+        assert enabling(net, st.m, st.gs) == want == st.e, loc.id
+
+
+@pytest.mark.parametrize("name, tau", [("battery", 20.0), ("reservoir", 10.0)])
+def test_compiled_enabling_is_enabled_at_every_simulator_step(
+        name, tau, battery_model, reservoir_model, monkeypatch):
+    model = {"battery": battery_model, "reservoir": reservoir_model}[name]
+    seen = []
+
+    def recording(net, m, gs):
+        e = enabling(net, m, gs)
+        seen.append((tuple(m), tuple(gs), e))
+        return e
+
+    monkeypatch.setattr(hpng.simulate, "enabling", recording)
+    for n in range(50):
+        hpng.simulate.simulate_run(model, tau, rng=stream(0, n))
+    assert len(seen) > 100
+    markings = set()
+    for m, gs, e in seen:
+        assert e == _enabled_per_transition(model, m, gs), (m, gs)
+        markings.add(m)
+    assert len(markings) > 2
 
 
 # ---------------------------------------------------------------------------

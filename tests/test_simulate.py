@@ -1,5 +1,7 @@
 """Concrete-delay simulation: replayable runs, observation, estimation."""
 
+import hashlib
+
 import pytest
 
 from hpng.montecarlo import stream
@@ -165,3 +167,60 @@ def test_early_stop_never_reports_a_zero_half_width(reservoir_model):
                                    runs=100_000, half_width=0.01)
         assert est.half_width > 0.0, seed
         assert abs(est.p - 0.005) <= est.half_width, (seed, est)
+
+
+# ---------------------------------------------------------------------------
+# the simulator's answers, bit for bit
+
+def _runs_digest(model, tau, t_prime, seed, runs=50):
+    """SHA-256 over the firings, trace and final state of the first runs."""
+    h = hashlib.sha256()
+    for n in range(runs):
+        res = simulate_run(model, tau, rng=stream(seed, n), observe_at=t_prime,
+                           keep_trace=True)
+        for tid, idx, value, time in res.fired:
+            h.update(f"{tid}:{idx}:{value.hex()}:{time.hex()};".encode())
+        for ev in res.trace:
+            h.update(f"{ev.time.hex()}:{ev.kind.value}:{ev.target}:{ev.truth};".encode())
+        for marking, levels in ((res.marking, res.levels),
+                                (res.observed_marking, res.observed_levels)):
+            h.update(repr(sorted(marking.items())).encode())
+            h.update(repr(sorted((k, v.hex()) for k, v in levels.items())).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+# (model, tau, t', property, runs, seed): (p, sigma, digest of the first 50 runs)
+SIM_PINS = {
+    ("battery", 20.0, 8.0, "m(grid_on) >= 1", 300, 0): (
+        "0x1.69d0369d0369dp-3", "0x1.68c3daeb8f94cp-6",
+        "e8ebd383b09b88cca241805c2e71a5033927b623f534e8335636f2e486ef9e19"),
+    ("battery", 20.0, 8.0, "m(grid_on) >= 1", 300, 29): (
+        "0x1.bbbbbbbbbbbbcp-3", "0x1.85b2ccedb438cp-6",
+        "390029d52db38e27285dcca7fa56e89bd3bc0ef6af0f7ac350faed723139baad"),
+    ("battery", 8.0, 8.0, "m(grid_on) >= 1", 150, 0): (
+        "0x1.999999999999ap-3", "0x1.0b8cb28fd8cf5p-5",
+        "0d059a49e4211deb53fd5d5d15370d3226ca6f358a6b90f84b9130df007440b6"),
+    ("battery", 8.0, 8.0, "m(grid_on) >= 1", 150, 29): (
+        "0x1.b4e81b4e81b4fp-3", "0x1.1202fc5232880p-5",
+        "87db16075c4e3e6a85c49f89fa6cd13ae7682fa7f5b6e9ef786a4c7dac9fc115"),
+    ("reservoir", 10.0, 6.0, "m(pump_ok) >= 1", 750, 0): (
+        "0x1.a06d3a06d3a07p-2", "0x1.25df30c7f2429p-6",
+        "f2d151d55e93cc62d233f72af9665803dbe8e11445e67a60c473c5dc15f4e60b"),
+    ("reservoir", 10.0, 6.0, "m(pump_ok) >= 1", 750, 29): (
+        "0x1.92c5f92c5f92cp-2", "0x1.243e512aba274p-6",
+        "ed6d6d00680083f73e896f7dd3b6ac130459050d80021cea4d4d5dead2a6a4f1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIM_PINS))
+def test_simulator_answers_are_pinned(case, battery_model, reservoir_model):
+    # Speed-ups of the simulator must keep every draw and every float
+    # operation in order: the answers are pinned per seed.
+    name, tau, t_prime, prop, runs, seed = case
+    model = {"battery": battery_model, "reservoir": reservoir_model}[name]
+    est = estimate_probability(model, tau, t_prime, parse_property(prop, model),
+                               seed=seed, runs=runs)
+    p, sigma, digest = SIM_PINS[case]
+    assert (est.p.hex(), est.sigma.hex()) == (p, sigma)
+    assert _runs_digest(model, tau, t_prime, seed) == digest

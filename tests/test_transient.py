@@ -391,8 +391,45 @@ def test_fallback_is_logged(battery_model, battery_tree, monkeypatch, caplog):
         integrate_piece(piece, cfg, stream(0, loc.id))
     [record] = caplog.records
     assert record.name == "hpng" and record.levelno == logging.DEBUG
-    assert record.args == (2, 0, np.inf, 8)  # dimension, order, gap, VEGAS budget
+    assert record.args[:4] == (2, 0, np.inf, 8)  # dimension, order, gap, VEGAS budget
     assert "VEGAS" in record.getMessage()
+    # One iteration leaves chi^2 / dof undefined.
+    assert math.isnan(record.args[4]) and record.args[5:] == (1, "unchecked")
+
+
+def test_fallback_record_reports_chi2_dof(battery_model, battery_tree, monkeypatch, caplog):
+    loc, piece = _battery_2d_cell(battery_model, battery_tree)
+    cfg = McConfig(samples=2_000, iterations=4, seed=0)
+    plain = integrate_piece(piece, cfg, stream(0, loc.id))
+    monkeypatch.setattr(hpng.transient, "GL_MAX_POINTS", 8 ** 2 - 1)
+    want = vegas_integrate(_cube_integrand(piece), [(0.0, 1.0)] * 2, cfg, stream(0, loc.id))
+    with caplog.at_level(logging.DEBUG, logger="hpng"):
+        res = integrate_piece(piece, cfg, stream(0, loc.id))
+    [record] = caplog.records
+    # The record only reports: the answer is VEGAS's, whose chi^2 / dof it shows.
+    assert res == want and res.value != plain.value
+    assert record.args[4:] == (want.chi2_dof, 4, "consistent")
+    assert want.chi2_dof <= hpng.transient.VEGAS_CHI2_DOF_MAX
+    assert "chi2/dof" in record.getMessage()
+
+
+def test_fallback_record_flags_inconsistent_iterations(battery_model, battery_tree,
+                                                       monkeypatch, caplog):
+    loc, piece = _battery_2d_cell(battery_model, battery_tree)
+    cfg = McConfig(samples=2_000, iterations=4, seed=0)
+
+    def disagreeing(f, box, cfg, rng):
+        res = vegas_integrate(f, box, cfg, rng)
+        res.chi2_dof = 2.5
+        return res
+
+    monkeypatch.setattr(hpng.transient, "GL_MAX_POINTS", 8 ** 2 - 1)
+    monkeypatch.setattr(hpng.transient, "vegas_integrate", disagreeing)
+    with caplog.at_level(logging.DEBUG, logger="hpng"):
+        integrate_piece(piece, cfg, stream(0, loc.id))
+    [record] = caplog.records
+    assert record.args[4:] == (2.5, 4, "inconsistent")
+    assert "(inconsistent)" in record.getMessage()
 
 
 def test_cubature_agrees_with_vegas_on_every_battery_cell(battery_model, battery_tree):
