@@ -1,24 +1,34 @@
 """Polytope helpers: H-representation, vertices, triangulation, sampling.
 
 Regions here are intersections of affine half-spaces {x : A x <= b}.
-Vertex enumeration goes through a Chebyshev-center interior point and the
-qhull half-space dual; degenerate (lower-dimensional) regions count as
-measure zero and come back empty.  Dimension one is handled analytically.
+Vertices are enumerated exactly and without linear programs: an axis box
+tightened by bound propagation drops the rows that are slack everywhere
+on it, and every n-subset of the rows left is solved in one batch.
+Degenerate (lower-dimensional) regions count as measure zero and come
+back empty, and a region's bounding box is the box of its vertices.
+``chebyshev_center`` is the one LP left, for callers that want a
+region's largest inscribed ball.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, Delaunay, HalfspaceIntersection, QhullError
+from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from .montecarlo import McConfig, McResult, _combine, mc_integrate
 
 EPS_GEOM = 1e-7
 EPS_VOL = 1e-10
+#: Distance outside a unit-normal row within which a point still satisfies it.
+EPS_VERTEX = 1e-9
+#: Most rounds of bound propagation when boxing a region.
+PROPAGATION_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -57,55 +67,137 @@ def chebyshev_center(poly: HPolytope) -> tuple[np.ndarray, float] | None:
     return res.x[:n], res.x[n]
 
 
-def bounding_box(poly: HPolytope) -> tuple[np.ndarray, np.ndarray] | None:
-    n = poly.dim
-    lo, hi = np.empty(n), np.empty(n)
-    for i in range(n):
-        c = np.zeros(n)
-        c[i] = 1.0
-        r1 = linprog(c, A_ub=poly.a, b_ub=poly.b, bounds=[(None, None)] * n,
-                     method="highs")
-        r2 = linprog(-c, A_ub=poly.a, b_ub=poly.b, bounds=[(None, None)] * n,
-                     method="highs")
-        if not (r1.success and r2.success):
-            return None
-        lo[i], hi[i] = r1.x[i], r2.x[i]
+def _first_unique(rows: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row, in order."""
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(rows + 0.0):        # + 0.0 folds -0.0 into 0.0
+        first.setdefault(row.tobytes(), i)
+    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
+
+
+def _unit_rows(poly: HPolytope) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The rows scaled to unit normals, and the indices of the distinct
+    ones that have a variable; None when a row with no variable fails."""
+    norms = np.linalg.norm(poly.a, axis=1)
+    live = norms > EPS_VOL
+    if np.any(poly.b[~live] < -EPS_GEOM):
+        return None
+    scale = np.where(live, norms, 1.0)
+    a, b = poly.a / scale[:, None], poly.b / scale
+    rows = np.flatnonzero(live)
+    rows = rows[_first_unique(np.round(np.hstack([a[rows], b[rows, None]]) / EPS_VOL))]
+    return a, b, rows
+
+
+def _propagate_box(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An axis box that holds {x : a x <= b}, by bound propagation.
+
+    Each row bounds each of its variables by the least value the row's
+    other terms take over the current box.  A bound that no row limits
+    stays infinite.
+    """
+    n = a.shape[1]
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    pos, neg = a > 0.0, a < 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(PROPAGATION_ROUNDS):
+            least = np.where(pos, a * lo, np.where(neg, a * hi, 0.0))
+            unbounded = np.isinf(least)
+            finite = np.where(unbounded, 0.0, least)
+            rest = finite.sum(axis=1)[:, None] - finite
+            # the other terms' least value is finite when none of them is -inf
+            known = unbounded.sum(axis=1)[:, None] == unbounded
+            bound = (b[:, None] - rest) / a
+            new_hi = np.minimum(hi, np.where(pos & known, bound, np.inf)
+                                .min(axis=0, initial=np.inf))
+            new_lo = np.maximum(lo, np.where(neg & known, bound, -np.inf)
+                                .max(axis=0, initial=-np.inf))
+            if (new_lo == lo).all() and (new_hi == hi).all():
+                break
+            lo, hi = new_lo, new_hi
     return lo, hi
 
 
-def _vertices_1d(poly: HPolytope) -> np.ndarray:
-    lo, hi = -np.inf, np.inf
-    for ai, bi in zip(poly.a[:, 0], poly.b):
-        if ai > EPS_VOL:
-            hi = min(hi, bi / ai)
-        elif ai < -EPS_VOL:
-            lo = max(lo, bi / ai)
-        elif bi < -EPS_GEOM:
-            return np.zeros((0, 1))
-    if not np.isfinite(lo) or not np.isfinite(hi) or hi - lo <= EPS_GEOM:
-        return np.zeros((0, 1))
-    return np.array([[lo], [hi]])
+def _positively_spanning(a: np.ndarray) -> bool:
+    """Whether the row normals positively span R^n, i.e. {x : a x <= b} is
+    bounded for every b.
+
+    The cone {d : a d <= 0} is trivial exactly when a has rank n and has
+    no extreme ray.  Each candidate ray is a line on which n - 1
+    independent rows are tight; it is a ray of the cone when no row
+    increases along one of the line's two directions.
+    """
+    n = a.shape[1]
+    if len(a) <= n or np.linalg.matrix_rank(a) < n:
+        return False
+    if n == 1:
+        rays = np.ones((1, 1))
+    else:
+        subsets = a[_subsets(len(a), n - 1)]
+        _, sv, vh = np.linalg.svd(subsets)
+        rays = vh[sv[:, -1] > EPS_VOL, -1]
+    along = rays @ a.T
+    return not np.any(np.all(along <= EPS_VERTEX, axis=1)
+                      | np.all(along >= -EPS_VERTEX, axis=1))
+
+
+@lru_cache(maxsize=128)
+def _subsets(m: int, k: int) -> np.ndarray:
+    """Every k-subset of range(m), one per row."""
+    out = np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(-1, k)
+    out.flags.writeable = False
+    return out
 
 
 def vertex_enumeration(poly: HPolytope) -> np.ndarray:
-    """Vertices of a bounded region; empty array when it is measure zero."""
-    if poly.dim == 1:
-        return _vertices_1d(poly)
-    center = chebyshev_center(poly)
-    if center is None or center[1] <= EPS_GEOM:
-        return np.zeros((0, poly.dim))
-    halfspaces = np.hstack([poly.a, -poly.b[:, None]])
-    try:
-        hs = HalfspaceIntersection(halfspaces, center[0])
-    except QhullError:
-        return np.zeros((0, poly.dim))
-    verts = hs.intersections
-    verts = verts[np.all(np.isfinite(verts), axis=1)]
+    """Vertices of a bounded region; empty array when it is measure zero.
+
+    The rows are scaled to unit normals and deduplicated, an axis box is
+    tightened by bound propagation, and the rows that are strictly slack
+    over the box are dropped: they are tight at no vertex.  Every n-subset
+    of the rows left is solved in one batch, and a solution is a vertex
+    when it satisfies all rows.  When propagation leaves a bound infinite, the
+    region is bounded only if the row normals positively span R^n, and
+    then every row is kept.  A region whose vertices do not span n
+    dimensions, or that has none, comes back empty.
+    """
+    n = poly.dim
+    empty = np.zeros((0, n))
+    unit = _unit_rows(poly)
+    if unit is None:
+        return empty
+    unit_a, unit_b, rows = unit
+    a, b = unit_a[rows], unit_b[rows]
+    lo, hi = _propagate_box(a, b)
+    if np.any(hi - lo <= EPS_GEOM):         # infeasible, or too thin on an axis
+        return empty
+    if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
+        most = np.where(a > 0.0, a * hi, a * lo).sum(axis=1)
+        rows = rows[most >= b - EPS_VERTEX]
+    elif not _positively_spanning(a):
+        return empty
+    idx = rows[_subsets(len(rows), n)]
+    idx = idx[np.abs(np.linalg.det(unit_a[idx])) > EPS_VOL]
+    # solved on the rows as given: their coefficients are often small exact
+    # numbers that unit scaling would round
+    verts = np.linalg.solve(poly.a[idx], poly.b[idx][..., None])[..., 0]
+    verts = verts[np.all(verts @ a.T <= b + EPS_VERTEX, axis=1)]
+    verts = verts[_first_unique(np.round(verts / EPS_GEOM))]
+    if len(verts) <= n:
+        return empty
+    # measure zero: the vertices' RMS distance from their best-fit hyperplane
+    spread = np.linalg.svd(verts - verts.mean(axis=0), compute_uv=False)
+    if spread[-1] <= EPS_GEOM * math.sqrt(len(verts)):
+        return empty
+    return verts
+
+
+def bounding_box(poly: HPolytope) -> tuple[np.ndarray, np.ndarray] | None:
+    """Axis box of a bounded region's vertices; None when it has none."""
+    verts = vertex_enumeration(poly)
     if len(verts) == 0:
-        return verts
-    rounded = np.round(verts / EPS_GEOM) * EPS_GEOM
-    _, keep = np.unique(rounded, axis=0, return_index=True)
-    return verts[np.sort(keep)]
+        return None
+    return verts.min(axis=0), verts.max(axis=0)
 
 
 def simplex_volume(verts: np.ndarray) -> float:

@@ -15,12 +15,16 @@ firings that are still pending.  Three routes compute that integral:
     of more than five dimensions, or one whose orders do not agree within
     ``GL_MAX_POINTS`` points, goes to VEGAS.
 ``simplex``
-    One half-space region per location over its expired firings, vertex
-    enumeration, triangulation, and per-simplex sampling of the density;
-    pending firings enter the density as survival factors, and a location
-    with no expired firing is a closed-form survival product.
+    One half-space region per location over its expired firings, exact
+    vertex enumeration (bound propagation, then batched solves of the
+    rows that can be tight; no linear program), triangulation, and
+    per-simplex sampling of the density; pending firings enter the
+    density as survival factors, and a location with no expired firing is
+    a closed-form survival product.  An empty or measure-zero region
+    costs its enumeration and nothing else.
 ``direct``
-    The same region and density sampled through the region's bounding box.
+    The same region and density sampled through the region's bounding
+    box, which is the box of its enumerated vertices.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .geometry import (
 from .model import DistributionSpec, HPnGModel
 from .montecarlo import McConfig, McResult, cdf, stream, vegas_integrate
 from .montecarlo import pdf as dist_pdf
-from .props import Atom
+from .props import Atom, compare
 from .semantics import UnsupportedModelError
 from .symbolic import EPS, LinearForm, SymInterval, const, extremal_value, var
 from .tree import ParametricLocation, PLTree, pending_rvs
@@ -561,7 +565,6 @@ def _fluid_rows(
     for a in atoms:
         if a.kind == "m":
             tokens = loc.state.m[model.dp_index[a.place]]
-            from .props import compare
             if not compare(a.op, float(tokens), a.value):
                 return None
             continue

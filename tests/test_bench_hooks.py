@@ -72,3 +72,18 @@ def test_traced_estimate_goes_through_the_wrapped_names(monkeypatch, reservoir_m
     steps = aggs["simulate.step"].calls
     assert steps >= 1
     assert 0 < aggs["semantics.rate_adaptation"].calls < steps
+
+
+def test_traced_region_routes_solve_no_lp(monkeypatch, battery_tree):
+    # The simplex and direct routes take vertices and boxes from exact
+    # enumeration, so no region, empty or not, reaches the LP solver.
+    tracing = _tracing(monkeypatch)
+    cfg = hpng.McConfig(samples=2_000, iterations=2, seed=0)
+    with tracing.install(tracing.Tracer()) as tracer:
+        for method in ("simplex", "direct"):
+            hpng.transient.transient_probability(battery_tree, 6.0, method=method, cfg=cfg)
+    aggs = tracer.aggs
+    assert aggs["geometry.vertex_enumeration"].calls > 0
+    assert tracer.counts["empty_regions"] > 0
+    assert aggs["geometry.probability_over_region_direct"].calls > 0
+    assert aggs["geometry.linprog"].calls == 0

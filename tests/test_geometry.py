@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection, QhullError
 
+from hpng import build_plt
 from hpng.geometry import (
+    EPS_GEOM,
     HPolytope,
     bounding_box,
     chebyshev_center,
@@ -20,6 +24,7 @@ from hpng.geometry import (
     vertex_enumeration,
 )
 from hpng.montecarlo import McConfig, mc_integrate, stream
+from hpng.transient import candidate_locations, location_region_terms
 
 
 def unit_box(dim):
@@ -76,6 +81,56 @@ def test_bounding_box_of_cut_box():
 def test_bounding_box_unbounded_is_none():
     poly = make_polytope([(np.array([1.0, 0.0]), 1.0)], 2)
     assert bounding_box(poly) is None
+
+
+def rotated_square():
+    """|x + y| <= 1 and |x - y| <= 1: bounded, yet no row bounds an axis alone."""
+    rows = [(np.array([sx, sy]), 1.0) for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+    return make_polytope(rows, 2)
+
+
+def test_rotated_square_has_four_vertices_and_the_unit_box():
+    verts = vertex_enumeration(rotated_square())
+    expect = {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
+    assert {tuple(np.round(v, 12) + 0.0) for v in verts} == expect
+    lo, hi = bounding_box(rotated_square())
+    assert np.allclose(lo, -1.0) and np.allclose(hi, 1.0)
+
+
+@pytest.mark.parametrize("rows", [
+    [],                                                             # the plane
+    [(np.array([1.0, 1.0]), 1.0)],                                  # half-plane
+    [(np.array([-1.0, 0.0]), 0.0), (np.array([0.0, -1.0]), 0.0)],  # quadrant
+    [(np.array([1.0, -1.0]), 0.0), (np.array([-1.0, -1.0]), 0.0),  # cone
+     (np.array([0.0, -1.0]), 1.0)],
+    [(np.array([0.0, -1.0]), 0.0), (np.array([0.0, 1.0]), 1.0),    # half-strip with
+     (np.array([-1.0, 0.0]), 0.0), (np.array([-1.0, -1.0]), -0.5)],  # three vertices
+], ids=["plane", "half-plane", "quadrant", "cone", "half-strip"])
+def test_unbounded_region_has_no_vertices_and_no_box(rows):
+    poly = make_polytope(rows, 2)
+    assert vertex_enumeration(poly).shape == (0, 2)
+    assert bounding_box(poly) is None
+
+
+def test_duplicated_and_scaled_rows_give_the_same_vertices():
+    base = unit_box(3)
+    cut = np.array([1.0, 1.0, 1.0])
+    poly = HPolytope(np.vstack([base.a, cut]), np.concatenate([base.b, [2.0]]))
+    noisy = HPolytope(np.vstack([poly.a, poly.a, 3.0 * poly.a[:4], 0.5 * cut]),
+                      np.concatenate([poly.b, poly.b, 3.0 * poly.b[:4], [1.0]]))
+    expect = vertex_enumeration(poly)
+    assert len(expect) == 7
+    got = vertex_enumeration(noisy)
+    assert sorted(map(tuple, np.round(got, 12))) == sorted(map(tuple, np.round(expect, 12)))
+
+
+def test_infeasible_region_in_several_dimensions_is_empty():
+    for dim in (2, 3, 4):
+        base = unit_box(dim)
+        poly = HPolytope(np.vstack([base.a, np.ones(dim)]),
+                         np.concatenate([base.b, [-0.5]]))
+        assert vertex_enumeration(poly).shape == (0, dim)
+        assert bounding_box(poly) is None
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +308,76 @@ def test_region_direct_infeasible_is_zero():
     res = probability_over_region_direct(poly, lambda p: np.ones(len(p)),
                                          cfg, stream(34, 0))
     assert res.value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# reference: the Chebyshev-centre + qhull enumerator and the LP box
+
+
+def reference_vertices(poly):
+    """Vertices through a Chebyshev-centre LP and the qhull half-space dual."""
+    n = poly.dim
+    if n == 1:
+        lo = max((bi / ai for ai, bi in zip(poly.a[:, 0], poly.b) if ai < 0), default=-np.inf)
+        hi = min((bi / ai for ai, bi in zip(poly.a[:, 0], poly.b) if ai > 0), default=np.inf)
+        if not (np.isfinite(lo) and np.isfinite(hi)) or hi - lo <= EPS_GEOM:
+            return np.zeros((0, 1))
+        return np.array([[lo], [hi]])
+    center = chebyshev_center(poly)
+    if center is None or center[1] <= EPS_GEOM:
+        return np.zeros((0, n))
+    try:
+        hs = HalfspaceIntersection(np.hstack([poly.a, -poly.b[:, None]]), center[0])
+    except QhullError:
+        return np.zeros((0, n))
+    return hs.intersections
+
+
+def reference_box(poly):
+    """Bounding box through 2n LPs."""
+    n = poly.dim
+    lo, hi = np.empty(n), np.empty(n)
+    for i in range(n):
+        c = np.zeros(n)
+        c[i] = 1.0
+        for sign, out in ((1.0, lo), (-1.0, hi)):
+            r = linprog(sign * c, A_ub=poly.a, b_ub=poly.b,
+                        bounds=[(None, None)] * n, method="highs")
+            assert r.success
+            out[i] = r.x[i]
+    return lo, hi
+
+
+@pytest.fixture(scope="module")
+def region_sample(battery_model, reservoir_tree):
+    """Every seventh region of battery tau = 20 at t' = 4, 8, ..., 20, and
+    every region of reservoir tau = 10 at t' = 2, 4, ..., 10."""
+    battery = build_plt(battery_model, 20.0)
+    polys = []
+    for tree, times, stride in ((battery, range(4, 21, 4), 7),
+                                (reservoir_tree, range(2, 11, 2), 1)):
+        found = [poly for t in times for loc in candidate_locations(tree, float(t))
+                 for _, poly, _ in location_region_terms(tree.model, tree, loc, float(t))
+                 if poly is not None]
+        polys += found[::stride]
+    return polys
+
+
+def test_vertices_and_boxes_match_the_lp_reference(region_sample):
+    dims = {poly.dim for poly in region_sample}
+    assert dims == {1, 2, 3, 4, 5}
+    empty = 0
+    for poly in region_sample:
+        ref = reference_vertices(poly)
+        got = vertex_enumeration(poly)
+        assert (len(got) == 0) == (len(ref) == 0)
+        if len(got) == 0:
+            empty += 1
+            assert bounding_box(poly) is None
+            continue
+        assert polytope_volume(got) == pytest.approx(polytope_volume(ref), abs=1e-9)
+        lo, hi = bounding_box(poly)
+        ref_lo, ref_hi = reference_box(poly)
+        assert np.max(np.abs(lo - ref_lo)) <= 1e-9
+        assert np.max(np.abs(hi - ref_hi)) <= 1e-9
+    assert 0 < empty < len(region_sample)
