@@ -8,6 +8,10 @@ Degenerate (lower-dimensional) regions count as measure zero and come
 back empty, and a region's bounding box is the box of its vertices.
 ``chebyshev_center`` is the one LP left, for callers that want a
 region's largest inscribed ball.
+
+scipy is imported inside the functions that call it, so importing this
+module loads none of it: qhull on the first ``triangulate`` or
+``polytope_volume`` call, and HiGHS on the first ``linprog`` call.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from .montecarlo import McConfig, McResult, _combine, mc_integrate
 
@@ -53,8 +55,18 @@ def make_polytope(rows: list[tuple[np.ndarray, float]], dim: int) -> HPolytope:
     return HPolytope(a, b)
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy import optimize
+
+    return optimize.linprog(*args, **kwargs)
+
+
 def chebyshev_center(poly: HPolytope) -> tuple[np.ndarray, float] | None:
-    """Point of maximal inscribed-ball radius, or None when infeasible."""
+    """Point of maximal inscribed-ball radius, or None when infeasible.
+
+    One LP, solved by HiGHS through the module's ``linprog``.
+    """
     n = poly.dim
     norms = np.linalg.norm(poly.a, axis=1)
     a_ub = np.hstack([poly.a, norms[:, None]])
@@ -212,7 +224,11 @@ def simplex_edge_matrix(verts: np.ndarray) -> np.ndarray:
 
 
 def triangulate(verts: np.ndarray) -> list[np.ndarray]:
-    """Split the convex hull of the vertices into full-dimensional simplices."""
+    """Split the convex hull of the vertices into full-dimensional simplices.
+
+    One dimension is split directly; more go through qhull's Delaunay
+    triangulation, imported on the first such call.
+    """
     n = verts.shape[1]
     if len(verts) < n + 1:
         return []
@@ -221,6 +237,8 @@ def triangulate(verts: np.ndarray) -> list[np.ndarray]:
         if hi - lo <= EPS_VOL:
             return []
         return [np.array([[lo], [hi]])]
+    from scipy.spatial import Delaunay, QhullError
+
     try:
         tri = Delaunay(verts)
     except QhullError:
@@ -234,10 +252,17 @@ def triangulate(verts: np.ndarray) -> list[np.ndarray]:
 
 
 def polytope_volume(verts: np.ndarray) -> float:
+    """Volume of the convex hull of the vertices; 0 when it is degenerate.
+
+    One dimension is a length; more go through qhull's convex hull,
+    imported on the first such call.
+    """
     if len(verts) == 0:
         return 0.0
     if verts.shape[1] == 1:
         return float(np.max(verts) - np.min(verts))
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         return float(ConvexHull(verts).volume)
     except QhullError:

@@ -6,6 +6,9 @@ estimate sigma^2 = V^2/N^2 * sum (f_i - <f>)^2 per iteration and combine
 iterations by inverse variance.  Streams are counter-based (numpy Philox
 keyed through SeedSequence), so task k of seed s always sees the same
 numbers no matter how many workers run.
+
+The normal and folded normal branches import ``scipy.special`` when they
+run; uniform and exponential delays load no scipy here.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .model import DistributionSpec
 
@@ -35,6 +37,8 @@ def pdf(dist: DistributionSpec, x: np.ndarray) -> np.ndarray:
         out[pos & (x >= a) & (x <= b)] = 1.0 / (b - a)
     elif dist.family == "normal":
         # Truncated at 0 and renormalized so the support really is [0, inf).
+        from scipy.special import ndtr
+
         mu, sg = dist.params
         z = (x[pos] - mu) / sg
         norm = 1.0 - ndtr(-mu / sg)
@@ -61,10 +65,14 @@ def cdf(dist: DistributionSpec, x: np.ndarray) -> np.ndarray:
         a, b = dist.params
         out[pos] = np.clip((xp - a) / (b - a), 0.0, 1.0)
     elif dist.family == "normal":
+        from scipy.special import ndtr
+
         mu, sg = dist.params
         base = ndtr(-mu / sg)
         out[pos] = (ndtr((xp - mu) / sg) - base) / (1.0 - base)
     elif dist.family == "foldedNormal":
+        from scipy.special import ndtr
+
         mu, sg = dist.params
         out[pos] = ndtr((xp - mu) / sg) - ndtr((-xp - mu) / sg)
     elif dist.family == "exponential":
@@ -81,6 +89,8 @@ def sample(dist: DistributionSpec, rng: np.random.Generator, size=None) -> np.nd
         return rng.uniform(a, b, size)
     if dist.family == "normal":
         # Inverse-CDF through the truncation so no rejection loop is needed.
+        from scipy.special import ndtr, ndtri
+
         mu, sg = dist.params
         base = ndtr(-mu / sg)
         u = rng.uniform(0.0, 1.0, size)

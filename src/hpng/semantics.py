@@ -42,6 +42,12 @@ class ResourceLimitError(RuntimeError):
     """Raised when a run hits a size cap: tree locations or simulator steps."""
 
 
+def check_horizon(tau_max: float) -> None:
+    """Raise ``ValueError`` unless the horizon tau_max is finite and >= 0."""
+    if not (math.isfinite(tau_max) and tau_max >= 0.0):
+        raise ValueError(f"horizon {tau_max} is not a finite number >= 0")
+
+
 class EventKind(Enum):
     GUARD_ARC = "guardArc"
     BOUNDARY = "boundary"

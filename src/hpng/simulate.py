@@ -27,6 +27,7 @@ from .semantics import (
     CompiledNet,
     EventKind,
     ResourceLimitError,
+    check_horizon,
     compile_net,
     enabling,
     pinned,
@@ -327,8 +328,12 @@ def estimate_probability(
     ``sigma`` is the binomial standard error at the observed fraction, and
     ``half_width`` the half width of the z-scaled Wilson score interval.
     Stops early once that half width drops under ``half_width`` (when
-    given), but never before ``min_runs`` runs.
+    given), but never before ``min_runs`` runs.  Raises ``ValueError``
+    unless tau_max is finite and >= 0 and runs >= 1.
     """
+    check_horizon(tau_max)
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, not {runs}")
     if not (-EPS_SIM <= t_prime <= tau_max + EPS_SIM):
         raise ValueError(f"observation time {t_prime} outside [0, {tau_max}]")
     net = compile_net(model)    # shared by every run, with its drift memo

@@ -37,7 +37,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .geometry import (
     EPS_GEOM,
@@ -359,7 +358,13 @@ def _cube_integrand(piece: Piece):
 
 @lru_cache(maxsize=64)
 def _gauss_legendre_rule(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre nodes (n**dim, dim) and weights on [0, 1]^dim."""
+    """Tensor Gauss-Legendre nodes (n**dim, dim) and weights on [0, 1]^dim.
+
+    ``scipy.special`` is imported here, once per cached rule, so that only
+    the intervals route loads it.
+    """
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n)
     axes_x = np.meshgrid(*[0.5 * (x + 1.0)] * dim, indexing="ij")
     axes_w = np.meshgrid(*[0.5 * w] * dim, indexing="ij")
@@ -595,7 +600,7 @@ def transient_probability(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if t_prime < -EPS or t_prime > tree.tau_max + EPS:
+    if not -EPS <= t_prime <= tree.tau_max + EPS:     # nan fails too
         raise ValueError(f"t'={t_prime} outside the tree horizon {tree.tau_max}")
     cfg = cfg or McConfig()
     model = tree.model

@@ -28,6 +28,7 @@ from .semantics import (
     EventKind,
     ResourceLimitError,
     SymState,
+    check_horizon,
     compile_net,
     evolve,
     finalize_state,
@@ -268,7 +269,9 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
     An exit or a random firing whose cell has zero measure (some width at
     most EPS over the whole cell, see ``_nonempty``) is dropped together
     with the subtree below it: it carries no probability at any t'.
+    Raises ``ValueError`` unless tau_max is finite and >= 0.
     """
+    check_horizon(tau_max)
     net = compile_net(model)    # tables and drift memo for this build
     root = ParametricLocation(
         id=0, parent=None, source=None, source_kind=None, p=1.0,

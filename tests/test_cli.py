@@ -104,6 +104,16 @@ def test_transient_time_outside_horizon(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [("transient",), ("simulate", "--runs", "10")])
+def test_time_nan_exits_one(capsys, argv):
+    # nan passes a range check written as two "outside" comparisons
+    command, *options = argv
+    code, out, err = run(capsys, command, RESERVOIR, "--tau-max", "10", "--time", "nan",
+                         *options)
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+
+
 def test_simulate_json(capsys):
     code, out, _ = run(capsys, "simulate", RESERVOIR, "--tau-max", "10",
                        "--time", "4", "--property", "m(pump_ok) >= 1",
@@ -160,6 +170,37 @@ def test_compare_table(capsys):
     assert lines[0].split() == ["route", "estimate", "error", "ms"]
     routes = [ln.split()[0] for ln in lines[1:]]
     assert routes == ["intervals", "simplex", "direct", "simulation"]
+
+
+@pytest.mark.parametrize("command, runs", [("simulate", "0"), ("simulate", "-5"),
+                                           ("compare", "0")])
+def test_fewer_than_one_run_exits_one(capsys, command, runs):
+    # a bad option value, not an internal error (exit 3)
+    code, _, err = run(capsys, command, RESERVOIR, "--tau-max", "10", "--time", "4",
+                       "--samples", "1000", "--iterations", "2", "--runs", runs)
+    assert code == 1
+    assert err.startswith("error:") and "runs" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("plt", "--tau-max", "-2"),
+    ("plt", "--tau-max", "nan"),
+    ("plt", "--tau-max", "inf"),
+    ("transient", "--tau-max", "inf", "--time", "4"),
+    ("transient", "--tau-max", "nan", "--time", "4"),
+    ("simulate", "--tau-max", "inf", "--time", "4", "--runs", "10"),
+    ("compare", "--tau-max", "-2", "--time", "0"),
+])
+def test_horizon_not_finite_and_non_negative_exits_one(monkeypatch, capsys, argv):
+    # nan and inf would unfold without end; tight caps keep a lost check quick
+    monkeypatch.setattr(hpng.cli, "build_plt",
+                        lambda model, tau: build_plt(model, tau, max_locations=100))
+    monkeypatch.setattr(hpng.simulate, "MAX_STEPS", 100)
+    command, *options = argv
+    code, out, err = run(capsys, command, RESERVOIR, *options)
+    assert code == 1
+    assert err.startswith("error:") and "horizon" in err
+    assert out == ""
 
 
 def test_unknown_subcommand_exits_two():

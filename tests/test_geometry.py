@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection, QhullError
 
+import hpng.geometry
 from hpng import build_plt
 from hpng.geometry import (
     EPS_GEOM,
@@ -62,6 +63,20 @@ def test_chebyshev_center_of_box():
     center, radius = chebyshev_center(unit_box(3))
     assert np.allclose(center, 0.5)
     assert radius == pytest.approx(0.5)
+
+
+def test_chebyshev_center_solves_through_the_module_linprog(monkeypatch):
+    # bench/tracing.py counts LPs by rebinding hpng.geometry.linprog
+    forward, calls = hpng.geometry.linprog, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(hpng.geometry, "linprog", counting)
+    center, radius = chebyshev_center(unit_box(2))
+    assert len(calls) == 1
+    assert np.allclose(center, 0.5) and radius == pytest.approx(0.5)
 
 
 def test_chebyshev_center_infeasible():

@@ -152,6 +152,19 @@ def test_estimate_rejects_bad_time(reservoir_model):
         estimate_probability(reservoir_model, 10.0, 11.0, [], runs=10)
 
 
+@pytest.mark.parametrize("runs", [0, -5])
+def test_estimate_rejects_fewer_than_one_run(reservoir_model, runs):
+    # with no run, hits / n would divide by zero
+    with pytest.raises(ValueError, match="runs"):
+        estimate_probability(reservoir_model, 10.0, 4.0, [], runs=runs)
+
+
+@pytest.mark.parametrize("tau", [-2.0, float("inf"), float("nan")])
+def test_estimate_rejects_a_horizon_not_finite_and_non_negative(reservoir_model, tau):
+    with pytest.raises(ValueError, match="horizon"):
+        estimate_probability(reservoir_model, tau, 0.0, [], runs=10)
+
+
 def test_step_limit_is_a_resource_cap(reservoir_model, monkeypatch):
     monkeypatch.setattr(hpng.simulate, "MAX_STEPS", 1)
     with pytest.raises(ResourceLimitError):

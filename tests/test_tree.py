@@ -170,6 +170,17 @@ def test_max_locations_cap(reservoir_model):
         build_plt(reservoir_model, 10.0, max_locations=3)
 
 
+@pytest.mark.parametrize("tau", [-2.0, float("inf"), float("nan")])
+def test_build_rejects_a_horizon_not_finite_and_non_negative(battery_model, tau):
+    # nan and inf would unfold up to the location cap, kept small here
+    with pytest.raises(ValueError, match="horizon"):
+        build_plt(battery_model, tau, max_locations=100)
+
+
+def test_zero_horizon_is_accepted(reservoir_model):
+    assert build_plt(reservoir_model, 0.0).tau_max == 0.0
+
+
 # ---------------------------------------------------------------------------
 # zero-measure pruning and the bits of the tree
 
