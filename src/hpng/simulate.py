@@ -253,7 +253,7 @@ def simulate_run(
         tied = [e for e in tied if _CLASS_RANK[e[1]] == rank]
         top = max(e[3] for e in tied)
         tied = [e for e in tied if e[3] == top]
-        if len(tied) == 1:
+        if len(tied) == 1 or rank < _CLASS_RANK[EventKind.IMMEDIATE]:
             choice = tied[0]
         else:
             weights = np.array([e[4] for e in tied])

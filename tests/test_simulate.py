@@ -113,6 +113,34 @@ def test_battery_repair_restores_charging(battery_model):
     assert immediates[1].time == pytest.approx(9.0)
 
 
+class _NoDraw:
+    """A generator that samples like ``inner`` but fails on a weighted draw."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("a tie was resolved by a random draw")
+
+
+def test_tied_guard_crossings_apply_in_arc_order_without_a_draw(battery_model):
+    # battery <= 0 (arc 5) and battery > 0 (arc 6) both flip at the instant
+    # the battery empties.  As in the tree, the first crossing wins the
+    # tie and the second follows at zero delay; no random draw is made.
+    assignment = {("grid_fail", 0): 2.0, ("to_low", 0): 100.0,
+                  ("to_high", 0): 100.0}
+    res = simulate_run(battery_model, 8.0, assignment=assignment,
+                       rng=_NoDraw(stream(0, 0)), keep_trace=True)
+    crossings = [(e.time, e.target, e.truth) for e in res.trace
+                 if e.kind is EventKind.GUARD_ARC]
+    assert [(target, truth) for _, target, truth in crossings] == [
+        ("g5", True), ("g6", False)]
+    assert crossings[0][0] == crossings[1][0] == pytest.approx(2.0 + 1000.0 / 700.0)
+
+
 def test_sampled_values_recorded(reservoir_model):
     res = simulate_run(reservoir_model, 10.0, rng=stream(5, 0))
     if res.fired:
@@ -207,16 +235,16 @@ def _runs_digest(model, tau, t_prime, seed, runs=50):
 SIM_PINS = {
     ("battery", 20.0, 8.0, "m(grid_on) >= 1", 300, 0): (
         "0x1.69d0369d0369dp-3", "0x1.68c3daeb8f94cp-6",
-        "e8ebd383b09b88cca241805c2e71a5033927b623f534e8335636f2e486ef9e19"),
+        "cbfeff1d1925db3ab4168d86398807f04a2fc6b30d2e4fc9ab68e397cc1b1941"),
     ("battery", 20.0, 8.0, "m(grid_on) >= 1", 300, 29): (
         "0x1.bbbbbbbbbbbbcp-3", "0x1.85b2ccedb438cp-6",
-        "390029d52db38e27285dcca7fa56e89bd3bc0ef6af0f7ac350faed723139baad"),
+        "c3b13931fb3083dc51e048f95c109a1393f157ff1d468c2f5882bb4e916aabe9"),
     ("battery", 8.0, 8.0, "m(grid_on) >= 1", 150, 0): (
         "0x1.999999999999ap-3", "0x1.0b8cb28fd8cf5p-5",
-        "0d059a49e4211deb53fd5d5d15370d3226ca6f358a6b90f84b9130df007440b6"),
+        "870fce07c01b8524e5dfc8d7af30a11f293ae7d4722da563aa2e3f32bc91fedf"),
     ("battery", 8.0, 8.0, "m(grid_on) >= 1", 150, 29): (
         "0x1.b4e81b4e81b4fp-3", "0x1.1202fc5232880p-5",
-        "87db16075c4e3e6a85c49f89fa6cd13ae7682fa7f5b6e9ef786a4c7dac9fc115"),
+        "0a85e232d6efe036ca3d44db77dfc2ede589e9af7cb818688d98cd5857c0d6ad"),
     ("reservoir", 10.0, 6.0, "m(pump_ok) >= 1", 750, 0): (
         "0x1.a06d3a06d3a07p-2", "0x1.25df30c7f2429p-6",
         "f2d151d55e93cc62d233f72af9665803dbe8e11445e67a60c473c5dc15f4e60b"),
