@@ -43,12 +43,18 @@ def _write(text: str, path: str | None) -> None:
         print(text)
 
 
-def cmd_validate(args) -> int:
-    model = load_model(args.model)
+def _load_valid(path: str):
+    """The model in ``path``, or None once its validation issues are printed."""
+    model = load_model(path)
     issues = validate(model)
-    if issues:
-        for issue in issues:
-            print(f"error: {issue}", file=sys.stderr)
+    for issue in issues:
+        print(f"error: {issue}", file=sys.stderr)
+    return None if issues else model
+
+
+def cmd_validate(args) -> int:
+    model = _load_valid(args.model)
+    if model is None:
         return 1
     counts = (
         f"{len(model.discrete_places)} discrete places, "
@@ -75,11 +81,8 @@ def _mc_config(args) -> McConfig:
 
 
 def cmd_transient(args) -> int:
-    model = load_model(args.model)
-    issues = validate(model)
-    if issues:
-        for issue in issues:
-            print(f"error: {issue}", file=sys.stderr)
+    model = _load_valid(args.model)
+    if model is None:
         return 1
     atoms = parse_property(args.property, model) if args.property else None
     tree = build_plt(model, args.tau_max)
@@ -109,11 +112,8 @@ def cmd_transient(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = load_model(args.model)
-    issues = validate(model)
-    if issues:
-        for issue in issues:
-            print(f"error: {issue}", file=sys.stderr)
+    model = _load_valid(args.model)
+    if model is None:
         return 1
     atoms = parse_property(args.property, model) if args.property else []
     start = time.perf_counter()
@@ -135,13 +135,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    model = load_model(args.model)
-    issues = validate(model)
-    if issues:
-        for issue in issues:
-            print(f"error: {issue}", file=sys.stderr)
+    model = _load_valid(args.model)
+    if model is None:
         return 1
     atoms = parse_property(args.property, model) if args.property else None
+    if args.runs < 1:   # before the routes run, not after them
+        raise ValueError(f"runs must be at least 1, not {args.runs}")
     tree = build_plt(model, args.tau_max)
     print(f"{'route':<12} {'estimate':>12} {'error':>12} {'ms':>8}")
     for method in METHODS:

@@ -218,11 +218,6 @@ def simplex_volume(verts: np.ndarray) -> float:
     return abs(float(np.linalg.det(mat))) / math.factorial(n)
 
 
-def simplex_edge_matrix(verts: np.ndarray) -> np.ndarray:
-    """Columns are edges from the first vertex; |det| equals n! times volume."""
-    return (verts[1:] - verts[0]).T
-
-
 def triangulate(verts: np.ndarray) -> list[np.ndarray]:
     """Split the convex hull of the vertices into full-dimensional simplices.
 

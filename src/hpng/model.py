@@ -194,9 +194,6 @@ class HPnGModel:
     def output_arcs(self, tid: str) -> list[DiscreteArc]:
         return [a for a in self.discrete_arcs if a.transition == tid and not a.to_transition]
 
-    def guards_of(self, tid: str) -> list[GuardArc]:
-        return [g for g in self.guard_arcs if g.transition == tid]
-
     def fluid_inputs(self, place_id: str) -> list[ContinuousArc]:
         return [a for a in self.continuous_arcs if a.place == place_id and a.to_place]
 

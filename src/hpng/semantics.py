@@ -9,7 +9,9 @@ location's domain, which the event machinery guarantees by splitting.
 Rules that do not depend on the symbolic form of a state (guard truths of
 discrete places, enabling, which places sit at a bound, and the drift those
 give) work on a ``CompiledNet``, the model compiled once into index tables.
-The simulator applies the same tables and the same drift memo to floats.
+The event rules (``guard_crossing``, ``bound_ahead`` and ``winners``) take
+a zone, a drift or a candidate list and leave the delay arithmetic to the
+caller.  The simulator shares all of these, on floats.
 """
 
 from __future__ import annotations
@@ -56,15 +58,18 @@ class EventKind(Enum):
     GENERAL = "generalFiring"
 
 
-#: Precedence among coincident events, highest first.  State-change events
-#: outrank firings so that enabling updates are visible to the firings they
-#: coincide with.
-EVENT_CLASS_ORDER: tuple[EventKind, ...] = (
-    EventKind.GUARD_ARC,
-    EventKind.BOUNDARY,
-    EventKind.IMMEDIATE,
-    EventKind.DETERMINISTIC,
-)
+#: Precedence among coincident events, lowest rank first.  State-change
+#: events outrank firings so that enabling updates are visible to the
+#: firings they coincide with.  General firings rank with deterministic
+#: ones; in the tree their delay is symbolic, so they never tie.
+EVENT_RANK: dict[EventKind, int] = {
+    EventKind.GUARD_ARC: 0,
+    EventKind.BOUNDARY: 1,
+    EventKind.IMMEDIATE: 2,
+    EventKind.DETERMINISTIC: 3,
+    EventKind.GENERAL: 3,
+}
+_FIRING_RANK = EVENT_RANK[EventKind.IMMEDIATE]
 
 
 @dataclass(frozen=True)
@@ -102,17 +107,6 @@ def flat_order(model: HPnGModel) -> list[str]:
                  TKind.STATIC, TKind.DYNAMIC):
         out.extend(t.id for t in model.transitions_of(kind))
     return out
-
-
-def flat_index(model: HPnGModel, tid: str) -> int:
-    kind, i = model.t_ref[tid]
-    offset = 0
-    for k in (TKind.DETERMINISTIC, TKind.IMMEDIATE, TKind.GENERAL,
-              TKind.STATIC, TKind.DYNAMIC):
-        if k is kind:
-            return offset + i
-        offset += len(model.transitions_of(k))
-    raise KeyError(tid)
 
 
 def guard_key(model: HPnGModel, arc_index: int) -> str:
@@ -240,6 +234,28 @@ def _level_zone(level: LinearForm, threshold: float,
     )
 
 
+def guard_crossing(op: str, zone: str, drift: float,
+                   truth: bool) -> Optional[tuple[bool, bool]]:
+    """Next change of a continuous guard's stored truth: (new truth, now?) or None.
+
+    ``zone`` is where the level sits against the threshold; a change that
+    is not now happens when the level reaches the threshold.  A flat level
+    cannot cross, but its stored truth may be stale: when the level reaches
+    the threshold in the same instant the place gets pinned, only one of
+    the coincident crossings wins the step, and the rest are caught up now.
+    """
+    truths = _ZONE_TRUTH[op]
+    if abs(drift) <= EPS:
+        return (truths[zone], True) if truths[zone] != truth else None
+    ahead = "above" if drift > 0 else "below"
+    if zone == ahead:
+        return None     # moving away from the threshold
+    for nz in ((ahead,) if zone == "at" else ("at", ahead)):
+        if truths[nz] != truth:
+            return truths[nz], zone == "at"
+    return None
+
+
 def enabled(model: HPnGModel, state: SymState, tid: str) -> bool:
     """Token and guard conditions for one transition in the given state."""
     kind, _ = model.t_ref[tid]
@@ -295,6 +311,20 @@ def pinned(net: CompiledNet, levels: Sequence[Optional[float]]) -> tuple[frozens
         if finite and abs(level - capacity) <= EPS:
             at_upper.append(pid)
     return frozenset(at_lower), frozenset(at_upper)
+
+
+def bound_ahead(drift: float, level: Optional[float], capacity: float,
+                finite: bool) -> Optional[bool]:
+    """The bound a level heads for: True upper, False lower, None neither.
+
+    ``level`` is None where it is not constant.  A level already at that
+    bound (the EPS test of ``pinned``) hits nothing.
+    """
+    if drift < -EPS:
+        return None if level is not None and abs(level) <= EPS else False
+    if drift > EPS and finite:
+        return None if level is not None and abs(level - capacity) <= EPS else True
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -519,45 +549,21 @@ def next_events(
             events.append(Event(EventKind.GENERAL, t.id, None))
 
     for (pid, capacity, finite), d, level in zip(net.places, state.d, state.x):
-        if d < -EPS:
-            at_bound = level.is_constant() and abs(level.const) <= EPS
-            if not at_bound:
-                events.append(Event(EventKind.BOUNDARY, pid,
-                                    level.scaled(-1.0 / d), at_upper=False))
-        elif d > EPS and finite:
-            at_bound = level.is_constant() and abs(level.const - capacity) <= EPS
-            if not at_bound:
-                events.append(Event(EventKind.BOUNDARY, pid,
-                                    (const(capacity) - level).scaled(1.0 / d),
-                                    at_upper=True))
+        upper = bound_ahead(d, level.const if level.is_constant() else None,
+                            capacity, finite)
+        if upper is not None:
+            delta = ((const(capacity) - level).scaled(1.0 / d) if upper
+                     else level.scaled(-1.0 / d))
+            events.append(Event(EventKind.BOUNDARY, pid, delta, at_upper=upper))
 
     for ai, pi, op, threshold in net.continuous_guards:
-        d = state.d[pi]
-        level = state.x[pi]
-        if abs(d) <= EPS:
-            # A flat level cannot cross, but its stored truth may be stale:
-            # when the level reaches the threshold in the same instant the
-            # place gets pinned, only one of the coincident crossings wins
-            # the step and the rest must be caught up here at zero delay.
-            nz = _level_zone(level, threshold, domain)
-            nt = _ZONE_TRUTH[op][nz]
-            if nt != state.gs[ai]:
-                events.append(Event(EventKind.GUARD_ARC, guard_key(model, ai),
-                                    ZERO, new_truth=nt, arc_index=ai))
-            continue
-        zone = _level_zone(level, threshold, domain)
-        order = ("at", "above") if d > 0 else ("at", "below")
-        if zone == "above" and d > 0 or zone == "below" and d < 0:
-            continue  # moving away from the threshold
-        candidates = order if zone != "at" else (order[1],)
-        truth = state.gs[ai]
-        for nz in candidates:
-            nt = _ZONE_TRUTH[op][nz]
-            if nt != truth:
-                delta = ZERO if zone == "at" else (const(threshold) - level).scaled(1.0 / d)
-                events.append(Event(EventKind.GUARD_ARC, guard_key(model, ai), delta,
-                                    new_truth=nt, arc_index=ai))
-                break
+        level, d = state.x[pi], state.d[pi]
+        crossing = guard_crossing(op, _level_zone(level, threshold, domain), d, state.gs[ai])
+        if crossing is not None:
+            truth, now = crossing
+            delta = ZERO if now else (const(threshold) - level).scaled(1.0 / d)
+            events.append(Event(EventKind.GUARD_ARC, guard_key(model, ai), delta,
+                                new_truth=truth, arc_index=ai))
 
     return events
 
@@ -604,22 +610,31 @@ def _beaten(cmp: ComparisonOutcome, domain: Sequence[SymInterval]) -> bool:
     return extremal_value(slack, domain, "max") < -EPS
 
 
-def resolve_conflict(model: HPnGModel, events: list[Event]) -> list[tuple[Event, float]]:
-    """Winner distribution among events with identical remaining time.
+def winners(candidates: Sequence[tuple[EventKind, int, float]]) -> list[tuple[int, float]]:
+    """Winner distribution among coincident events, as (index, probability).
 
-    State-change events outrank firings (only one is applied; followers are
-    re-detected at zero delay), immediates beat deterministics, higher
-    priority wins outright, and equal priorities split by weight.
+    ``candidates`` holds (kind, priority, weight) per event.  The lowest
+    ``EVENT_RANK`` wins.  Among state-change events the first one wins
+    (the others are re-detected at zero delay); among firings the top
+    priority wins and equal priorities split by weight.
     """
-    best_class = min(EVENT_CLASS_ORDER.index(ev.kind) for ev in events)
-    cls = EVENT_CLASS_ORDER[best_class]
-    group = [ev for ev in events if ev.kind is cls]
-    if cls in (EventKind.GUARD_ARC, EventKind.BOUNDARY):
-        return [(group[0], 1.0)]
-    prios = {}
-    for ev in group:
-        t = model.transition(ev.target)
-        prios.setdefault(t.priority, []).append((ev, t.weight))
-    top = prios[max(prios)]
-    total = sum(w for _, w in top)
-    return [(ev, w / total) for ev, w in top]
+    rank = min(EVENT_RANK[kind] for kind, _, _ in candidates)
+    tied = [i for i, (kind, _, _) in enumerate(candidates) if EVENT_RANK[kind] == rank]
+    if rank < _FIRING_RANK:
+        return [(tied[0], 1.0)]
+    top = max(candidates[i][1] for i in tied)
+    tied = [i for i in tied if candidates[i][1] == top]
+    total = sum(candidates[i][2] for i in tied)
+    return [(i, candidates[i][2] / total) for i in tied]
+
+
+def resolve_conflict(model: HPnGModel, events: list[Event]) -> list[tuple[Event, float]]:
+    """Winner distribution among events with identical remaining time (``winners``)."""
+    candidates = []
+    for ev in events:
+        if EVENT_RANK[ev.kind] < _FIRING_RANK:
+            candidates.append((ev.kind, 0, 1.0))
+        else:
+            t = model.transition(ev.target)
+            candidates.append((ev.kind, t.priority, t.weight))
+    return [(events[i], p) for i, p in winners(candidates)]

@@ -4,11 +4,14 @@ Runs the symbolic execution rules on plain floats.  Guard truths of
 discrete places, enabling, the places pinned at a bound and the drift come
 from the same compiled net as the tree build (``semantics.CompiledNet``),
 and drifts are memoized on the same key: the enabling vector and the
-pinned sets.  Guard zones and event precedence follow ``next_events`` and
-``resolve_conflict``.  Random firings draw their total enabled time either
-from the model distributions or from a caller-fixed assignment, which
-makes single runs replayable against the symbolic tree.  Answers are
-bit-identical per seed whether or not a net is shared across runs.
+pinned sets.  The event rules are shared with the tree build too:
+``guard_crossing``, ``bound_ahead`` and ``winners``; only the delays are
+computed here, on floats.  Tied state-change events resolve to the first
+one; only tied firings of equal top priority draw, by weight.  Random
+firings draw their total enabled time either from the model distributions
+or from a caller-fixed assignment, which makes single runs replayable
+against the symbolic tree.  Answers are bit-identical per seed whether or
+not a net is shared across runs.
 """
 
 from __future__ import annotations
@@ -22,29 +25,23 @@ from .model import HPnGModel
 from .montecarlo import sample, stream
 from .props import Atom, holds_concrete
 from .semantics import (
-    _ZONE_TRUTH,
     _static_truth,
     CompiledNet,
     EventKind,
     ResourceLimitError,
+    bound_ahead,
     check_horizon,
     compile_net,
     enabling,
+    guard_crossing,
     pinned,
     rate_adaptation,
     set_marking_guards,
+    winners,
 )
+from .symbolic import EPS
 
-EPS_SIM = 1e-9
 MAX_STEPS = 1_000_000
-
-_CLASS_RANK = {
-    EventKind.GUARD_ARC: 0,
-    EventKind.BOUNDARY: 1,
-    EventKind.IMMEDIATE: 2,
-    EventKind.DETERMINISTIC: 3,
-    EventKind.GENERAL: 3,
-}
 
 
 @dataclass(frozen=True)
@@ -114,37 +111,24 @@ def _candidate_events(
                         t.id, 0, 1.0, None))
 
     for (pid, capacity, finite), d, lvl in zip(net.places, drift, x):
-        if d < -EPS_SIM and lvl > EPS_SIM:
-            out.append((lvl / -d, EventKind.BOUNDARY, pid, 0, 1.0, None))
-        elif d > EPS_SIM and finite and capacity - lvl > EPS_SIM:
-            out.append(((capacity - lvl) / d, EventKind.BOUNDARY, pid, 0, 1.0, None))
+        upper = bound_ahead(d, lvl, capacity, finite)
+        if upper is not None:
+            delta = (capacity - lvl) / d if upper else lvl / -d
+            out.append((delta, EventKind.BOUNDARY, pid, 0, 1.0, None))
 
     for i, pi, op, threshold in net.continuous_guards:
-        d = drift[pi]
-        lvl = x[pi]
-        if abs(lvl - threshold) <= EPS_SIM:
+        lvl, d = x[pi], drift[pi]
+        if abs(lvl - threshold) <= EPS:
             zone = "at"
         elif lvl < threshold:
             zone = "below"
         else:
             zone = "above"
-        if abs(d) <= EPS_SIM:
-            # Flat level: no crossing, but reconcile a stale stored truth
-            # (the crossing may have coincided with the place pinning).
-            nt = _ZONE_TRUTH[op][zone]
-            if nt != run.gs[i]:
-                out.append((0.0, EventKind.GUARD_ARC, f"g{i}", 0, 1.0, nt))
-            continue
-        order = ("at", "above") if d > 0 else ("at", "below")
-        if (zone == "above" and d > 0) or (zone == "below" and d < 0):
-            continue
-        candidates = order if zone != "at" else (order[1],)
-        for nz in candidates:
-            nt = _ZONE_TRUTH[op][nz]
-            if nt != run.gs[i]:
-                delta = 0.0 if zone == "at" else (threshold - lvl) / d
-                out.append((delta, EventKind.GUARD_ARC, f"g{i}", 0, 1.0, nt))
-                break
+        crossing = guard_crossing(op, zone, d, run.gs[i])
+        if crossing is not None:
+            truth, now = crossing
+            delta = 0.0 if now else (threshold - lvl) / d
+            out.append((delta, EventKind.GUARD_ARC, f"g{i}", 0, 1.0, truth))
     return out
 
 
@@ -234,7 +218,7 @@ def simulate_run(
         nonlocal obs_m, obs_x
         if observe_at is None or obs_m is not None:
             return
-        if run.time + now_delta >= observe_at - EPS_SIM:
+        if run.time + now_delta >= observe_at - EPS:
             dt = observe_at - run.time
             obs_m = dict(zip(marking_ids, run.m))
             obs_x = {pid: lvl + d * dt for pid, lvl, d in zip(place_ids, run.x, run.drift)}
@@ -242,24 +226,21 @@ def simulate_run(
     for _ in range(MAX_STEPS):
         _refresh(run)
         events = _candidate_events(run, values, rng)
-        events = [e for e in events if e[0] >= -EPS_SIM]
+        events = [e for e in events if e[0] >= -EPS]
         if not events:
             break
         best = min(e[0] for e in events)
-        if run.time + best > tau_max + EPS_SIM:
+        if run.time + best > tau_max + EPS:
             break
-        tied = [e for e in events if e[0] <= best + EPS_SIM]
-        rank = min(_CLASS_RANK[e[1]] for e in tied)
-        tied = [e for e in tied if _CLASS_RANK[e[1]] == rank]
-        top = max(e[3] for e in tied)
-        tied = [e for e in tied if e[3] == top]
-        if len(tied) == 1 or rank < _CLASS_RANK[EventKind.IMMEDIATE]:
+        tied = [e for e in events if e[0] <= best + EPS]
+        if len(tied) == 1:
             choice = tied[0]
         else:
-            weights = np.array([e[4] for e in tied])
-            choice = tied[int(rng.choice(len(tied), p=weights / weights.sum()))]
+            won = winners([(e[1], e[3], e[4]) for e in tied])
+            k = 0 if len(won) == 1 else int(rng.choice(len(won), p=[p for _, p in won]))
+            choice = tied[won[k][0]]
         delta = max(best, 0.0)
-        if observe_at is not None and run.time + delta > observe_at + EPS_SIM:
+        if observe_at is not None and run.time + delta > observe_at + EPS:
             observe(delta)
         _advance(run, delta)
         ev = SimEvent(run.time, choice[1], choice[2], choice[5])
@@ -271,7 +252,7 @@ def simulate_run(
 
     _refresh(run)
     if run.time < tau_max:
-        if observe_at is not None and tau_max >= observe_at - EPS_SIM:
+        if observe_at is not None and tau_max >= observe_at - EPS:
             observe(tau_max - run.time)
         _advance(run, tau_max - run.time)
     elif observe_at is not None:
@@ -334,7 +315,7 @@ def estimate_probability(
     check_horizon(tau_max)
     if runs < 1:
         raise ValueError(f"runs must be at least 1, not {runs}")
-    if not (-EPS_SIM <= t_prime <= tau_max + EPS_SIM):
+    if not (-EPS <= t_prime <= tau_max + EPS):
         raise ValueError(f"observation time {t_prime} outside [0, {tau_max}]")
     net = compile_net(model)    # shared by every run, with its drift memo
     hits = 0

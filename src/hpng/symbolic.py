@@ -87,15 +87,6 @@ class LinearForm:
     def is_constant(self, eps: float = EPS) -> bool:
         return self.top_index(eps) is None
 
-    def drop_var(self, k: int) -> "LinearForm":
-        """Remove variable slot k (its coefficient must already be ~0)."""
-        if abs(self.coeff(k)) > EPS:
-            raise ValueError(f"cannot drop live variable {k} from {self}")
-        cs = list(self.coeffs)
-        if k < len(cs):
-            del cs[k]
-        return LinearForm(self.const, tuple(cs))
-
     def substitute(self, k: int, replacement: "LinearForm") -> "LinearForm":
         """Replace o[k] by a form over lower-indexed variables."""
         if replacement.top_index() is not None and replacement.top_index() >= k:
@@ -183,14 +174,6 @@ class SymInterval:
     lower: LinearForm
     upper: Optional[LinearForm]
 
-    def is_unbounded(self) -> bool:
-        return self.upper is None
-
-    def width_at(self, assignment: Sequence[float]) -> float:
-        if self.upper is None:
-            return math.inf
-        return self.upper.evaluate(assignment) - self.lower.evaluate(assignment)
-
     def contains(self, value: float, assignment: Sequence[float], eps: float = EPS) -> bool:
         if value < self.lower.evaluate(assignment) - eps:
             return False
@@ -201,10 +184,6 @@ class SymInterval:
     def text(self, names: Optional[Sequence[str]] = None) -> str:
         hi = "inf" if self.upper is None else self.upper.text(names)
         return f"[{self.lower.text(names)}, {hi}]"
-
-
-def unbounded(lower: float = 0.0) -> SymInterval:
-    return SymInterval(LinearForm(lower), None)
 
 
 class ComparisonKind(Enum):

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import hpng
 import hpng.semantics
+import hpng.simulate
 import hpng.symbolic
 import hpng.transient
 import hpng.tree
+from hpng.montecarlo import stream
 from hpng.transient import candidate_locations
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -72,6 +74,20 @@ def test_traced_estimate_goes_through_the_wrapped_names(monkeypatch, reservoir_m
     steps = aggs["simulate.step"].calls
     assert steps >= 1
     assert 0 < aggs["semantics.rate_adaptation"].calls < steps
+
+
+def test_traced_steps_are_the_applied_events(monkeypatch, battery_model):
+    # The bench's simulate.steps counts calls to the wrapped _apply, so the
+    # simulator must apply each event of a run's trace through it, once.
+    tracing = _tracing(monkeypatch)
+    events = 0
+    with tracing.install(tracing.Tracer()) as tracer:
+        for seed in range(4):
+            res = hpng.simulate.simulate_run(battery_model, 20.0, rng=stream(seed, 0),
+                                             keep_trace=True)
+            events += len(res.trace)
+    assert events > 0
+    assert tracer.aggs["simulate.step"].calls == events
 
 
 def test_traced_region_routes_solve_no_lp(monkeypatch, battery_tree):

@@ -174,8 +174,13 @@ def test_compare_table(capsys):
 
 @pytest.mark.parametrize("command, runs", [("simulate", "0"), ("simulate", "-5"),
                                            ("compare", "0")])
-def test_fewer_than_one_run_exits_one(capsys, command, runs):
-    # a bad option value, not an internal error (exit 3)
+def test_fewer_than_one_run_exits_one(monkeypatch, capsys, command, runs):
+    # a bad option value, not an internal error (exit 3), rejected before
+    # any tree is built or route runs
+    def unexpected(*args, **kwargs):
+        pytest.fail("the run count is checked only after the analysis")
+    monkeypatch.setattr(hpng.cli, "build_plt", unexpected)
+    monkeypatch.setattr(hpng.cli, "transient_probability", unexpected)
     code, _, err = run(capsys, command, RESERVOIR, "--tau-max", "10", "--time", "4",
                        "--samples", "1000", "--iterations", "2", "--runs", runs)
     assert code == 1

@@ -19,7 +19,6 @@ from hpng.geometry import (
     probability_over_region_direct,
     probability_over_simplex,
     sample_unit_simplex,
-    simplex_edge_matrix,
     simplex_volume,
     triangulate,
     vertex_enumeration,
@@ -215,16 +214,6 @@ def test_simplex_volume_matches_cayley_menger():
         verts = rng.normal(size=(dim + 1, dim))
         direct = simplex_volume(verts)
         assert direct == pytest.approx(cayley_menger_volume(verts), abs=1e-10)
-
-
-def test_edge_matrix_det_is_factorial_times_volume():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        dim = int(rng.integers(1, 5))
-        verts = rng.normal(size=(dim + 1, dim))
-        det = abs(np.linalg.det(simplex_edge_matrix(verts)))
-        assert det == pytest.approx(math.factorial(dim) * simplex_volume(verts),
-                                    rel=1e-12)
 
 
 def test_triangulation_partitions_hull_volume():

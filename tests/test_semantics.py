@@ -16,7 +16,6 @@ from hpng.semantics import (
     evolve,
     finalize_state,
     fire,
-    flat_index,
     flat_order,
     guard_key,
     initial_state,
@@ -58,12 +57,6 @@ def test_flat_order_groups_by_kind(battery_model):
         expect.extend([kind] * len(battery_model.transitions_of(kind)))
     assert kinds == expect
     assert len(order) == len(set(order))
-
-
-def test_flat_index_matches_order(battery_model):
-    order = flat_order(battery_model)
-    for i, tid in enumerate(order):
-        assert flat_index(battery_model, tid) == i
 
 
 def test_guard_key_is_readable(reservoir_model):

@@ -7,8 +7,9 @@ import pytest
 from hpng.montecarlo import stream
 from hpng.props import parse_property
 import hpng.simulate
-from hpng.semantics import EventKind, ResourceLimitError
+from hpng.semantics import EventKind, ResourceLimitError, SymState, next_events
 from hpng.simulate import estimate_probability, simulate_run
+from hpng.symbolic import EPS, ZERO, const
 
 
 def test_reservoir_break_at_three(reservoir_model):
@@ -139,6 +140,53 @@ def test_tied_guard_crossings_apply_in_arc_order_without_a_draw(battery_model):
     assert [(target, truth) for _, target, truth in crossings] == [
         ("g5", True), ("g6", False)]
     assert crossings[0][0] == crossings[1][0] == pytest.approx(2.0 + 1000.0 / 700.0)
+
+
+def _tree_events(run):
+    """``next_events`` at the run's state, on constant forms, keyed like the simulator's."""
+    model = run.net.model
+    state = SymState(
+        m=tuple(run.m), x=tuple(map(const, run.x)),
+        c=tuple(map(const, run.clocks)) + (ZERO,) * len(model.immediate),
+        d=run.drift, g=tuple(map(const, run.g)), e=run.enab, gs=tuple(run.gs))
+    out = {}
+    for ev in next_events(model, state, [], run.net):
+        if ev.kind is not EventKind.GENERAL:
+            target = f"g{ev.arc_index}" if ev.kind is EventKind.GUARD_ARC else ev.target
+            assert ev.delta.is_constant()
+            out[ev.kind, target] = (ev.new_truth, ev.delta.const)
+    return out
+
+
+@pytest.mark.parametrize("name, tau", [("battery", 20.0), ("reservoir", 10.0)])
+def test_tree_and_simulator_list_the_same_events(monkeypatch, battery_model,
+                                                 reservoir_model, name, tau):
+    # Both apply the event rules of semantics, each to its own numbers: at
+    # every state a run visits, next_events on constant forms lists the
+    # simulator's candidates (general firings aside, whose delay the tree
+    # keeps symbolic).
+    model = {"battery": battery_model, "reservoir": reservoir_model}[name]
+    candidate_events = hpng.simulate._candidate_events
+    steps = 0
+
+    def checked(run, values, rng):
+        nonlocal steps
+        out = candidate_events(run, values, rng)
+        sim = {(kind, target): (truth, delay)
+               for delay, kind, target, _, _, truth in out
+               if kind is not EventKind.GENERAL and delay >= -EPS}
+        tree = _tree_events(run)
+        assert tree.keys() == sim.keys()
+        for key, (truth, delay) in sim.items():
+            assert tree[key][0] == truth, key
+            assert tree[key][1] == pytest.approx(delay, abs=1e-9), key
+        steps += 1
+        return out
+
+    monkeypatch.setattr(hpng.simulate, "_candidate_events", checked)
+    for n in range(50):
+        simulate_run(model, tau, rng=stream(0, n))
+    assert steps > 100
 
 
 def test_sampled_values_recorded(reservoir_model):
