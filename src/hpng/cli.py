@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -26,13 +25,6 @@ from .semantics import ResourceLimitError, UnsupportedModelError
 from .simulate import estimate_probability
 from .transient import METHODS, transient_probability
 from .tree import build_plt, dump_json, tree_to_dot
-
-
-def _threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("HPNG_THREADS")
-    return int(env) if env else None
 
 
 def _write(text: str, path: str | None) -> None:
@@ -90,10 +82,8 @@ def cmd_transient(args) -> int:
     results = []
     for method in methods:
         start = time.perf_counter()
-        res = transient_probability(
-            tree, args.time, atoms, method=method, cfg=_mc_config(args),
-            threads=_threads(args),
-        )
+        res = transient_probability(tree, args.time, atoms, method=method,
+                                    cfg=_mc_config(args))
         wall = (time.perf_counter() - start) * 1000.0
         results.append({
             "tPrime": res.t_prime,
@@ -145,10 +135,8 @@ def cmd_compare(args) -> int:
     print(f"{'route':<12} {'estimate':>12} {'error':>12} {'ms':>8}")
     for method in METHODS:
         start = time.perf_counter()
-        res = transient_probability(
-            tree, args.time, atoms, method=method, cfg=_mc_config(args),
-            threads=_threads(args),
-        )
+        res = transient_probability(tree, args.time, atoms, method=method,
+                                    cfg=_mc_config(args))
         wall = (time.perf_counter() - start) * 1000.0
         print(f"{method:<12} {res.total:>12.6f} {res.sigma:>12.2e} {wall:>8.0f}")
     start = time.perf_counter()
@@ -163,17 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hpng", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_time=True):
+    def common(p):
         p.add_argument("model", help="model file (JSON)")
         p.add_argument("--tau-max", type=float, required=True, help="analysis horizon")
-        if needs_time:
-            p.add_argument("--time", type=float, required=True, help="observation time")
+        p.add_argument("--time", type=float, required=True, help="observation time")
         p.add_argument("--seed", type=int, default=0)
+        p.add_argument("-o", "--output", default=None, help="write result to file")
+
+    def budget(p):      # sampling routes only; the simulator counts runs
         p.add_argument("--samples", type=int, default=100_000)
         p.add_argument("--iterations", type=int, default=5)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default HPNG_THREADS or serial)")
-        p.add_argument("-o", "--output", default=None, help="write result to file")
 
     p = sub.add_parser("validate", help="check a model file")
     p.add_argument("model")
@@ -188,6 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transient", help="transient probability of a property")
     common(p)
+    budget(p)
     p.add_argument("--property", default=None,
                    help="e.g. 'm(demand_std) >= 1 & x(tank) < 5'")
     p.add_argument("--method", choices=METHODS + ("all",), default="intervals")
@@ -203,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="all routes side by side")
     common(p)
+    budget(p)
     p.add_argument("--property", default=None)
     p.add_argument("--runs", type=int, default=10_000)
     p.set_defaults(fn=cmd_compare)

@@ -7,10 +7,12 @@ random firings over the restricted domain, times survival factors for
 firings that are still pending.  Three routes compute that integral:
 
 ``intervals``
-    Triangular bound tables decomposed so every variable has one active
-    lower and upper form, cut where the integrand has kinks or sharp
-    peaks, then a sequential change of variables onto the unit cube and a
-    tensor Gauss-Legendre rule at doubling orders.  Deterministic; its
+    Triangular cells cut from the domain one bound at a time by the tree's
+    ``restrict``; only cells of positive measure are kept, and in each
+    every variable has room wherever the earlier ones lie.  The cells are
+    cut where the integrand has kinks or sharp peaks, then a sequential
+    change of variables takes each onto the unit cube for a tensor
+    Gauss-Legendre rule at doubling orders.  Deterministic; its
     error estimate is the gap between the last two orders.  Only a cell
     of more than five dimensions, or one whose orders do not agree within
     ``GL_MAX_POINTS`` points, goes to VEGAS.
@@ -52,7 +54,7 @@ from .montecarlo import pdf as dist_pdf
 from .props import Atom, compare
 from .semantics import UnsupportedModelError
 from .symbolic import EPS, LinearForm, SymInterval, const, extremal_value, var
-from .tree import ParametricLocation, PLTree, pending_rvs
+from .tree import ParametricLocation, PLTree, _nonempty, pending_rvs, restrict
 
 METHODS = ("intervals", "simplex", "direct")
 
@@ -136,69 +138,18 @@ def _survival(factors: Sequence[tuple[DistributionSpec, LinearForm]],
 
 
 # ---------------------------------------------------------------------------
-# triangular decomposition (intervals route)
+# triangular cells (intervals route)
 
-def _without_top(form: LinearForm, k: int) -> LinearForm:
-    cs = list(form.coeffs)
-    cs[k] = 0.0
-    return LinearForm(form.const, tuple(cs))
+def _restricted(cell: Sequence[SymInterval], rows: Sequence[LinearForm]) -> list[list[SymInterval]]:
+    """Cells of positive measure covering where every ``row <= 0`` holds in ``cell``.
 
-
-def _fold(constraint: LinearForm, table: list[tuple[list, list]]) -> bool:
-    """Add ``constraint <= 0`` as a bound on its top variable.
-
-    Returns False when the constraint is a violated constant.
+    Each row is cut in with the tree's ``restrict``, one bound at a time;
+    cells that ``_nonempty`` finds of zero measure are dropped at the end.
     """
-    k = constraint.top_index()
-    if k is None:
-        return constraint.const <= EPS
-    ck = constraint.coeff(k)
-    bound = _without_top(constraint, k).scaled(-1.0 / ck)
-    if ck > 0:
-        table[k][1].append(bound)
-    else:
-        table[k][0].append(bound)
-    return True
-
-
-def _dedupe(forms: list[LinearForm]) -> list[LinearForm]:
-    out: list[LinearForm] = []
-    for f in forms:
-        if not any(f.approx_eq(g) for g in out):
-            out.append(f)
-    return out
-
-
-def _decompose(table: list[tuple[list, list]], k: int) -> list[list[SymInterval]]:
-    """Cells where each variable has a single active lower and upper bound.
-
-    Works down from the highest variable: for every choice of active bounds
-    the dominance conditions and the lower<=upper feasibility condition are
-    folded onto lower variables.  Identical bound forms are merged first,
-    otherwise the same cell would be counted once per copy.
-    """
-    if k < 0:
-        return [[]]
-    lowers = _dedupe(table[k][0])
-    uppers = _dedupe(table[k][1])
-    cells: list[list[SymInterval]] = []
-    for lstar in lowers:
-        for ustar in (uppers or [None]):
-            sub = [(list(lo), list(up)) for lo, up in table[:k]]
-            ok = True
-            for other in lowers:
-                if other is not lstar:
-                    ok = ok and _fold(other - lstar, sub)
-            if ustar is not None:
-                for other in uppers:
-                    if other is not ustar:
-                        ok = ok and _fold(ustar - other, sub)
-                ok = ok and _fold(lstar - ustar, sub)
-            if not ok:
-                continue
-            for cell in _decompose(sub, k - 1):
-                cells.append(cell + [SymInterval(lstar, ustar)])
-    return cells
+    cells = [list(cell)]
+    for row in rows:
+        cells = [sub for c in cells for sub in restrict(c, row)]
+    return [c for c in cells if _nonempty(c)]
 
 
 def location_pieces(
@@ -211,28 +162,15 @@ def location_pieces(
     """Triangular cells of the restricted domain of one location at t_prime."""
     dists = tuple(model.transition(rv.transition).distribution for rv in loc.rvs)
     factors = tuple(pending_vars(model, loc, t_prime))
-    contexts: list[tuple[list[SymInterval], list[LinearForm]]] = []
+    entry = loc.entry - const(t_prime)
     if loc.det_exits:
-        for ex in loc.det_exits:
-            contexts.append(
-                (list(ex.cuts), [const(t_prime) - loc.entry - ex.delta])
-            )
+        contexts = [(ex.cuts, [entry, const(t_prime) - loc.entry - ex.delta])
+                    for ex in loc.det_exits]
     else:
-        contexts.append((list(loc.domain), []))
-
-    pieces: list[Piece] = []
-    for cuts, residence in contexts:
-        table: list[tuple[list, list]] = [
-            ([iv.lower], [] if iv.upper is None else [iv.upper]) for iv in cuts
-        ]
-        ok = True
-        for con in [loc.entry - const(t_prime)] + residence + list(extra_rows):
-            ok = ok and _fold(con, table)
-        if not ok:
-            continue
-        for cell in _decompose(table, len(cuts) - 1):
-            pieces.append(Piece(tuple(cell), dists, factors))
-    return pieces
+        contexts = [(loc.domain, [entry])]
+    return [Piece(tuple(cell), dists, factors)
+            for cuts, rows in contexts
+            for cell in _restricted(cuts, rows + list(extra_rows))]
 
 
 def _support(dist: DistributionSpec) -> tuple[float, Optional[float]]:
@@ -260,22 +198,17 @@ def _peak_cuts(dist: DistributionSpec) -> tuple[float, ...]:
                  if p > 0.0)
 
 
-def _refold(piece: Piece, constraints: list[LinearForm]) -> list[Piece]:
+def _restrict_piece(piece: Piece, constraints: list[LinearForm]) -> list[Piece]:
     """Sub-cells of the piece where every ``constraint <= 0`` holds."""
-    table: list[tuple[list, list]] = [
-        ([iv.lower], [] if iv.upper is None else [iv.upper]) for iv in piece.intervals
-    ]
-    for con in constraints:
-        _fold(con, table)
     return [Piece(tuple(cell), piece.dists, piece.factors)
-            for cell in _decompose(table, len(table) - 1)]
+            for cell in _restricted(piece.intervals, constraints)]
 
 
 def _split(piece: Piece, form: LinearForm) -> list[Piece]:
     """The piece split along ``form = 0`` where that hyperplane crosses it."""
     if (extremal_value(form, piece.intervals, "min") < -EPS
             and extremal_value(form, piece.intervals, "max") > EPS):
-        return _refold(piece, [form]) + _refold(piece, [form.scaled(-1.0)])
+        return _restrict_piece(piece, [form]) + _restrict_piece(piece, [form.scaled(-1.0)])
     return [piece]
 
 
@@ -306,7 +239,7 @@ def _smooth_cells(piece: Piece) -> list[Piece]:
     for dist, lf in _survival_factors(piece):
         lo, hi = _support(dist)
         splits.append((lf, (lo, *_peak_cuts(dist)) if hi is None else (lo, hi)))
-    cells = _refold(piece, clips) if clips else [piece]
+    cells = _restrict_piece(piece, clips) if clips else [piece]
     for form, points in splits:
         if not points:
             continue

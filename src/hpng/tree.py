@@ -190,6 +190,36 @@ def _apply_bound(
     return out
 
 
+def restrict(cell: list[SymInterval], con: LinearForm) -> list[list[SymInterval]]:
+    """Disjoint triangular cells covering the part of a cell where ``con <= 0``.
+
+    The constraint becomes a bound on its top variable k, applied with
+    ``_apply_bound``.  That can leave a variable at or below k whose lower
+    bound exceeds its upper one on part of a sub-cell; going up from
+    variable 0, each such part is cut away by restricting the sub-cell to
+    lower - upper <= 0, a constraint on lower variables only, so the
+    recursion ends.  Every variable up to k then has room wherever the
+    variables before it can lie.  A constraint without a variable keeps
+    the cell whole or empties it.
+    """
+    k = con.top_index()
+    if k is None:
+        return [list(cell)] if con.const <= EPS else []
+    ck = con.coeff(k)
+    bound = (con - var(k, ck)).scaled(-1.0 / ck)
+    cells = _apply_bound(cell, k, bound, upper=ck > 0)
+    for i in range(k + 1):
+        feasible: list[list[SymInterval]] = []
+        for sub in cells:
+            iv = sub[i]
+            if iv.upper is not None and extremal_value(iv.lower - iv.upper, sub, "max") > EPS:
+                feasible.extend(restrict(sub, iv.lower - iv.upper))
+            else:
+                feasible.append(sub)
+        cells = feasible
+    return cells
+
+
 def _nonempty(cuts: list[SymInterval]) -> bool:
     """Whether a triangular cell has positive measure.
 

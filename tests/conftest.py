@@ -41,6 +41,12 @@ def battery_tree(battery_model):
 
 
 @pytest.fixture(scope="session")
+def battery_trees(battery_model):
+    """Battery trees past the default horizon, by tau."""
+    return {tau: build_plt(battery_model, tau) for tau in (12.0, 20.0)}
+
+
+@pytest.fixture(scope="session")
 def fast_cfg():
     # Small enough to keep the suite quick, large enough for 1e-3 accuracy
     # on the bundled models.

@@ -181,8 +181,9 @@ def test_fewer_than_one_run_exits_one(monkeypatch, capsys, command, runs):
         pytest.fail("the run count is checked only after the analysis")
     monkeypatch.setattr(hpng.cli, "build_plt", unexpected)
     monkeypatch.setattr(hpng.cli, "transient_probability", unexpected)
+    budget = ("--samples", "1000", "--iterations", "2") if command == "compare" else ()
     code, _, err = run(capsys, command, RESERVOIR, "--tau-max", "10", "--time", "4",
-                       "--samples", "1000", "--iterations", "2", "--runs", runs)
+                       *budget, "--runs", runs)
     assert code == 1
     assert err.startswith("error:") and "runs" in err
 
@@ -211,6 +212,13 @@ def test_horizon_not_finite_and_non_negative_exits_one(monkeypatch, capsys, argv
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_simulate_rejects_a_sampler_budget():
+    # the simulator counts runs; a sample budget it would ignore is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", RESERVOIR, "--tau-max", "10", "--time", "4", "--samples", "10"])
+    assert exc.value.code == 2
 
 
 def test_location_cap_exits_two(monkeypatch, capsys):

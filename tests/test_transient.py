@@ -24,7 +24,7 @@ from hpng.transient import (
     pending_vars,
     transient_probability,
 )
-from hpng.tree import build_plt
+from hpng.tree import _nonempty, build_plt
 
 from conftest import MODELS
 
@@ -251,6 +251,22 @@ def _dim(piece):
     return sum(iv.upper is not None for iv in piece.intervals)
 
 
+def test_late_cells_have_measure_and_room(battery_model, battery_trees):
+    # Battery tau = 20, t' = 16, a late t' whose domains are cut by many
+    # rows: every cell has positive measure, and each variable has room
+    # wherever the variables before it can lie, so the extremum walk is
+    # exact on it and no cell of zero measure reaches integration.
+    tree = battery_trees[20.0]
+    for _, piece in _cells(battery_model, tree, 16.0):
+        cell = list(piece.intervals)
+        assert _nonempty(cell)
+        for iv in cell:
+            if iv.upper is not None:
+                assert extremal_value(iv.lower - iv.upper, cell, "max") <= EPS
+    res = transient_probability(tree, 16.0, cfg=McConfig(samples=4_000, iterations=2, seed=0))
+    assert res.total == pytest.approx(1.0, abs=1e-12)
+
+
 def _reservoir_with_break(dist):
     doc = json.loads((MODELS / "reservoir.json").read_text())
     doc["transitions"]["general"][0]["distribution"] = dist
@@ -302,9 +318,11 @@ def test_narrow_break_time_matches_closed_form():
     assert res.sigma <= 1e-6
 
 
-def test_rule_does_not_depend_on_sampler_budget(battery_model, battery_tree, monkeypatch):
+def test_rule_does_not_depend_on_sampler_budget(battery_model, battery_trees, monkeypatch):
     # The rule's points per order are capped by GL_MAX_POINTS, not by
-    # samples x iterations: a tiny sampler budget changes nothing.
+    # samples x iterations: a tiny sampler budget changes nothing.  At
+    # tau = 12, t' = 10 the battery has live cells of one, two and three
+    # bounded dimensions.
     sizes = []
 
     def sizing_pdf(dist, x):
@@ -319,7 +337,7 @@ def test_rule_does_not_depend_on_sampler_budget(battery_model, battery_tree, mon
     monkeypatch.setattr(hpng.transient, "vegas_integrate", no_vegas)
     tiny = McConfig(samples=8, iterations=1, seed=0)
     dims = set()
-    for _, piece in _cells(battery_model, battery_tree, 8.0):
+    for _, piece in _cells(battery_model, battery_trees[12.0], 10.0):
         if _dim(piece):
             dims.add(_dim(piece))
         assert integrate_piece(piece, tiny, None) == integrate_piece(piece, GATE_CFG, None)
@@ -432,15 +450,17 @@ def test_fallback_record_flags_inconsistent_iterations(battery_model, battery_tr
     assert "(inconsistent)" in record.getMessage()
 
 
-def test_cubature_agrees_with_vegas_on_every_battery_cell(battery_model, battery_tree):
+def test_cubature_agrees_with_vegas_on_every_battery_cell(battery_model, battery_trees):
+    # Every bounded cell of the battery at tau = 12 and t' = 6, 8 and 10.
     checked = 0
-    for loc, piece in _cells(battery_model, battery_tree, 8.0):
-        if not _dim(piece):
-            continue
-        gl = integrate_piece(piece, GATE_CFG, None)
-        mc = vegas_integrate(_cube_integrand(piece), [(0.0, 1.0)] * _dim(piece),
-                             GATE_CFG, stream(0, loc.id))
-        # the floor covers cells whose VEGAS sigma is pure rounding
-        assert abs(gl.value - mc.value) <= 3 * mc.sigma + 1e-12
-        checked += 1
+    for t_prime in (6.0, 8.0, 10.0):
+        for loc, piece in _cells(battery_model, battery_trees[12.0], t_prime):
+            if not _dim(piece):
+                continue
+            gl = integrate_piece(piece, GATE_CFG, None)
+            mc = vegas_integrate(_cube_integrand(piece), [(0.0, 1.0)] * _dim(piece),
+                                 GATE_CFG, stream(0, loc.id))
+            # the floor covers cells whose VEGAS sigma is pure rounding
+            assert abs(gl.value - mc.value) <= 3 * mc.sigma + 1e-12
+            checked += 1
     assert checked > 100

@@ -11,12 +11,13 @@ from hpng.montecarlo import McConfig
 from hpng.props import parse_property
 from hpng.semantics import EventKind, ResourceLimitError
 from hpng.symbolic import ComparisonKind, SymInterval, compare_remaining_times, const, var
-from hpng.transient import _decompose, _gauss_legendre_rule, transient_probability
+from hpng.transient import _gauss_legendre_rule, transient_probability
 from hpng.tree import (
     _apply_bound,
     build_plt,
     dump_json,
     pending_rvs,
+    restrict,
     tree_to_dot,
     tree_to_json,
 )
@@ -184,27 +185,26 @@ def test_zero_horizon_is_accepted(reservoir_model):
 # ---------------------------------------------------------------------------
 # zero-measure pruning and the bits of the tree
 
-@pytest.fixture(scope="module")
-def battery_trees(battery_model):
-    return {tau: build_plt(battery_model, tau) for tau in (12.0, 20.0)}
-
-
 def _volume(loc):
-    """Domain volume, summed over the cells of ``_decompose``.
+    """Domain volume, summed over cells in which every variable has room.
 
-    The Jacobian of the unit-cube map of a triangular cell is a product of
-    affine widths, of degree below n in each coordinate, so a Gauss-Legendre
-    rule of n // 2 + 1 points per axis is exact.  An unbounded variable gets
-    width 1: only a width of zero matters here.
+    ``restrict`` cuts each variable's lower <= upper into the domain, so
+    no width is negative.  The Jacobian of the unit-cube map of such a cell
+    is then a product of affine widths, of degree below n in each
+    coordinate, so a Gauss-Legendre rule of n // 2 + 1 points per axis is
+    exact.  An unbounded variable gets width 1: only a width of zero
+    matters here.
     """
     n = len(loc.domain)
     if n == 0:
         return 1.0
-    table = [([iv.lower], [iv.lower + 1.0 if iv.upper is None else iv.upper])
-             for iv in loc.domain]
+    cells = [[SymInterval(iv.lower, iv.lower + 1.0 if iv.upper is None else iv.upper)
+              for iv in loc.domain]]
+    for k in range(n):
+        cells = [sub for cell in cells for sub in restrict(cell, cell[k].lower - cell[k].upper)]
     nodes, weights = _gauss_legendre_rule(n // 2 + 1, n)
     total = 0.0
-    for cell in _decompose(table, n - 1):
+    for cell in cells:
         vals = np.zeros((len(nodes), n))
         w = np.ones(len(nodes))
         for k, iv in enumerate(cell):
