@@ -119,6 +119,8 @@ def cmd_simulate(args) -> int:
         "error": est.error,
         "runs": est.runs,
         "halfWidth": est.half_width,
+        "steps": est.steps,
+        "modes": est.modes,
         "wallTimeMs": wall,
     }, indent=2), args.output)
     return 0

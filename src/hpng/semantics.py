@@ -119,15 +119,20 @@ def guard_key(model: HPnGModel, arc_index: int) -> str:
 
 @dataclass
 class CompiledNet:
-    """A model compiled into index tables, with a memo of solved drifts.
+    """A model compiled into index tables, with memos of solved drifts and step plans.
 
     Transition rows follow ``flat_order``; places and guard arcs are
     referred to by their index in the model.  The tables never change.
+    ``depends`` says what a firing can change: the discrete guards on the
+    places it moves tokens in, and the rows with an input arc from, or a
+    guard on, one of those places.  No other row's enabling can change.
     ``drifts`` maps (enabling vector, pinned-lower set, pinned-upper set)
-    to the drift per continuous place.  That key space is finite, while
-    markings and levels are not, so nothing is ever keyed on those.
-    ``build_plt`` compiles one net per build and ``estimate_probability``
-    one per estimate.
+    to the drift per continuous place.  ``plans`` maps a simulator mode,
+    that key plus the guard-arc truths, to its step plan
+    (``simulate._Plan``).  Those key spaces are finite, while markings and
+    levels are not, so nothing is ever keyed on those.  ``build_plt``
+    compiles one net per build and ``estimate_probability`` one per
+    estimate.
     """
 
     model: HPnGModel
@@ -142,7 +147,10 @@ class CompiledNet:
     discrete_guards: tuple[tuple[int, int, str, float], ...]    # (arc, discrete place, op, threshold)
     continuous_guards: tuple[tuple[int, int, str, float], ...]  # (arc, continuous place, op, threshold)
     places: tuple[tuple[str, float, bool], ...]   # continuous: (id, capacity, capacity finite)
+    depends: tuple[tuple[tuple[tuple[int, int, str, float], ...], tuple[int, ...]], ...]
+    # per flat transition: the discrete guards and the rows its firing can change
     drifts: dict = field(default_factory=dict)
+    plans: dict = field(default_factory=dict)
 
     def drift(self, e: tuple[bool, ...], at_lower: frozenset, at_upper: frozenset,
               solve) -> tuple[float, ...]:
@@ -177,6 +185,13 @@ def compile_net(model: HPnGModel) -> CompiledNet:
             discrete_guards.append((ai, model.dp_index[arc.place], arc.op, arc.threshold))
         else:
             continuous_guards.append((ai, model.cp_index[arc.place], arc.op, arc.threshold))
+    depends = []
+    for fi in range(len(order)):
+        moved = {pi for pi, _ in inputs[fi] + outputs[fi]}
+        touched = tuple(g for g in discrete_guards if g[1] in moved)
+        rows = {index[model.guard_arcs[ai].transition] for ai, _, _, _ in touched}
+        rows.update(r for r, arcs in enumerate(inputs) if any(pi in moved for pi, _ in arcs))
+        depends.append((touched, tuple(sorted(rows))))
     return CompiledNet(
         model=model,
         order=order,
@@ -191,6 +206,7 @@ def compile_net(model: HPnGModel) -> CompiledNet:
         continuous_guards=tuple(continuous_guards),
         places=tuple((p.id, p.capacity, not math.isinf(p.capacity))
                      for p in model.continuous_places),
+        depends=tuple(depends),
     )
 
 
@@ -275,26 +291,24 @@ def set_marking_guards(net: CompiledNet, m: Sequence[int], gs: list) -> None:
         gs[ai] = _static_truth(op, float(m[pi]), threshold)
 
 
-def enabling(net: CompiledNet, m: Sequence[int], gs: Sequence[bool]) -> tuple[bool, ...]:
-    """Enabling per flat transition: the rule of ``enabled`` on the net's tables.
+def enabled_row(net: CompiledNet, fi: int, m: Sequence[int], gs: Sequence[bool]) -> bool:
+    """Token and guard conditions of flat transition fi: the rule of ``enabled``.
 
     Only discrete transitions have input arcs, so the token test is empty
-    for continuous ones.  Plain loops: the simulator calls this every step.
+    for continuous ones.
     """
-    out = []
-    for guards, inputs in zip(net.guards, net.inputs):
-        for ai in guards:
-            if not gs[ai]:
-                out.append(False)
-                break
-        else:
-            for pi, w in inputs:
-                if m[pi] < w:
-                    out.append(False)
-                    break
-            else:
-                out.append(True)
-    return tuple(out)
+    for ai in net.guards[fi]:
+        if not gs[ai]:
+            return False
+    for pi, w in net.inputs[fi]:
+        if m[pi] < w:
+            return False
+    return True
+
+
+def enabling(net: CompiledNet, m: Sequence[int], gs: Sequence[bool]) -> tuple[bool, ...]:
+    """Enabling per flat transition, by ``enabled_row`` on every row."""
+    return tuple([enabled_row(net, fi, m, gs) for fi in range(len(net.order))])
 
 
 def pinned(net: CompiledNet, levels: Sequence[Optional[float]]) -> tuple[frozenset, frozenset]:

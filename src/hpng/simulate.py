@@ -1,27 +1,36 @@
 """Discrete-event simulation with concrete delays.
 
-Runs the symbolic execution rules on plain floats.  Guard truths of
-discrete places, enabling, the places pinned at a bound and the drift come
-from the same compiled net as the tree build (``semantics.CompiledNet``),
-and drifts are memoized on the same key: the enabling vector and the
-pinned sets.  The event rules are shared with the tree build too:
-``guard_crossing``, ``bound_ahead`` and ``winners``; only the delays are
-computed here, on floats.  Tied state-change events resolve to the first
-one; only tied firings of equal top priority draw, by weight.  Random
-firings draw their total enabled time either from the model distributions
-or from a caller-fixed assignment, which makes single runs replayable
-against the symbolic tree.  Answers are bit-identical per seed whether or
-not a net is shared across runs.
+Runs the symbolic execution rules on plain floats, on the compiled net of
+the tree build (``semantics.CompiledNet``).  A run moves through *modes*.
+A mode is the enabling vector, the guard-arc truths and the places pinned
+at their lower and at their upper bound; markings and levels are not part
+of it, so a net has finitely many.  A mode fixes the drift, which firings
+are candidates and which clocks run, the bound each moving level heads
+for, and each continuous guard's next crossing for each zone of its level.
+The first step in a mode builds its plan (``_Plan``) from the rules the
+tree build uses (the net's drift memo, ``bound_ahead``,
+``guard_crossing``) and keeps it in the net's ``plans`` memo.  A step then
+does float arithmetic on the plan's rows: one pass for the earliest delay
+and the events tied with it, ``winners`` on a tie, then ``_advance`` and
+``_apply``.  After an event only the enabling rows and discrete guards it
+can change are re-evaluated (``CompiledNet.depends``), by the rule of
+``enabling``.  Tied state-change events resolve to the first one; only
+tied firings of equal top priority draw, by weight.  Random firings draw
+their total enabled time either from the model distributions or from a
+caller-fixed assignment, which makes single runs replayable against the
+symbolic tree.  Answers are bit-identical per seed whether or not a net is
+shared across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from typing import Optional
 
 import numpy as np
 
-from .model import HPnGModel
+from .model import DistributionSpec, HPnGModel
 from .montecarlo import sample, stream
 from .props import Atom, holds_concrete
 from .semantics import (
@@ -32,6 +41,7 @@ from .semantics import (
     bound_ahead,
     check_horizon,
     compile_net,
+    enabled_row,
     enabling,
     guard_crossing,
     pinned,
@@ -61,6 +71,7 @@ class SimResult:
     fired: list[tuple[str, int, float, float]]  # transition, index, value, time
     observed_marking: Optional[dict[str, int]] = None
     observed_levels: Optional[dict[str, float]] = None
+    steps: int = 0          # events applied
 
 
 @dataclass
@@ -77,99 +88,183 @@ class _Run:
     gs: list[bool]          # guard-arc truths
     enab: tuple[bool, ...] = ()
     drift: tuple[float, ...] = ()
+    plan: Optional[_Plan] = None
 
 
-def _refresh(run: _Run) -> None:
+@dataclass(frozen=True)
+class _Plan:
+    """What every step in one mode reuses, built once per mode.
+
+    The rows hold only the enabled transitions and the bounds and guard
+    crossings the mode's drift can reach, so a step does float arithmetic
+    on them and nothing else.
+    """
+
+    enab: tuple[bool, ...]
+    drift: tuple[float, ...]
+    immediate: tuple[tuple, ...]    # each enabled immediate firing's event, at delay 0
+    deterministic: tuple[tuple[int, float, str, int, float], ...]  # (clock, firing time, id, priority, weight)
+    general: tuple[tuple[int, str, DistributionSpec], ...]         # (clock, id, distribution)
+    bounds: tuple[tuple[int, bool, float, float, str], ...]  # (place, upper, capacity, drift or -drift, id)
+    guards: tuple[tuple[int, float, float, tuple, tuple, tuple], ...]
+    # (place, threshold, drift, then the event at, below and above the
+    # threshold: None, or a delay of None for a crossing still ahead)
+    moving: tuple[tuple[int, float, float], ...]  # (place, drift, capacity), nonzero drifts only
+    det_clocks: tuple[int, ...]     # deterministic clocks that run
+    gen_clocks: tuple[int, ...]     # general enabled times that run
+
+
+def _plan(run: _Run, at_lower: frozenset, at_upper: frozenset) -> _Plan:
+    """The step plan of the run's mode.
+
+    ``bound_ahead`` tests a level only against the bounds ``pinned`` put in
+    the mode, so its answer for the run's levels holds in the whole mode.
+    """
+    net, enab, gs, x = run.net, run.enab, run.gs, run.x
+    model = net.model
+    drift = net.drift(enab, at_lower, at_upper, rate_adaptation)
+    immediate = tuple((0.0, EventKind.IMMEDIATE, t.id, t.priority, t.weight, None)
+                      for t, fi in zip(model.immediate, net.imm_at) if enab[fi])
+    deterministic = tuple(
+        (i, t.firing_time, t.id, t.priority, t.weight)
+        for i, (t, fi) in enumerate(zip(model.deterministic, net.det_at)) if enab[fi])
+    general = tuple((i, t.id, t.distribution)
+                    for i, (t, fi) in enumerate(zip(model.general, net.gen_at)) if enab[fi])
+    bounds = []
+    for k, ((pid, capacity, finite), d) in enumerate(zip(net.places, drift)):
+        upper = bound_ahead(d, x[k], capacity, finite)
+        if upper is not None:
+            bounds.append((k, upper, capacity, d if upper else -d, pid))
+    guards = []
+    for i, pi, op, threshold in net.continuous_guards:
+        d = drift[pi]
+        by_zone = []
+        for zone in ("at", "below", "above"):
+            crossing = guard_crossing(op, zone, d, gs[i])
+            if crossing is not None:
+                truth, now = crossing
+                crossing = (0.0 if now else None, EventKind.GUARD_ARC, f"g{i}", 0, 1.0, truth)
+            by_zone.append(crossing)
+        if any(by_zone):
+            guards.append((pi, threshold, d, *by_zone))
+    return _Plan(
+        enab=enab,
+        drift=drift,
+        immediate=immediate,
+        deterministic=deterministic,
+        general=general,
+        bounds=tuple(bounds),
+        guards=tuple(guards),
+        moving=tuple((k, d, capacity) for k, ((_, capacity, _), d)
+                     in enumerate(zip(net.places, drift)) if d != 0.0),
+        det_clocks=tuple(i for i, *_ in deterministic),
+        gen_clocks=tuple(i for i, *_ in general),
+    )
+
+
+def _enter(run: _Run) -> None:
+    """Put the run in the plan of its mode, building the plan on first entry."""
     net = run.net
-    set_marking_guards(net, run.m, run.gs)
-    run.enab = enabling(net, run.m, run.gs)
     at_lower, at_upper = pinned(net, run.x)
-    run.drift = net.drift(run.enab, at_lower, at_upper, rate_adaptation)
+    key = (run.enab, tuple(run.gs), at_lower, at_upper)
+    plan = net.plans.get(key)
+    if plan is None:
+        plan = net.plans[key] = _plan(run, at_lower, at_upper)
+    run.plan = plan
+    run.drift = plan.drift
+
+
+def _reenable(run: _Run, rows: tuple[int, ...]) -> None:
+    """Re-evaluate the enabling of ``rows``, the only rows the last event can change."""
+    enab = list(run.enab)
+    for fi in rows:
+        enab[fi] = enabled_row(run.net, fi, run.m, run.gs)
+    run.enab = tuple(enab)
 
 
 def _candidate_events(
     run: _Run, values: dict[tuple[str, int], float], rng
 ) -> list[tuple[float, EventKind, str, int, float, Optional[bool]]]:
-    net = run.net
-    model = net.model
-    enab, drift, x = run.enab, run.drift, run.x
-    out = []
-
-    for t, fi in zip(model.immediate, net.imm_at):
-        if enab[fi]:
-            out.append((0.0, EventKind.IMMEDIATE, t.id, t.priority, t.weight, None))
-    for i, (t, fi) in enumerate(zip(model.deterministic, net.det_at)):
-        if enab[fi]:
-            out.append((t.firing_time - run.clocks[i], EventKind.DETERMINISTIC,
-                        t.id, t.priority, t.weight, None))
-    for i, (t, fi) in enumerate(zip(model.general, net.gen_at)):
-        if enab[fi]:
-            key = (t.id, run.counts[i])
-            if key not in values:
-                values[key] = float(sample(t.distribution, rng, 1)[0])
-            out.append((values[key] - run.g[i], EventKind.GENERAL,
-                        t.id, 0, 1.0, None))
-
-    for (pid, capacity, finite), d, lvl in zip(net.places, drift, x):
-        upper = bound_ahead(d, lvl, capacity, finite)
-        if upper is not None:
-            delta = (capacity - lvl) / d if upper else lvl / -d
-            out.append((delta, EventKind.BOUNDARY, pid, 0, 1.0, None))
-
-    for i, pi, op, threshold in net.continuous_guards:
-        lvl, d = x[pi], drift[pi]
+    """Candidates in the run's mode: (delay, kind, target, priority, weight, truth after)."""
+    plan = run.plan
+    out = list(plan.immediate)
+    clocks = run.clocks
+    for i, firing_time, tid, priority, weight in plan.deterministic:
+        out.append((firing_time - clocks[i], EventKind.DETERMINISTIC,
+                    tid, priority, weight, None))
+    counts, g = run.counts, run.g
+    for i, tid, dist in plan.general:
+        key = (tid, counts[i])
+        if key not in values:
+            values[key] = float(sample(dist, rng, 1)[0])
+        out.append((values[key] - g[i], EventKind.GENERAL, tid, 0, 1.0, None))
+    x = run.x
+    for k, upper, capacity, d, pid in plan.bounds:
+        delta = (capacity - x[k]) / d if upper else x[k] / d
+        out.append((delta, EventKind.BOUNDARY, pid, 0, 1.0, None))
+    for pi, threshold, d, at, below, above in plan.guards:
+        lvl = x[pi]
         if abs(lvl - threshold) <= EPS:
-            zone = "at"
+            ev = at
         elif lvl < threshold:
-            zone = "below"
+            ev = below
         else:
-            zone = "above"
-        crossing = guard_crossing(op, zone, d, run.gs[i])
-        if crossing is not None:
-            truth, now = crossing
-            delta = 0.0 if now else (threshold - lvl) / d
-            out.append((delta, EventKind.GUARD_ARC, f"g{i}", 0, 1.0, truth))
+            ev = above
+        if ev is not None:
+            out.append(ev if ev[0] is not None else ((threshold - lvl) / d, *ev[1:]))
     return out
 
 
 def _advance(run: _Run, delta: float) -> None:
-    net = run.net
+    plan = run.plan
     run.time += delta
     x = run.x
-    for k, ((_, capacity, finite), d) in enumerate(zip(net.places, run.drift)):
+    for k, d, capacity in plan.moving:
         lvl = x[k] + d * delta
-        x[k] = min(max(lvl, 0.0), capacity) if finite else max(lvl, 0.0)
-    for i, fi in enumerate(net.det_at):
-        if run.enab[fi]:
-            run.clocks[i] += delta
-    for i, fi in enumerate(net.gen_at):
-        if run.enab[fi]:
-            run.g[i] += delta
+        x[k] = 0.0 if lvl < 0.0 else capacity if lvl > capacity else lvl
+    clocks, g = run.clocks, run.g
+    for i in plan.det_clocks:
+        clocks[i] += delta
+    for i in plan.gen_clocks:
+        g[i] += delta
 
 
-def _apply(run: _Run, ev: SimEvent, values: dict, fired: list) -> None:
+def _apply(run: _Run, ev: tuple, values: dict, fired: list) -> None:
+    """Apply the chosen candidate event ``ev``, then enter the mode it leads to."""
     net = run.net
-    model = net.model
-    if ev.kind in (EventKind.IMMEDIATE, EventKind.DETERMINISTIC, EventKind.GENERAL):
-        tid = ev.target
-        fi = net.index[tid]
+    _, kind, target, _, _, truth = ev
+    if kind is EventKind.BOUNDARY:
+        k = net.model.cp_index[target]
+        run.x[k] = net.places[k][1] if run.drift[k] > 0 else 0.0
+    elif kind is EventKind.GUARD_ARC:
+        ai = int(target[1:])
+        run.gs[ai] = bool(truth)
+        _reenable(run, (net.index[net.model.guard_arcs[ai].transition],))
+    else:
+        fi = net.index[target]
+        m = run.m
         for pi, w in net.inputs[fi]:
-            run.m[pi] -= w
+            m[pi] -= w
         for pi, w in net.outputs[fi]:
-            run.m[pi] += w
-        _, idx = model.t_ref[tid]
-        if ev.kind is EventKind.DETERMINISTIC:
+            m[pi] += w
+        _, idx = net.model.t_ref[target]
+        if kind is EventKind.DETERMINISTIC:
             run.clocks[idx] = 0.0
-        if ev.kind is EventKind.GENERAL:
+        elif kind is EventKind.GENERAL:
             count = run.counts[idx]
-            fired.append((tid, count, values[(tid, count)], run.time))
+            fired.append((target, count, values[(target, count)], run.time))
             run.counts[idx] += 1
             run.g[idx] = 0.0
-    elif ev.kind is EventKind.BOUNDARY:
-        k = model.cp_index[ev.target]
-        run.x[k] = net.places[k][1] if run.drift[k] > 0 else 0.0
-    elif ev.kind is EventKind.GUARD_ARC:
-        run.gs[int(ev.target[1:])] = bool(ev.truth)
+        guards, rows = net.depends[fi]
+        for ai, pi, op, threshold in guards:
+            run.gs[ai] = _static_truth(op, float(m[pi]), threshold)
+        _reenable(run, rows)
+    _enter(run)
+
+
+def _check_observation(observe_at: float, tau_max: float) -> None:
+    if not (-EPS <= observe_at <= tau_max + EPS):
+        raise ValueError(f"observation time {observe_at} outside [0, {tau_max}]")
 
 
 def simulate_run(
@@ -187,8 +282,13 @@ def simulate_run(
     (transition, firing index); missing entries are sampled from ``rng``.
     ``observe_at`` records marking and levels at that time point.  ``net``
     is the compiled model, shared by the runs of one estimate so they
-    share its drift memo; without it the run compiles its own.
+    share its drift and plan memos; without it the run compiles its own.
+    Raises ``ValueError`` unless tau_max is finite and >= 0 and observe_at
+    lies in [0, tau_max] (up to EPS).
     """
+    check_horizon(tau_max)
+    if observe_at is not None:
+        _check_observation(observe_at, tau_max)
     if rng is None:
         rng = stream(0, 0)
     if net is None:
@@ -204,8 +304,11 @@ def simulate_run(
         counts=[0] * len(model.general),
         gs=[False] * len(model.guard_arcs),
     )
-    for i, pi, op, threshold in net.continuous_guards:   # discrete ones: _refresh
+    for i, pi, op, threshold in net.continuous_guards:
         run.gs[i] = _static_truth(op, run.x[pi], threshold)
+    set_marking_guards(net, run.m, run.gs)
+    run.enab = enabling(net, run.m, run.gs)
+    _enter(run)
     place_ids = [pid for pid, _, _ in net.places]
     marking_ids = [p.id for p in model.discrete_places]
 
@@ -223,16 +326,21 @@ def simulate_run(
             obs_m = dict(zip(marking_ids, run.m))
             obs_x = {pid: lvl + d * dt for pid, lvl, d in zip(place_ids, run.x, run.drift)}
 
-    for _ in range(MAX_STEPS):
-        _refresh(run)
-        events = _candidate_events(run, values, rng)
-        events = [e for e in events if e[0] >= -EPS]
-        if not events:
+    horizon = tau_max + EPS
+    for steps in range(MAX_STEPS):     # steps: the events applied so far
+        # the earliest candidates at or after now, and those tied with them
+        best, tied = math.inf, []
+        for e in _candidate_events(run, values, rng):
+            delay = e[0]
+            if not -EPS <= delay <= best + EPS:
+                continue
+            if delay < best:
+                best = delay
+                if tied:
+                    tied = [t for t in tied if t[0] <= delay + EPS]
+            tied.append(e)
+        if run.time + best > horizon:    # also when there is no candidate
             break
-        best = min(e[0] for e in events)
-        if run.time + best > tau_max + EPS:
-            break
-        tied = [e for e in events if e[0] <= best + EPS]
         if len(tied) == 1:
             choice = tied[0]
         else:
@@ -243,14 +351,12 @@ def simulate_run(
         if observe_at is not None and run.time + delta > observe_at + EPS:
             observe(delta)
         _advance(run, delta)
-        ev = SimEvent(run.time, choice[1], choice[2], choice[5])
-        _apply(run, ev, values, fired)
+        _apply(run, choice, values, fired)
         if keep_trace:
-            trace.append(ev)
+            trace.append(SimEvent(run.time, choice[1], choice[2], choice[5]))
     else:
         raise ResourceLimitError(f"simulation exceeded the step limit of {MAX_STEPS}")
 
-    _refresh(run)
     if run.time < tau_max:
         if observe_at is not None and tau_max >= observe_at - EPS:
             observe(tau_max - run.time)
@@ -259,7 +365,7 @@ def simulate_run(
         observe(0.0)
 
     return SimResult(run.time, dict(zip(marking_ids, run.m)), dict(zip(place_ids, run.x)),
-                     trace, fired, obs_m, obs_x)
+                     trace, fired, obs_m, obs_x, steps)
 
 
 @dataclass
@@ -270,6 +376,9 @@ class SimEstimate:
     run or every run hits; ``half_width`` is the half width of the z-scaled
     Wilson score interval, which stays open there.  ``error``, that half
     width divided by z, is the error the command line reports.
+    ``steps`` counts the events applied over all runs and ``modes`` the step
+    plans built, so 1 - modes / steps is the share of steps that found
+    their plan in the memo.
     """
 
     p: float
@@ -277,6 +386,8 @@ class SimEstimate:
     runs: int
     half_width: float
     z: float
+    steps: int
+    modes: int
 
     @property
     def error(self) -> float:
@@ -315,20 +426,21 @@ def estimate_probability(
     check_horizon(tau_max)
     if runs < 1:
         raise ValueError(f"runs must be at least 1, not {runs}")
-    if not (-EPS <= t_prime <= tau_max + EPS):
-        raise ValueError(f"observation time {t_prime} outside [0, {tau_max}]")
-    net = compile_net(model)    # shared by every run, with its drift memo
+    _check_observation(t_prime, tau_max)
+    net = compile_net(model)    # shared by every run, with its drift and plan memos
     hits = 0
     n = 0
+    steps = 0
     while n < runs:
         rng = stream(seed, n)
         res = simulate_run(model, tau_max, rng=rng, observe_at=t_prime, net=net)
         if holds_concrete(model, atoms, res.observed_marking, res.observed_levels):
             hits += 1
         n += 1
+        steps += res.steps
         if (half_width is not None and n >= min_runs
                 and _wilson_half_width(hits, n, z) <= half_width):
             break
     p = hits / n
     sigma = float(np.sqrt(max(p * (1 - p), 0.0) / n))
-    return SimEstimate(p, sigma, n, _wilson_half_width(hits, n, z), z)
+    return SimEstimate(p, sigma, n, _wilson_half_width(hits, n, z), z, steps, len(net.plans))

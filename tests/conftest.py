@@ -31,6 +31,25 @@ def battery_model():
 
 
 @pytest.fixture(scope="session")
+def counter_model():
+    """A net with unboundedly many markings and a handful of modes.
+
+    ``tick`` adds a token to ``count`` every 0.1 and nothing consumes it,
+    so a run to 100 visits about a thousand markings.  From 500 tokens on
+    a guard enables ``fill``, which tops the tank up to its capacity.
+    """
+    return parse_model(json.dumps({
+        "places": {"discrete": [{"id": "count", "tokens": 0}],
+                   "continuous": [{"id": "tank", "level": 0.0, "capacity": 30.0}]},
+        "transitions": {"deterministic": [{"id": "tick", "firingTime": 0.1}],
+                        "staticContinuous": [{"id": "fill", "rate": 1.0}]},
+        "arcs": {"discrete": [{"from": "tick", "to": "count"}],
+                 "continuous": [{"from": "fill", "to": "tank"}],
+                 "guard": [{"from": "count", "to": "fill", "op": ">=", "threshold": 500}]},
+    }))
+
+
+@pytest.fixture(scope="session")
 def reservoir_tree(reservoir_model):
     return build_plt(reservoir_model, RESERVOIR_TAU)
 

@@ -123,6 +123,7 @@ def test_simulate_json(capsys):
     assert doc["method"] == "simulation"
     assert doc["runs"] == 500
     assert doc["total"] == pytest.approx(0.6, abs=0.1)
+    assert 1 <= doc["modes"] < doc["steps"]
 
 
 def test_simulate_half_width(capsys):

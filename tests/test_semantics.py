@@ -21,8 +21,10 @@ from hpng.semantics import (
     initial_state,
     min_det_events,
     next_events,
+    pinned,
     rate_adaptation,
     resolve_conflict,
+    set_marking_guards,
     _water_fill,
 )
 from hpng.symbolic import ZERO, SymInterval, const, var
@@ -106,25 +108,38 @@ def test_compiled_enabling_is_enabled_at_every_location(battery_model):
         assert enabling(net, st.m, st.gs) == want == st.e, loc.id
 
 
-@pytest.mark.parametrize("name, tau", [("battery", 20.0), ("reservoir", 10.0)])
+@pytest.mark.parametrize("name, tau", [("battery", 20.0), ("reservoir", 10.0),
+                                       ("counter", 100.0)])
 def test_compiled_enabling_is_enabled_at_every_simulator_step(
-        name, tau, battery_model, reservoir_model, monkeypatch):
-    model = {"battery": battery_model, "reservoir": reservoir_model}[name]
-    seen = []
-
-    def recording(net, m, gs):
-        e = enabling(net, m, gs)
-        seen.append((tuple(m), tuple(gs), e))
-        return e
-
-    monkeypatch.setattr(hpng.simulate, "enabling", recording)
-    for n in range(50):
-        hpng.simulate.simulate_run(model, tau, rng=stream(0, n))
-    assert len(seen) > 100
+        name, tau, battery_model, reservoir_model, counter_model, monkeypatch):
+    # After an event the simulator re-evaluates only the rows and discrete
+    # guards that event can change (CompiledNet.depends).  At every step,
+    # what it kept must equal the full rules recomputed from scratch, and
+    # its step plan must be the plan of that mode.
+    model = {"battery": battery_model, "reservoir": reservoir_model,
+             "counter": counter_model}[name]
+    candidate_events = hpng.simulate._candidate_events
+    reference = compile_net(model)
     markings = set()
-    for m, gs, e in seen:
-        assert e == _enabled_per_transition(model, m, gs), (m, gs)
-        markings.add(m)
+    steps = 0
+
+    def checked(run, values, rng):
+        nonlocal steps
+        steps += 1
+        gs = list(run.gs)
+        set_marking_guards(reference, run.m, gs)
+        assert run.gs == gs, (run.m, run.gs)
+        e = enabling(reference, run.m, run.gs)
+        assert run.enab == e == _enabled_per_transition(model, run.m, run.gs), run.m
+        drift = reference.drift(e, *pinned(reference, run.x), rate_adaptation)
+        assert run.plan.enab == e and run.plan.drift == run.drift == drift
+        markings.add(tuple(run.m))
+        return candidate_events(run, values, rng)
+
+    monkeypatch.setattr(hpng.simulate, "_candidate_events", checked)
+    for n in range(2 if name == "counter" else 50):    # the counter net draws nothing
+        hpng.simulate.simulate_run(model, tau, rng=stream(0, n))
+    assert steps > 100
     assert len(markings) > 2
 
 

@@ -241,6 +241,38 @@ def test_estimate_rejects_a_horizon_not_finite_and_non_negative(reservoir_model,
         estimate_probability(reservoir_model, tau, 0.0, [], runs=10)
 
 
+@pytest.mark.parametrize("tau", [-2.0, float("inf"), float("nan")])
+def test_run_rejects_a_horizon_not_finite_and_non_negative(reservoir_model, tau):
+    # a negative horizon used to end the run at 0, and nan at the first
+    # event past it
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_run(reservoir_model, tau)
+
+
+@pytest.mark.parametrize("at", [-1.0, float("nan"), 10.5])
+def test_run_rejects_an_observation_outside_the_horizon(reservoir_model, at):
+    # -1 used to report a negative tank level, nan and 10.5 no observation
+    with pytest.raises(ValueError, match="observation time"):
+        simulate_run(reservoir_model, 10.0, observe_at=at)
+
+
+def test_estimate_counts_the_steps_of_its_runs(battery_model):
+    atoms = parse_property("m(grid_on) >= 1", battery_model)
+    est = estimate_probability(battery_model, 20.0, 8.0, atoms, seed=3, runs=40)
+    traced = sum(len(simulate_run(battery_model, 20.0, rng=stream(3, n), observe_at=8.0,
+                                  keep_trace=True).trace) for n in range(40))
+    assert est.steps == traced
+    assert 0 < est.modes < est.steps
+
+
+def test_plan_memo_stays_finite_on_an_unbounded_net(counter_model):
+    # About a thousand markings but four modes: the memo is keyed on the
+    # mode, never on the marking.
+    est = estimate_probability(counter_model, 100.0, 100.0, [], runs=1)
+    assert 990 <= est.steps <= 1010
+    assert est.modes <= 5
+
+
 def test_step_limit_is_a_resource_cap(reservoir_model, monkeypatch):
     monkeypatch.setattr(hpng.simulate, "MAX_STEPS", 1)
     with pytest.raises(ResourceLimitError):
