@@ -110,8 +110,6 @@ class _Plan:
     # (place, threshold, drift, then the event at, below and above the
     # threshold: None, or a delay of None for a crossing still ahead)
     moving: tuple[tuple[int, float, float], ...]  # (place, drift, capacity), nonzero drifts only
-    det_clocks: tuple[int, ...]     # deterministic clocks that run
-    gen_clocks: tuple[int, ...]     # general enabled times that run
 
 
 def _plan(run: _Run, at_lower: frozenset, at_upper: frozenset) -> _Plan:
@@ -157,8 +155,6 @@ def _plan(run: _Run, at_lower: frozenset, at_upper: frozenset) -> _Plan:
         guards=tuple(guards),
         moving=tuple((k, d, capacity) for k, ((_, capacity, _), d)
                      in enumerate(zip(net.places, drift)) if d != 0.0),
-        det_clocks=tuple(i for i, *_ in deterministic),
-        gen_clocks=tuple(i for i, *_ in general),
     )
 
 
@@ -223,10 +219,10 @@ def _advance(run: _Run, delta: float) -> None:
         lvl = x[k] + d * delta
         x[k] = 0.0 if lvl < 0.0 else capacity if lvl > capacity else lvl
     clocks, g = run.clocks, run.g
-    for i in plan.det_clocks:
-        clocks[i] += delta
-    for i in plan.gen_clocks:
-        g[i] += delta
+    for row in plan.deterministic:     # the clocks of enabled transitions run
+        clocks[row[0]] += delta
+    for row in plan.general:
+        g[row[0]] += delta
 
 
 def _apply(run: _Run, ev: tuple, values: dict, fired: list) -> None:
