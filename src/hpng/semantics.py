@@ -17,7 +17,7 @@ caller.  The simulator shares all of these, on floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -29,10 +29,10 @@ from .symbolic import (
     LinearForm,
     SymInterval,
     ZERO,
+    _stripped,
     compare_remaining_times,
     const,
     extremal_value,
-    var,
 )
 
 
@@ -51,25 +51,27 @@ def check_horizon(tau_max: float) -> None:
 
 
 class EventKind(Enum):
-    GUARD_ARC = "guardArc"
-    BOUNDARY = "boundary"
-    IMMEDIATE = "immediateFiring"
-    DETERMINISTIC = "deterministicFiring"
-    GENERAL = "generalFiring"
+    """Event kinds; ``rank`` (an int, read without hashing) orders coincident events.
+
+    Lowest rank first.  State-change events outrank firings so that
+    enabling updates are visible to the firings they coincide with.
+    General firings rank with deterministic ones; in the tree their delay
+    is symbolic, so they never tie.
+    """
+
+    GUARD_ARC = "guardArc", 0
+    BOUNDARY = "boundary", 1
+    IMMEDIATE = "immediateFiring", 2
+    DETERMINISTIC = "deterministicFiring", 3
+    GENERAL = "generalFiring", 3
+
+    def __new__(cls, value: str, rank: int) -> "EventKind":
+        member = object.__new__(cls)
+        member._value_, member.rank = value, rank
+        return member
 
 
-#: Precedence among coincident events, lowest rank first.  State-change
-#: events outrank firings so that enabling updates are visible to the
-#: firings they coincide with.  General firings rank with deterministic
-#: ones; in the tree their delay is symbolic, so they never tie.
-EVENT_RANK: dict[EventKind, int] = {
-    EventKind.GUARD_ARC: 0,
-    EventKind.BOUNDARY: 1,
-    EventKind.IMMEDIATE: 2,
-    EventKind.DETERMINISTIC: 3,
-    EventKind.GENERAL: 3,
-}
-_FIRING_RANK = EVENT_RANK[EventKind.IMMEDIATE]
+_FIRING_RANK = EventKind.IMMEDIATE.rank
 
 
 @dataclass(frozen=True)
@@ -236,8 +238,9 @@ _ZONE_TRUTH = {
 
 def _level_zone(level: LinearForm, threshold: float,
                 domain: Sequence[SymInterval]) -> str:
-    lo = extremal_value(level - threshold, domain, "min")
-    hi = extremal_value(level - threshold, domain, "max")
+    diff = level - threshold
+    lo = extremal_value(diff, domain, "min")
+    hi = extremal_value(diff, domain, "max")
     if abs(lo) <= EPS and abs(hi) <= EPS:
         return "at"
     # Touching the threshold at a domain edge point still counts as one-sided.
@@ -495,7 +498,7 @@ def evolve(model: HPnGModel, state: SymState, delta: LinearForm,
     """Let time pass: levels move with drift, active clocks accumulate."""
     if net is None:
         net = compile_net(model)
-    x = tuple(form + delta.scaled(d) for form, d in zip(state.x, state.d))
+    x = tuple([form.plus_scaled(delta, d) for form, d in zip(state.x, state.d)])
     clocks = list(state.c)
     for i, fi in enumerate(net.det_at):
         if state.e[fi]:
@@ -504,7 +507,7 @@ def evolve(model: HPnGModel, state: SymState, delta: LinearForm,
     for i, fi in enumerate(net.gen_at):
         if state.e[fi]:
             g[i] = g[i] + delta
-    return replace(state, x=x, c=tuple(clocks), g=tuple(g))
+    return SymState(state.m, x, tuple(clocks), state.d, tuple(g), state.e, state.gs)
 
 
 def fire(model: HPnGModel, state: SymState, tid: str,
@@ -610,17 +613,21 @@ def min_det_events(
 
 
 def _beaten(cmp: ComparisonOutcome, domain: Sequence[SymInterval]) -> bool:
-    """Whether the second form of ``cmp`` is strictly later everywhere in the domain."""
+    """Whether the second form of ``cmp`` is strictly later everywhere in the domain.
+
+    The slack has the floats of ``var(k) - bound`` (or ``bound - var(k)``).
+    """
     if cmp.kind is ComparisonKind.ALWAYS_BEFORE:
         return True
+    if cmp.kind not in (ComparisonKind.UPPER_BOUND, ComparisonKind.LOWER_BOUND):
+        return False
+    b, gap = cmp.bound, (0.0,) * (cmp.index - len(cmp.bound.coeffs))
     if cmp.kind is ComparisonKind.UPPER_BOUND:
         # first <= second iff o[k] <= bound, so second <= first needs
         # o[k] >= bound somewhere in the domain.
-        slack = var(cmp.index) - cmp.bound
-    elif cmp.kind is ComparisonKind.LOWER_BOUND:
-        slack = cmp.bound - var(cmp.index)
+        slack = _stripped(0.0 - b.const, tuple([0.0 - c for c in b.coeffs]) + gap + (1.0,))
     else:
-        return False
+        slack = _stripped(b.const, b.coeffs + gap + (-1.0,))
     return extremal_value(slack, domain, "max") < -EPS
 
 
@@ -628,12 +635,12 @@ def winners(candidates: Sequence[tuple[EventKind, int, float]]) -> list[tuple[in
     """Winner distribution among coincident events, as (index, probability).
 
     ``candidates`` holds (kind, priority, weight) per event.  The lowest
-    ``EVENT_RANK`` wins.  Among state-change events the first one wins
+    ``EventKind.rank`` wins.  Among state-change events the first one wins
     (the others are re-detected at zero delay); among firings the top
     priority wins and equal priorities split by weight.
     """
-    rank = min(EVENT_RANK[kind] for kind, _, _ in candidates)
-    tied = [i for i, (kind, _, _) in enumerate(candidates) if EVENT_RANK[kind] == rank]
+    rank = min(kind.rank for kind, _, _ in candidates)
+    tied = [i for i, (kind, _, _) in enumerate(candidates) if kind.rank == rank]
     if rank < _FIRING_RANK:
         return [(tied[0], 1.0)]
     top = max(candidates[i][1] for i in tied)
@@ -646,7 +653,7 @@ def resolve_conflict(model: HPnGModel, events: list[Event]) -> list[tuple[Event,
     """Winner distribution among events with identical remaining time (``winners``)."""
     candidates = []
     for ev in events:
-        if EVENT_RANK[ev.kind] < _FIRING_RANK:
+        if ev.kind.rank < _FIRING_RANK:
             candidates.append((ev.kind, 0, 1.0))
         else:
             t = model.transition(ev.target)

@@ -14,7 +14,8 @@ does float arithmetic on the plan's rows: one pass for the earliest delay
 and the events tied with it, ``winners`` on a tie, then ``_advance`` and
 ``_apply``.  After an event only the enabling rows and discrete guards it
 can change are re-evaluated (``CompiledNet.depends``), by the rule of
-``enabling``.  Tied state-change events resolve to the first one; only
+``enabling``, and the pinned sets only when a moving level entered or left
+a bound.  Tied state-change events resolve to the first one; only
 tied firings of equal top priority draw, by weight.  Random firings draw
 their total enabled time either from the model distributions or from a
 caller-fixed assignment, which makes single runs replayable against the
@@ -109,7 +110,9 @@ class _Plan:
     guards: tuple[tuple[int, float, float, tuple, tuple, tuple], ...]
     # (place, threshold, drift, then the event at, below and above the
     # threshold: None, or a delay of None for a crossing still ahead)
-    moving: tuple[tuple[int, float, float], ...]  # (place, drift, capacity), nonzero drifts only
+    moving: tuple[tuple[int, float, float, bool, bool, bool], ...]
+    # (place, drift, capacity, capacity finite, pinned lower, pinned upper), nonzero drifts only
+    pins: tuple[frozenset, frozenset]   # the places pinned at their lower and upper bound
 
 
 def _plan(run: _Run, at_lower: frozenset, at_upper: frozenset) -> _Plan:
@@ -153,19 +156,30 @@ def _plan(run: _Run, at_lower: frozenset, at_upper: frozenset) -> _Plan:
         general=general,
         bounds=tuple(bounds),
         guards=tuple(guards),
-        moving=tuple((k, d, capacity) for k, ((_, capacity, _), d)
-                     in enumerate(zip(net.places, drift)) if d != 0.0),
+        moving=tuple((k, d, capacity, finite, pid in at_lower, pid in at_upper)
+                     for k, ((pid, capacity, finite), d) in enumerate(zip(net.places, drift))
+                     if d != 0.0),
+        pins=(at_lower, at_upper),
     )
 
 
-def _enter(run: _Run) -> None:
-    """Put the run in the plan of its mode, building the plan on first entry."""
+def _pins_after_step(run: _Run) -> tuple[frozenset, frozenset]:
+    """``pinned`` after a step: the mode's sets while each moving level keeps ``pinned``'s tests."""
+    plan, x = run.plan, run.x     # no other level moved: _advance moves these, a bound hit sets one
+    for k, _, capacity, finite, lower, upper in plan.moving:
+        level = x[k]
+        if (abs(level) <= EPS) != lower or (finite and abs(level - capacity) <= EPS) != upper:
+            return pinned(run.net, x)
+    return plan.pins
+
+
+def _enter(run: _Run, pins: tuple[frozenset, frozenset]) -> None:
+    """Put the run in the plan of its mode, with pinned sets ``pins``, built on first entry."""
     net = run.net
-    at_lower, at_upper = pinned(net, run.x)
-    key = (run.enab, tuple(run.gs), at_lower, at_upper)
+    key = (run.enab, tuple(run.gs), *pins)
     plan = net.plans.get(key)
     if plan is None:
-        plan = net.plans[key] = _plan(run, at_lower, at_upper)
+        plan = net.plans[key] = _plan(run, *pins)
     run.plan = plan
     run.drift = plan.drift
 
@@ -215,7 +229,7 @@ def _advance(run: _Run, delta: float) -> None:
     plan = run.plan
     run.time += delta
     x = run.x
-    for k, d, capacity in plan.moving:
+    for k, d, capacity, _, _, _ in plan.moving:
         lvl = x[k] + d * delta
         x[k] = 0.0 if lvl < 0.0 else capacity if lvl > capacity else lvl
     clocks, g = run.clocks, run.g
@@ -255,7 +269,7 @@ def _apply(run: _Run, ev: tuple, values: dict, fired: list) -> None:
         for ai, pi, op, threshold in guards:
             run.gs[ai] = _static_truth(op, float(m[pi]), threshold)
         _reenable(run, rows)
-    _enter(run)
+    _enter(run, _pins_after_step(run))
 
 
 def _check_observation(observe_at: float, tau_max: float) -> None:
@@ -304,7 +318,7 @@ def simulate_run(
         run.gs[i] = _static_truth(op, run.x[pi], threshold)
     set_marking_guards(net, run.m, run.gs)
     run.enab = enabling(net, run.m, run.gs)
-    _enter(run)
+    _enter(run, pinned(net, run.x))
     place_ids = [pid for pid, _, _ in net.places]
     marking_ids = [p.id for p in model.discrete_places]
 

@@ -21,9 +21,9 @@ import numpy as np
 EPS = 1e-9
 
 
-def _strip(coeffs: Iterable[float], eps: float = EPS) -> tuple[float, ...]:
+def _strip(coeffs: Iterable[float]) -> tuple[float, ...]:
     out = [float(c) for c in coeffs]
-    while out and abs(out[-1]) <= eps:
+    while out and abs(out[-1]) <= EPS:
         out.pop()
     return tuple(out)
 
@@ -39,53 +39,55 @@ class RvId:
         return f"s{self.transition}_{self.firing}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearForm:
-    """const + sum(coeffs[k] * o[k]) with trailing ~zero coefficients stripped."""
+    """const + sum(coeffs[k] * o[k]) with trailing ~zero coefficients stripped.
+
+    The algebra builds its results with ``_new``, past ``__post_init__``.
+    """
 
     const: float
     coeffs: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "const", float(self.const))
-        object.__setattr__(self, "coeffs", _strip(self.coeffs))
+        _set_const(self, float(self.const))
+        _set_coeffs(self, _strip(self.coeffs))
 
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "LinearForm | float") -> "LinearForm":
         if isinstance(other, (int, float)):
             return _stripped(self.const + other, self.coeffs)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0.0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0.0] * (n - len(other.coeffs))
-        return LinearForm(self.const + other.const, tuple(x + y for x, y in zip(a, b)))
+        return _sum(self.const + other.const, self.coeffs, other.coeffs)
 
     def __sub__(self, other: "LinearForm | float") -> "LinearForm":
-        """``self + other.scaled(-1.0)``, bit for bit, without the negated copy."""
+        """``self + other.scaled(-1.0)``, bit for bit: x - y is x + (-y)."""
         if isinstance(other, (int, float)):
             return _stripped(self.const - other, self.coeffs)
-        a, b = self.coeffs, other.coeffs
-        # x - (-0.0) is x + 0.0: a coefficient past the end of ``other``
-        # comes out as it would from adding the zero-padded negation.
-        a = a + (0.0,) * (len(b) - len(a))
-        b = b + (-0.0,) * (len(a) - len(b))
-        return LinearForm(self.const - other.const, tuple(x - y for x, y in zip(a, b)))
+        return _sum(self.const - other.const, self.coeffs, [-y for y in other.coeffs])
 
     def scaled(self, factor: float) -> "LinearForm":
-        return LinearForm(self.const * factor, tuple(c * factor for c in self.coeffs))
+        return _new(self.const * factor, [c * factor for c in self.coeffs])
+
+    def plus_scaled(self, other: "LinearForm", factor: float) -> "LinearForm":
+        """``self + other.scaled(factor)``, bit for bit, without the scaled form."""
+        b = [c * factor for c in other.coeffs]
+        while b and abs(b[-1]) <= EPS:      # the strip of the scaled form
+            b.pop()
+        return _sum(self.const + other.const * factor, self.coeffs, b)
 
     def coeff(self, k: int) -> float:
         return self.coeffs[k] if k < len(self.coeffs) else 0.0
 
-    def top_index(self, eps: float = EPS) -> Optional[int]:
+    def top_index(self) -> Optional[int]:
         """Highest variable index with a non-negligible coefficient."""
         for k in range(len(self.coeffs) - 1, -1, -1):
-            if abs(self.coeffs[k]) > eps:
+            if abs(self.coeffs[k]) > EPS:
                 return k
         return None
 
-    def is_constant(self, eps: float = EPS) -> bool:
-        return self.top_index(eps) is None
+    def is_constant(self) -> bool:
+        return self.top_index() is None
 
     def substitute(self, k: int, replacement: "LinearForm") -> "LinearForm":
         """Replace o[k] by a form over lower-indexed variables."""
@@ -116,12 +118,6 @@ class LinearForm:
             raise ValueError("sample matrix narrower than form")
         return self.const + samples[:, :k] @ np.asarray(self.coeffs)
 
-    def approx_eq(self, other: "LinearForm", eps: float = EPS) -> bool:
-        if abs(self.const - other.const) > eps:
-            return False
-        n = max(len(self.coeffs), len(other.coeffs))
-        return all(abs(self.coeff(i) - other.coeff(i)) <= eps for i in range(n))
-
     # -- formatting ------------------------------------------------------
 
     def text(self, names: Optional[Sequence[str]] = None) -> str:
@@ -148,20 +144,45 @@ class LinearForm:
         return self.text()
 
 
+_alloc = object.__new__
+_set_const = LinearForm.const.__set__
+_set_coeffs = LinearForm.coeffs.__set__
+
+
 def _stripped(const: float, coeffs: tuple[float, ...]) -> LinearForm:
     """A form built without ``_strip``, from another form's (stripped) coefficients."""
-    form = object.__new__(LinearForm)
-    object.__setattr__(form, "const", float(const))
-    object.__setattr__(form, "coeffs", coeffs)
+    form = _alloc(LinearForm)
+    _set_const(form, float(const))
+    _set_coeffs(form, coeffs)
     return form
 
 
+def _new(const: float, cs: list[float]) -> LinearForm:
+    """A form of float ``const`` and a fresh list ``cs``, stripped in place as ``_strip`` does."""
+    while cs and abs(cs[-1]) <= EPS:
+        cs.pop()
+    form = _alloc(LinearForm)
+    _set_const(form, const)
+    _set_coeffs(form, tuple(cs))
+    return form
+
+
+def _sum(const: float, a: Sequence[float], b: Sequence[float]) -> LinearForm:
+    """const + a + b, the shorter coefficient list padded with 0.0."""
+    cs = [x + y for x, y in zip(a, b)]
+    if len(a) > len(b):
+        cs += [x + 0.0 for x in a[len(b):]]
+    elif len(b) > len(a):
+        cs += [0.0 + y for y in b[len(a):]]
+    return _new(const, cs)
+
+
 def const(value: float) -> LinearForm:
-    return LinearForm(value)
+    return _stripped(value, ())
 
 
 def var(k: int, coeff: float = 1.0, offset: float = 0.0) -> LinearForm:
-    return LinearForm(offset, tuple([0.0] * k + [coeff]))
+    return _new(float(offset), [0.0] * k + [float(coeff)])
 
 
 ZERO = LinearForm(0.0)
@@ -223,9 +244,7 @@ _REVERSED = {
 }
 
 
-def compare_remaining_times(
-    dtc: LinearForm, dtstar: LinearForm, eps: float = EPS
-) -> ComparisonOutcome:
+def compare_remaining_times(dtc: LinearForm, dtstar: LinearForm) -> ComparisonOutcome:
     """Solve dtc <= dtstar for the highest-order variable where they differ.
 
     With dtc = a0 + sum(a_k o_k) and dtstar = b0 + sum(b_k o_k), let k be the
@@ -234,37 +253,33 @@ def compare_remaining_times(
     (b_z-a_z)/(a_k-b_k) o_z, an upper bound when a_k > b_k and a lower bound
     when a_k < b_k.  Parallel forms (no such k) cannot cross: the smaller
     constant fires strictly first everywhere, or the forms are equal.
+    The differences b_z - a_z (0.0 for a missing coefficient) are taken
+    once: ``dtstar - dtc`` up to the sign of a zero.
     """
-    diff = dtstar - dtc  # diff >= 0  <=>  dtc <= dtstar
-    k = diff.top_index(eps)
-    if k is None:
-        if abs(diff.const) <= eps:
+    a, b = dtc.coeffs, dtstar.coeffs
+    num = [y - x for x, y in zip(a, b)]
+    if len(a) > len(b):
+        num += [0.0 - x for x in a[len(b):]]
+    elif len(b) > len(a):
+        num += b[len(a):]           # y - 0.0 is y
+    num_const = dtstar.const - dtc.const    # diff >= 0  <=>  dtc <= dtstar
+    k = len(num) - 1
+    while k >= 0 and abs(num[k]) <= EPS:
+        k -= 1
+    if k < 0:
+        if abs(num_const) <= EPS:
             return ComparisonOutcome(ComparisonKind.EQUAL)
-        if diff.const > 0:
+        if num_const > 0:
             return ComparisonOutcome(ComparisonKind.ALWAYS_BEFORE)
         return ComparisonOutcome(ComparisonKind.NEVER_BEFORE)
-    denom = dtc.coeff(k) - dtstar.coeff(k)  # == -diff.coeffs[k], nonzero
-    num_const = dtstar.const - dtc.const
-    num_coeffs = [dtstar.coeff(z) - dtc.coeff(z) for z in range(k)]
-    bound = LinearForm(num_const / denom, tuple(c / denom for c in num_coeffs))
+    denom = -num[k]
+    bound = _new(num_const / denom, [c / denom for c in num[:k]])
     if denom > 0:
         return ComparisonOutcome(ComparisonKind.UPPER_BOUND, k, bound)
     return ComparisonOutcome(ComparisonKind.LOWER_BOUND, k, bound)
 
 
-def _live_len(cs: list[float], n: int) -> int:
-    """Length of ``cs[:n]`` once trailing entries within EPS are dropped, as ``_strip`` does."""
-    while n and abs(cs[n - 1]) <= EPS:
-        n -= 1
-    return n
-
-
-def extremal_value(
-    form: LinearForm,
-    domain: Sequence[SymInterval],
-    sense: str,
-    eps: float = EPS,
-) -> float:
+def extremal_value(form: LinearForm, domain: Sequence[SymInterval], sense: str) -> float:
     """Exact extremum of an affine form over a triangular box domain.
 
     Walks variables from the highest order down, substituting the bound that
@@ -286,32 +301,48 @@ def extremal_value(
     want_max = sense == "max"
     value = form.const
     cs = list(form.coeffs)
-    n = len(cs)                 # cs[n:] counts as zero, as after _strip
-    for k in range(len(domain) - 1, -1, -1):
-        c = cs[k] if k < n else 0.0
-        if abs(c) <= eps:
-            if k >= n:
-                continue
+    n = top = len(cs)           # cs[n:] counts as zero, as after _strip
+    if len(domain) < top:
+        top = len(domain)
+    for k in range(top - 1, -1, -1):
+        if k >= n:
+            continue
+        c = cs[k]
+        if abs(c) <= EPS:
             bound = ZERO        # drop the negligible term, as substitute(k, ZERO)
         else:
             iv = domain[k]
             if (c > 0) == want_max:
-                if iv.upper is None:
-                    return math.inf if c > 0 else -math.inf
                 bound = iv.upper
+                if bound is None:
+                    return math.inf if c > 0 else -math.inf
             else:
                 bound = iv.lower
             if len(bound.coeffs) > k:
                 raise ValueError("replacement must reference lower-order variables only")
         cs[k] = 0.0
-        n = _live_len(cs, n)
-        scaled = [b * c for b in bound.coeffs]
-        m = _live_len(scaled, len(scaled))
+        while n and abs(cs[n - 1]) <= EPS:
+            n -= 1
         value = value + bound.const * c
-        top = max(n, m)
-        for z in range(top):
-            cs[z] = (cs[z] if z < n else 0.0) + (scaled[z] if z < m else 0.0)
-        n = _live_len(cs, top)
-    if any(abs(cs[z]) > eps for z in range(n)):
+        # Add the scaled bound, both lists padded with 0.0; x + 0.0 turns
+        # a -0.0 into 0.0, as the padded addition of forms does.
+        scaled = [b * c for b in bound.coeffs] if bound.coeffs else ()
+        m = len(scaled)
+        while m and abs(scaled[m - 1]) <= EPS:
+            m -= 1
+        if m <= n:
+            for z in range(m):
+                cs[z] = cs[z] + scaled[z]
+            for z in range(m, n):
+                cs[z] = cs[z] + 0.0
+        else:
+            for z in range(n):
+                cs[z] = cs[z] + scaled[z]
+            for z in range(n, m):
+                cs[z] = 0.0 + scaled[z]
+            n = m
+        while n and abs(cs[n - 1]) <= EPS:
+            n -= 1
+    if n and any(abs(cs[z]) > EPS for z in range(n)):
         raise ValueError("form references variables outside the domain")
     return value

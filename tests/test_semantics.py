@@ -143,6 +143,31 @@ def test_compiled_enabling_is_enabled_at_every_simulator_step(
     assert len(markings) > 2
 
 
+@pytest.mark.parametrize("name, tau", [("battery", 20.0), ("reservoir", 10.0)])
+def test_kept_pinned_sets_are_pinned_at_every_simulator_step(
+        name, tau, battery_model, reservoir_model, monkeypatch):
+    # After an event the simulator keeps its mode's pinned sets unless a
+    # moving level entered or left a bound.  After every step, the sets
+    # its plan was entered with must be the ones pinned recomputes.
+    model = {"battery": battery_model, "reservoir": reservoir_model}[name]
+    apply = hpng.simulate._apply
+    steps = changed = 0
+
+    def checked(run, ev, values, fired):
+        nonlocal steps, changed
+        before = run.plan.pins
+        apply(run, ev, values, fired)
+        assert run.plan.pins == pinned(run.net, run.x), (run.time, ev)
+        steps += 1
+        changed += run.plan.pins != before
+
+    monkeypatch.setattr(hpng.simulate, "_apply", checked)
+    for n in range(50):
+        hpng.simulate.simulate_run(model, tau, rng=stream(0, n))
+    assert steps > 100
+    assert 0 < changed < steps
+
+
 # ---------------------------------------------------------------------------
 # rate adaptation
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hpng.symbolic import (
     EPS,
     ZERO,
     ComparisonKind,
+    ComparisonOutcome,
     LinearForm,
     RvId,
     SymInterval,
@@ -143,7 +145,7 @@ def test_extremal_value_rejects_a_bound_on_its_own_or_a_higher_variable(bad):
         extremal_value(var(1), dom, "min")
 
 
-def _substitution_walk(form, domain, sense, eps=EPS):
+def _substitution_walk(form, domain, sense):
     """extremal_value as a walk of LinearForm substitutions (the reference)."""
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
@@ -151,7 +153,7 @@ def _substitution_walk(form, domain, sense, eps=EPS):
     cur = form
     for k in range(len(domain) - 1, -1, -1):
         c = cur.coeff(k)
-        if abs(c) <= eps:
+        if abs(c) <= EPS:
             if k < len(cur.coeffs):
                 cur = cur.substitute(k, ZERO)
             continue
@@ -162,7 +164,7 @@ def _substitution_walk(form, domain, sense, eps=EPS):
             cur = cur.substitute(k, iv.upper)
         else:
             cur = cur.substitute(k, iv.lower)
-    if cur.top_index(eps) is not None:
+    if cur.top_index() is not None:
         raise ValueError("form references variables outside the domain")
     return cur.const
 
@@ -172,9 +174,9 @@ def _recorded_extremum_calls(monkeypatch):
     t' = 8 candidate scan compares, and an intervals query at t' = 8 use."""
     calls = []
 
-    def record(form, domain, sense, eps=EPS):
+    def record(form, domain, sense):
         calls.append((form, list(domain), sense))
-        return extremal_value(form, domain, sense, eps)
+        return extremal_value(form, domain, sense)
 
     for mod in (hpng.tree, hpng.semantics, hpng.transient):
         monkeypatch.setattr(mod, "extremal_value", record)
@@ -276,3 +278,177 @@ def test_reversed_comparison_is_the_recomputed_one(a, b):
         # Equal up to the sign of a zero.
         assert [v.hex() if v else 0 for v in (derived.bound.const, *derived.bound.coeffs)] == \
             [v.hex() if v else 0 for v in (explicit.bound.const, *explicit.bound.coeffs)]
+
+
+# ---------------------------------------------------------------------------
+# the slotted kernel against the frozen-dataclass algebra it replaced
+
+def _ref_strip(coeffs):
+    out = [float(c) for c in coeffs]
+    while out and abs(out[-1]) <= EPS:
+        out.pop()
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class _RefForm:
+    """The frozen-dataclass form and algebra, kept as the bit-for-bit reference."""
+
+    const: float
+    coeffs: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "const", float(self.const))
+        object.__setattr__(self, "coeffs", _ref_strip(self.coeffs))
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = list(self.coeffs) + [0.0] * (n - len(self.coeffs))
+        b = list(other.coeffs) + [0.0] * (n - len(other.coeffs))
+        return _RefForm(self.const + other.const, tuple(x + y for x, y in zip(a, b)))
+
+    def __sub__(self, other):
+        return self + other.scaled(-1.0)
+
+    def scaled(self, factor):
+        return _RefForm(self.const * factor, tuple(c * factor for c in self.coeffs))
+
+
+def _hex(form):
+    return [v.hex() for v in (form.const, *form.coeffs)]
+
+
+# Signed zeros, values within a few ulps of EPS either side, and plain values.
+near_eps = st.sampled_from([0.0, -0.0, EPS, -EPS, 0.5 * EPS, -0.7 * EPS,
+                            math.nextafter(EPS, 1.0), math.nextafter(-EPS, -1.0),
+                            math.nextafter(EPS, 0.0), 1.0 + EPS, 1.0])
+value = near_eps | st.floats(min_value=-4, max_value=4, allow_nan=False)
+factor = near_eps | st.sampled_from([1e-9, -1e-9, 2e-9, 0.5e-9]) | coeff
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.lists(value, min_size=1, max_size=6), b=st.lists(value, min_size=1, max_size=6),
+       f=factor)
+def test_algebra_is_the_dataclass_reference_bit_for_bit(a, b, f):
+    x, y = LinearForm(a[0], a[1:]), LinearForm(b[0], b[1:])
+    rx, ry = _RefForm(a[0], tuple(a[1:])), _RefForm(b[0], tuple(b[1:]))
+    assert _hex(x) == _hex(rx) and _hex(y) == _hex(ry)
+    assert _hex(x + y) == _hex(rx + ry)
+    assert _hex(x - y) == _hex(rx - ry)
+    assert _hex(x.scaled(f)) == _hex(rx.scaled(f))
+    # the fused step of evolve: the scaled form is stripped before the sum
+    assert _hex(x.plus_scaled(y, f)) == _hex(rx + ry.scaled(f))
+    assert (x == LinearForm(a[0], a[1:])) and hash(x) == hash(rx)
+    assert repr(x) == repr(rx).replace("_RefForm", "LinearForm")
+
+
+def test_form_fields_cannot_be_assigned():
+    f = var(1, 2.0, offset=1.0)
+    for name, new in (("const", 2.0), ("coeffs", ())):
+        with pytest.raises(FrozenInstanceError):
+            setattr(f, name, new)
+        with pytest.raises(FrozenInstanceError):
+            delattr(f, name)
+    assert not hasattr(f, "__dict__")       # slotted
+    assert (f.const, f.coeffs) == (1.0, (0.0, 2.0))
+
+
+def _compare_by_forms(dtc, dtstar):
+    """compare_remaining_times through a difference form and a second copy of it."""
+    diff = dtstar - dtc
+    k = diff.top_index()
+    if k is None:
+        if abs(diff.const) <= EPS:
+            return ComparisonKind.EQUAL, None, None
+        kind = ComparisonKind.ALWAYS_BEFORE if diff.const > 0 else ComparisonKind.NEVER_BEFORE
+        return kind, None, None
+    denom = dtc.coeff(k) - dtstar.coeff(k)
+    num = [dtstar.coeff(z) - dtc.coeff(z) for z in range(k)]
+    bound = LinearForm((dtstar.const - dtc.const) / denom, tuple(c / denom for c in num))
+    kind = ComparisonKind.UPPER_BOUND if denom > 0 else ComparisonKind.LOWER_BOUND
+    return kind, k, _hex(bound)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.lists(value, min_size=1, max_size=6), b=st.lists(value, min_size=1, max_size=6))
+def test_comparison_is_the_form_built_one_bit_for_bit(a, b):
+    x, y = LinearForm(a[0], a[1:]), LinearForm(b[0], b[1:])
+    out = compare_remaining_times(x, y)
+    got = (out.kind, out.index, None if out.bound is None else _hex(out.bound))
+    assert got == _compare_by_forms(x, y)
+
+
+def _domain_from(rng, n, unbounded=0.2):
+    """A triangular domain of n variables whose bounds carry signed zeros and EPS-sized terms."""
+    def form(k):
+        cs = rng.choice([0.0, -0.0, 0.5 * EPS, -2 * EPS, 0.3, -0.4, 1.0], size=k)
+        return LinearForm(float(rng.uniform(-1, 2)), tuple(float(c) for c in cs))
+    domain = []
+    for k in range(n):
+        lower = form(k)
+        upper = None if rng.random() < unbounded else lower + form(k) + 1.0
+        domain.append(SymInterval(lower, upper))
+    return domain
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5))
+def test_extremal_value_is_the_substitution_walk_on_random_domains(seed, n):
+    rng = np.random.default_rng(seed)
+    domain = _domain_from(rng, n)
+    cs = rng.choice([0.0, -0.0, 0.9 * EPS, -EPS, 1.5 * EPS, 0.7, -1.3, 2.0],
+                    size=int(rng.integers(0, n + 2)))
+    form = LinearForm(float(rng.choice([0.0, -0.0, 1.5])), tuple(float(c) for c in cs))
+    for sense in ("min", "max"):
+        try:
+            want = _substitution_walk(form, domain, sense).hex()
+        except ValueError:
+            with pytest.raises(ValueError):
+                extremal_value(form, domain, sense)
+            continue
+        assert extremal_value(form, domain, sense).hex() == want
+
+
+def _beaten_by_forms(cmp, domain):
+    """semantics._beaten with its slack built by form subtraction."""
+    if cmp.kind is ComparisonKind.ALWAYS_BEFORE:
+        return True, None
+    if cmp.kind is ComparisonKind.UPPER_BOUND:
+        slack = var(cmp.index) - cmp.bound
+    elif cmp.kind is ComparisonKind.LOWER_BOUND:
+        slack = cmp.bound - var(cmp.index)
+    else:
+        return False, None
+    return extremal_value(slack, domain, "max") < -EPS, slack
+
+
+def test_beaten_builds_the_subtracted_slack_bit_for_bit(monkeypatch, battery_model):
+    seen = []
+    beaten = hpng.semantics._beaten
+
+    def record(cmp, domain):
+        seen.append((cmp, list(domain)))
+        return beaten(cmp, domain)
+
+    monkeypatch.setattr(hpng.semantics, "_beaten", record)
+    hpng.tree.build_plt(battery_model, 12.0)
+    monkeypatch.undo()
+    # Bounds with signed zeros, stopping short of the variable below them.
+    dom = [SymInterval(const(0.0), const(2.0))] * 4
+    for kind in (ComparisonKind.UPPER_BOUND, ComparisonKind.LOWER_BOUND):
+        for bound in (LinearForm(-0.0, (-0.0, 1.0)), LinearForm(0.5, (0.0, -0.0, 3.0)),
+                      LinearForm(-0.0), LinearForm(1.0, (-0.0, -2.0))):
+            seen.append((ComparisonOutcome(kind, 3, bound), dom))
+    slacks = []
+    monkeypatch.setattr(hpng.semantics, "extremal_value",
+                        lambda form, domain, sense: slacks.append(form) or
+                        extremal_value(form, domain, sense))
+    crossing = 0
+    for cmp, domain in seen:
+        slacks.clear()
+        want, slack = _beaten_by_forms(cmp, domain)
+        assert hpng.semantics._beaten(cmp, domain) is want
+        if slack is not None:
+            crossing += 1
+            assert [_hex(f) for f in slacks] == [_hex(slack)]
+    assert crossing > 100

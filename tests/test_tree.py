@@ -22,7 +22,7 @@ from hpng.tree import (
     tree_to_json,
 )
 
-from conftest import sample_assignment, assignment_values
+from conftest import assignment_values, battery_variant, sample_assignment
 
 
 def _rows(tree):
@@ -294,6 +294,39 @@ def test_tree_floats_are_pinned(battery_trees, reservoir_tree):
 
 RESERVOIR_T10_DIGEST = "bc42979959d1aa141641c143d1982470b4317d70a81aa48751d06303d09c69b5"
 BATTERY_T20_DIGEST = "f3d4cc706186ea771072c269a1bdfdfbd5f779d038f7cc8519b3d9fbb8407e35"
+
+
+def test_more_battery_trees_are_pinned(battery_trees):
+    # The next horizon down, and two battery variants of the benchmark's
+    # tau = 8 sweep: grid repair after 5, and after 11 with U(0,10) switches.
+    assert _tree_digest(battery_trees[12.0]) == BATTERY_T12_DIGEST
+    assert _tree_digest(build_plt(battery_variant(repair_time=5.0), 8.0)) == \
+        BATTERY_T8_REPAIR5_DIGEST
+    switch = {"family": "uniform", "a": 0.0, "b": 10.0}
+    assert _tree_digest(build_plt(battery_variant(11.0, switch), 8.0)) == \
+        BATTERY_T8_REPAIR11_U010_DIGEST
+
+
+BATTERY_T12_DIGEST = "e7081f25f4df0ee99df4b9fea67d8cf6ec0f1f6a9c40fbbc3579dfb39525e8f2"
+BATTERY_T8_REPAIR5_DIGEST = "28ea8a686f0d38abe332714c246eb5f9b6764cbc1a5cda85fda31c05381713f4"
+BATTERY_T8_REPAIR11_U010_DIGEST = \
+    "6fd77a87063d9ba2bdd933d0bb0fe43f4d480bbfebd318dd2759ac3d06938d19"
+
+
+def test_intervals_cells_are_pinned(battery_trees):
+    # The intervals route cuts its cells with restrict, on the same kernel
+    # as the build: every location's value and error, bit for bit, at a
+    # late t' where cutting carries most of the route's time.
+    res = transient_probability(battery_trees[20.0], 16.0, method="intervals")
+    h = hashlib.sha256()
+    for lid in sorted(res.per_location):
+        value, sigma = res.per_location[lid]
+        h.update(f"{lid}:{value.hex()}:{sigma.hex()};".encode())
+    assert len(res.per_location) == 994
+    assert h.hexdigest() == INTERVALS_T20_AT16_DIGEST
+
+
+INTERVALS_T20_AT16_DIGEST = "705b616d841121e042d51249369b07efca5e746c25ee1be080834297478f729c"
 
 
 def _zero_blind(form):
