@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .model import DISCRETE_KINDS, HPnGModel, TKind
+from .props import compare
 from .symbolic import (
     EPS,
     ComparisonKind,
@@ -215,18 +216,6 @@ def compile_net(model: HPnGModel) -> CompiledNet:
 # ---------------------------------------------------------------------------
 # guard truth
 
-def _static_truth(op: str, value: float, threshold: float, eps: float = EPS) -> bool:
-    if op == "<":
-        return value < threshold - eps
-    if op == "<=":
-        return value <= threshold + eps
-    if op == "=":
-        return abs(value - threshold) <= eps
-    if op == ">=":
-        return value >= threshold - eps
-    return value > threshold + eps
-
-
 _ZONE_TRUTH = {
     "<": {"below": True, "at": False, "above": False},
     "<=": {"below": True, "at": True, "above": False},
@@ -291,7 +280,7 @@ def enabled(model: HPnGModel, state: SymState, tid: str) -> bool:
 def set_marking_guards(net: CompiledNet, m: Sequence[int], gs: list) -> None:
     """Overwrite the truths of the discrete-place guards in ``gs`` from marking m."""
     for ai, pi, op, threshold in net.discrete_guards:
-        gs[ai] = _static_truth(op, float(m[pi]), threshold)
+        gs[ai] = compare(op, float(m[pi]), threshold, EPS)
 
 
 def enabled_row(net: CompiledNet, fi: int, m: Sequence[int], gs: Sequence[bool]) -> bool:
@@ -456,17 +445,14 @@ def finalize_state(
     c: tuple[LinearForm, ...],
     g: tuple[LinearForm, ...],
     gs_cont: Sequence[Optional[bool]],
-    net: Optional[CompiledNet] = None,
+    net: CompiledNet,
 ) -> SymState:
     """Recompute derived fields (guard truths, enabling, drift) after a change.
 
     ``gs_cont`` gives the truth of every continuous-place guard; entries for
     discrete-place guards are ignored.  The drift comes from ``net``'s memo
-    (``build_plt`` passes one net per build); without a net, one is
-    compiled for this call.
+    (``build_plt`` passes one net per build).
     """
-    if net is None:
-        net = compile_net(model)
     gs = [None if t is None else bool(t) for t in gs_cont]
     set_marking_guards(net, m, gs)
     for ai, _, _, _ in net.continuous_guards:
@@ -479,9 +465,7 @@ def finalize_state(
     return SymState(m, x, c, d, g, e, gs_t)
 
 
-def initial_state(model: HPnGModel, net: Optional[CompiledNet] = None) -> SymState:
-    if net is None:
-        net = compile_net(model)
+def initial_state(model: HPnGModel, net: CompiledNet) -> SymState:
     m = tuple(p.tokens for p in model.discrete_places)
     x = tuple(const(p.level) for p in model.continuous_places)
     n_clocks = len(model.deterministic) + len(model.immediate)
@@ -489,15 +473,13 @@ def initial_state(model: HPnGModel, net: Optional[CompiledNet] = None) -> SymSta
     g = tuple(ZERO for _ in model.general)
     gs_cont: list[Optional[bool]] = [None] * len(model.guard_arcs)
     for ai, pi, op, threshold in net.continuous_guards:
-        gs_cont[ai] = _static_truth(op, model.continuous_places[pi].level, threshold)
+        gs_cont[ai] = compare(op, model.continuous_places[pi].level, threshold, EPS)
     return finalize_state(model, m, x, c, g, gs_cont, net)
 
 
 def evolve(model: HPnGModel, state: SymState, delta: LinearForm,
-           net: Optional[CompiledNet] = None) -> SymState:
+           net: CompiledNet) -> SymState:
     """Let time pass: levels move with drift, active clocks accumulate."""
-    if net is None:
-        net = compile_net(model)
     x = tuple([form.plus_scaled(delta, d) for form, d in zip(state.x, state.d)])
     clocks = list(state.c)
     for i, fi in enumerate(net.det_at):
@@ -511,10 +493,8 @@ def evolve(model: HPnGModel, state: SymState, delta: LinearForm,
 
 
 def fire(model: HPnGModel, state: SymState, tid: str,
-         net: Optional[CompiledNet] = None) -> tuple[tuple[int, ...], list[LinearForm], list[LinearForm]]:
+         net: CompiledNet) -> tuple[tuple[int, ...], list[LinearForm], list[LinearForm]]:
     """Token moves and clock resets caused by one discrete firing."""
-    if net is None:
-        net = compile_net(model)
     fi = net.index[tid]
     m = list(state.m)
     for pi, w in net.inputs[fi]:
@@ -538,7 +518,7 @@ def fire(model: HPnGModel, state: SymState, tid: str,
 
 def next_events(
     model: HPnGModel, state: SymState, domain: Sequence[SymInterval],
-    net: Optional[CompiledNet] = None,
+    net: CompiledNet,
 ) -> list[Event]:
     """All events that can end the current location.
 
@@ -547,8 +527,6 @@ def next_events(
     symbolic-delay events.  Events whose remaining time is negative over the
     whole domain are dropped.
     """
-    if net is None:
-        net = compile_net(model)
     events: list[Event] = []
 
     for t, fi in zip(model.immediate, net.imm_at):
@@ -585,9 +563,7 @@ def next_events(
     return events
 
 
-def min_det_events(
-    model: HPnGModel, events: list[Event], domain: Sequence[SymInterval]
-) -> list[Event]:
+def min_det_events(events: list[Event], domain: Sequence[SymInterval]) -> list[Event]:
     """Deterministic-kind events that are minimal somewhere in the domain.
 
     An event is dropped iff another one finishes strictly earlier over the

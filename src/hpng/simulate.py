@@ -33,9 +33,8 @@ import numpy as np
 
 from .model import DistributionSpec, HPnGModel
 from .montecarlo import sample, stream
-from .props import Atom, holds_concrete
+from .props import Atom, compare, holds_concrete
 from .semantics import (
-    _static_truth,
     CompiledNet,
     EventKind,
     ResourceLimitError,
@@ -267,7 +266,7 @@ def _apply(run: _Run, ev: tuple, values: dict, fired: list) -> None:
             run.g[idx] = 0.0
         guards, rows = net.depends[fi]
         for ai, pi, op, threshold in guards:
-            run.gs[ai] = _static_truth(op, float(m[pi]), threshold)
+            run.gs[ai] = compare(op, float(m[pi]), threshold, EPS)
         _reenable(run, rows)
     _enter(run, _pins_after_step(run))
 
@@ -315,7 +314,7 @@ def simulate_run(
         gs=[False] * len(model.guard_arcs),
     )
     for i, pi, op, threshold in net.continuous_guards:
-        run.gs[i] = _static_truth(op, run.x[pi], threshold)
+        run.gs[i] = compare(op, run.x[pi], threshold, EPS)
     set_marking_guards(net, run.m, run.gs)
     run.enab = enabling(net, run.m, run.gs)
     _enter(run, pinned(net, run.x))

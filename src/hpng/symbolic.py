@@ -291,9 +291,10 @@ def extremal_value(form: LinearForm, domain: Sequence[SymInterval], sense: str) 
     builds no ``LinearForm``: each step does the float operations of
     ``LinearForm.substitute``, in its order and with its stripping of
     trailing coefficients within EPS, so the result is the one that
-    substituting forms would give, bit for bit.  Raises ``ValueError`` for
-    an unknown ``sense``, for a chosen bound that references its own or a
-    higher variable, and for a form with a live coefficient outside the
+    substituting forms would give, bit for bit: only a zero coefficient's
+    sign may differ, and no returned value sees it.  Raises ``ValueError``
+    for an unknown ``sense``, for a chosen bound that references its own or
+    a higher variable, and for a form with a live coefficient outside the
     domain (unless the extremum is infinite first).
     """
     if sense not in ("min", "max"):
@@ -309,38 +310,28 @@ def extremal_value(form: LinearForm, domain: Sequence[SymInterval], sense: str) 
             continue
         c = cs[k]
         if abs(c) <= EPS:
-            bound = ZERO        # drop the negligible term, as substitute(k, ZERO)
+            continue            # only past a live coefficient outside the domain
+        iv = domain[k]
+        if (c > 0) == want_max:
+            bound = iv.upper
+            if bound is None:
+                return math.inf if c > 0 else -math.inf
         else:
-            iv = domain[k]
-            if (c > 0) == want_max:
-                bound = iv.upper
-                if bound is None:
-                    return math.inf if c > 0 else -math.inf
-            else:
-                bound = iv.lower
-            if len(bound.coeffs) > k:
-                raise ValueError("replacement must reference lower-order variables only")
+            bound = iv.lower
+        if len(bound.coeffs) > k:
+            raise ValueError("replacement must reference lower-order variables only")
         cs[k] = 0.0
         while n and abs(cs[n - 1]) <= EPS:
             n -= 1
         value = value + bound.const * c
-        # Add the scaled bound, both lists padded with 0.0; x + 0.0 turns
-        # a -0.0 into 0.0, as the padded addition of forms does.
+        # Add the scaled bound's live prefix; cs[n:] counts as zero.
         scaled = [b * c for b in bound.coeffs] if bound.coeffs else ()
         m = len(scaled)
         while m and abs(scaled[m - 1]) <= EPS:
             m -= 1
-        if m <= n:
-            for z in range(m):
-                cs[z] = cs[z] + scaled[z]
-            for z in range(m, n):
-                cs[z] = cs[z] + 0.0
-        else:
-            for z in range(n):
-                cs[z] = cs[z] + scaled[z]
-            for z in range(n, m):
-                cs[z] = 0.0 + scaled[z]
-            n = m
+        for z in range(m):
+            cs[z] = cs[z] + scaled[z] if z < n else scaled[z]
+        n = max(n, m)
         while n and abs(cs[n - 1]) <= EPS:
             n -= 1
     if n and any(abs(cs[z]) > EPS for z in range(n)):

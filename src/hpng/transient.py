@@ -154,7 +154,6 @@ def _restricted(cell: Sequence[SymInterval], rows: Sequence[LinearForm]) -> list
 
 def location_pieces(
     model: HPnGModel,
-    tree: PLTree,
     loc: ParametricLocation,
     t_prime: float,
     extra_rows: tuple[LinearForm, ...] = (),
@@ -553,7 +552,7 @@ def transient_probability(
         if method == "intervals":
             value = 0.0
             var = 0.0
-            for piece in location_pieces(model, tree, loc, t_prime, rows):
+            for piece in location_pieces(model, loc, t_prime, rows):
                 r = integrate_piece(piece, cfg, rng)
                 value += r.value
                 var += r.sigma ** 2

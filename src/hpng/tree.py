@@ -315,9 +315,8 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
         loc = locs[lid]
         events = next_events(model, loc.state, loc.domain, net)
         gens = [ev for ev in events if ev.kind is EventKind.GENERAL]
-        det = min_det_events(
-            model, [ev for ev in events if ev.kind is not EventKind.GENERAL], loc.domain
-        )
+        det = min_det_events([ev for ev in events if ev.kind is not EventKind.GENERAL],
+                             loc.domain)
         groups = _group_coincident(det)
 
         contexts: list[tuple[Optional[LinearForm], list[SymInterval]]] = []

@@ -441,7 +441,7 @@ def test_criterion_8_restricted_domain_soundness(reservoir_model, reservoir_tree
         tau = tree.tau_max
         for t_prime in (3.0, 8.0):
             for loc in candidate_locations(tree, t_prime):
-                pieces = location_pieces(model, tree, loc, t_prime)
+                pieces = location_pieces(model, loc, t_prime)
                 for piece in pieces:
                     if _cell_is_thin(piece.intervals, tau):
                         thin += 1

@@ -69,7 +69,8 @@ def test_guard_key_is_readable(reservoir_model):
 # initial state and enabling
 
 def test_reservoir_initial_state(reservoir_model):
-    s = initial_state(reservoir_model)
+    net = compile_net(reservoir_model)
+    s = initial_state(reservoir_model, net)
     assert s.m == (1, 1)
     assert s.x == (ZERO,)
     assert s.d == (1.0,)  # inflow 2 minus outflow 1
@@ -80,13 +81,15 @@ def test_reservoir_initial_state(reservoir_model):
 
 
 def test_battery_initial_drift_is_zero(battery_model):
-    s = initial_state(battery_model)
+    net = compile_net(battery_model)
+    s = initial_state(battery_model, net)
     bat = battery_model.cp_index["battery"]
     assert s.d[bat] == pytest.approx(0.0)  # supply 700 == standard demand 700
 
 
 def test_enabled_checks_tokens_and_guards(reservoir_model):
-    s = initial_state(reservoir_model)
+    net = compile_net(reservoir_model)
+    s = initial_state(reservoir_model, net)
     assert enabled(reservoir_model, s, "pump_break")
     drained = SymState((0, 1), s.x, s.c, s.d, s.g, s.e, s.gs)
     assert not enabled(reservoir_model, drained, "pump_break")
@@ -252,46 +255,52 @@ def test_adaptation_dynamic_rate_tracks_statics(battery_model):
 # evolve / fire
 
 def test_evolve_moves_levels_and_clocks(reservoir_model):
-    s = initial_state(reservoir_model)
+    net = compile_net(reservoir_model)
+    s = initial_state(reservoir_model, net)
     delta = const(2.0)
-    nxt = evolve(reservoir_model, s, delta)
+    nxt = evolve(reservoir_model, s, delta, net)
     assert nxt.x[0].text([]) == "2"
     assert nxt.c[0].text([]) == "2"
     assert nxt.g[0].text([]) == "2"
 
 
 def test_evolve_skips_disabled_clocks(reservoir_model):
-    s = initial_state(reservoir_model)
+    net = compile_net(reservoir_model)
+    s = initial_state(reservoir_model, net)
     stopped = SymState(s.m, s.x, s.c, s.d, s.g,
                        tuple(False for _ in s.e), s.gs)
-    nxt = evolve(reservoir_model, stopped, const(2.0))
+    nxt = evolve(reservoir_model, stopped, const(2.0), net)
     assert nxt.c[0] == ZERO
     assert nxt.g[0] == ZERO
 
 
 def test_evolve_symbolic_delta(reservoir_model):
-    s = initial_state(reservoir_model)
-    nxt = evolve(reservoir_model, s, var(0))
+    net = compile_net(reservoir_model)
+    s = initial_state(reservoir_model, net)
+    nxt = evolve(reservoir_model, s, var(0), net)
     assert nxt.x[0].text(["s0"]) == "s0"
 
 
 def test_fire_moves_tokens_and_resets_clock(reservoir_model):
-    s = evolve(reservoir_model, initial_state(reservoir_model), const(3.0))
-    m, c, g = fire(reservoir_model, s, "demand_stop")
+    net = compile_net(reservoir_model)
+    s = evolve(reservoir_model, initial_state(reservoir_model, net), const(3.0), net)
+    m, c, g = fire(reservoir_model, s, "demand_stop", net)
     assert m == (1, 0)
     assert c[0] == ZERO
 
 
 def test_fire_disabled_raises(reservoir_model):
-    s = initial_state(reservoir_model)
+    net = compile_net(reservoir_model)
+    s = initial_state(reservoir_model, net)
     drained = SymState((0, 0), s.x, s.c, s.d, s.g, s.e, s.gs)
     with pytest.raises(RuntimeError):
-        fire(reservoir_model, drained, "demand_stop")
+        fire(reservoir_model, drained, "demand_stop", net)
 
 
 def test_fire_general_resets_enabled_time(reservoir_model):
-    s = evolve(reservoir_model, initial_state(reservoir_model), const(3.0))
-    _, _, g = fire(reservoir_model, s, "pump_break")
+    net = compile_net(reservoir_model)
+    s = evolve(reservoir_model, initial_state(reservoir_model, net), const(3.0), net)
+    _, _, g = fire(reservoir_model, s, "pump_break", net)
     assert g[0] == ZERO
 
 
@@ -299,8 +308,9 @@ def test_fire_general_resets_enabled_time(reservoir_model):
 # event detection
 
 def test_reservoir_root_events(reservoir_model):
-    s = initial_state(reservoir_model)
-    events = next_events(reservoir_model, s, [])
+    net = compile_net(reservoir_model)
+    s = initial_state(reservoir_model, net)
+    events = next_events(reservoir_model, s, [], net)
     by_kind = {ev.kind: ev for ev in events}
     assert set(by_kind) == {EventKind.DETERMINISTIC, EventKind.GENERAL,
                             EventKind.BOUNDARY}
@@ -311,9 +321,10 @@ def test_reservoir_root_events(reservoir_model):
 
 
 def test_min_det_drops_dominated_boundary(reservoir_model):
-    s = initial_state(reservoir_model)
-    events = next_events(reservoir_model, s, [])
-    kept = min_det_events(reservoir_model, events, [])
+    net = compile_net(reservoir_model)
+    s = initial_state(reservoir_model, net)
+    events = next_events(reservoir_model, s, [], net)
+    kept = min_det_events(events, [])
     assert [ev.kind for ev in kept] == [EventKind.DETERMINISTIC]
 
 
@@ -325,12 +336,13 @@ def test_guard_crossing_on_symbolic_level():
         arcs_continuous=[{"from": "tank", "to": "out"}],
         arcs_guard=[{"from": "tank", "to": "stop", "op": ">=", "threshold": 2.0}],
     )
-    s = initial_state(model)
+    net = compile_net(model)
+    s = initial_state(model, net)
     # Entry level s0 with domain [3, 4]: crossing of threshold 2 happens
     # after s0 - 2 more time units under drift -1.
-    shifted = finalize_state(model, s.m, (var(0),), s.c, s.g, [True])
+    shifted = finalize_state(model, s.m, (var(0),), s.c, s.g, [True], net)
     domain = [SymInterval(const(3.0), const(4.0))]
-    events = next_events(model, shifted, domain)
+    events = next_events(model, shifted, domain, net)
     crossing = [ev for ev in events if ev.kind is EventKind.GUARD_ARC]
     assert len(crossing) == 1
     assert crossing[0].new_truth is False
@@ -343,9 +355,10 @@ def test_flat_level_reconciles_stale_guard():
         immediate=[{"id": "alarm"}],
         arcs_guard=[{"from": "tank", "to": "alarm", "op": "<=", "threshold": 0.0}],
     )
-    s = initial_state(model)
+    net = compile_net(model)
+    s = initial_state(model, net)
     stale = SymState(s.m, s.x, s.c, s.d, s.g, s.e, (False,))
-    events = next_events(model, stale, [])
+    events = next_events(model, stale, [], net)
     fixes = [ev for ev in events if ev.kind is EventKind.GUARD_ARC]
     assert len(fixes) == 1
     assert fixes[0].new_truth is True
@@ -358,8 +371,9 @@ def test_flat_level_consistent_guard_silent():
         immediate=[{"id": "alarm"}],
         arcs_guard=[{"from": "tank", "to": "alarm", "op": "<=", "threshold": 0.0}],
     )
-    s = initial_state(model)
-    events = next_events(model, s, [])
+    net = compile_net(model)
+    s = initial_state(model, net)
+    events = next_events(model, s, [], net)
     assert not [ev for ev in events if ev.kind is EventKind.GUARD_ARC]
 
 
@@ -373,8 +387,9 @@ def test_departing_threshold_emits_zero_delay_crossing():
         arcs_continuous=[{"from": "feed", "to": "tank"}],
         arcs_guard=[{"from": "tank", "to": "stop", "op": ">", "threshold": 2.0}],
     )
-    s = initial_state(model)
-    crossing = [ev for ev in next_events(model, s, [])
+    net = compile_net(model)
+    s = initial_state(model, net)
+    crossing = [ev for ev in next_events(model, s, [], net)
                 if ev.kind is EventKind.GUARD_ARC]
     assert len(crossing) == 1
     assert crossing[0].new_truth is True
@@ -387,9 +402,10 @@ def test_pinned_place_suppresses_boundary_event():
         staticContinuous=[{"id": "out", "rate": 1.0}],
         arcs_continuous=[{"from": "tank", "to": "out"}],
     )
-    s = initial_state(model)
+    net = compile_net(model)
+    s = initial_state(model, net)
     assert s.d == (0.0,)  # adaptation already stalled the drain
-    assert next_events(model, s, []) == []
+    assert next_events(model, s, [], net) == []
 
 
 def test_moving_away_from_threshold_no_event():
@@ -400,8 +416,9 @@ def test_moving_away_from_threshold_no_event():
         arcs_continuous=[{"from": "feed", "to": "tank"}],
         arcs_guard=[{"from": "tank", "to": "stop", "op": ">=", "threshold": 2.0}],
     )
-    s = initial_state(model)
-    assert not [ev for ev in next_events(model, s, [])
+    net = compile_net(model)
+    s = initial_state(model, net)
+    assert not [ev for ev in next_events(model, s, [], net)
                 if ev.kind is EventKind.GUARD_ARC]
 
 
@@ -414,8 +431,9 @@ def test_resolve_conflict_weights_split():
         immediate=[{"id": "a", "weight": 1.0}, {"id": "b", "weight": 3.0}],
         arcs_discrete=[{"from": "p", "to": "a"}, {"from": "p", "to": "b"}],
     )
-    s = initial_state(model)
-    events = next_events(model, s, [])
+    net = compile_net(model)
+    s = initial_state(model, net)
+    events = next_events(model, s, [], net)
     winners = resolve_conflict(model, events)
     probs = {ev.target: p for ev, p in winners}
     assert probs == {"a": pytest.approx(0.25), "b": pytest.approx(0.75)}
@@ -428,8 +446,9 @@ def test_resolve_conflict_priority_preempts_weight():
                    {"id": "b", "weight": 100.0}],
         arcs_discrete=[{"from": "p", "to": "a"}, {"from": "p", "to": "b"}],
     )
-    s = initial_state(model)
-    winners = resolve_conflict(model, next_events(model, s, []))
+    net = compile_net(model)
+    s = initial_state(model, net)
+    winners = resolve_conflict(model, next_events(model, s, [], net))
     assert [(ev.target, p) for ev, p in winners] == [("a", 1.0)]
 
 
@@ -440,8 +459,9 @@ def test_resolve_conflict_state_change_beats_firing():
         staticContinuous=[{"id": "feed", "rate": 1.0}],
         arcs_continuous=[{"from": "feed", "to": "tank"}],
     )
-    s = initial_state(model)
-    events = next_events(model, s, [])
+    net = compile_net(model)
+    s = initial_state(model, net)
+    events = next_events(model, s, [], net)
     assert len(events) == 2  # boundary and firing, both at delta 1
     winners = resolve_conflict(model, events)
     assert len(winners) == 1

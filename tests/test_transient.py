@@ -102,8 +102,7 @@ def test_pending_var_shifts_with_time(reservoir_model, reservoir_tree):
 
 
 def test_root_piece_is_pure_survival(reservoir_model, reservoir_tree):
-    pieces = location_pieces(reservoir_model, reservoir_tree,
-                             reservoir_tree.root, 4.0)
+    pieces = location_pieces(reservoir_model, reservoir_tree.root, 4.0)
     assert len(pieces) == 1
     assert pieces[0].intervals == ()
     res = integrate_piece(pieces[0], McConfig(samples=10, iterations=1, seed=0),
@@ -243,7 +242,7 @@ GATE_CFG = McConfig(samples=40_000, iterations=5, seed=0)
 
 def _cells(model, tree, t_prime):
     for loc in candidate_locations(tree, t_prime):
-        for piece in location_pieces(model, tree, loc, t_prime):
+        for piece in location_pieces(model, loc, t_prime):
             yield loc, piece
 
 
