@@ -143,8 +143,9 @@ def _survival(factors: Sequence[tuple[DistributionSpec, LinearForm]],
 def _restricted(cell: Sequence[SymInterval], rows: Sequence[LinearForm]) -> list[list[SymInterval]]:
     """Cells of positive measure covering where every ``row <= 0`` holds in ``cell``.
 
-    Each row is cut in with the tree's ``restrict``, one bound at a time;
-    cells that ``_nonempty`` finds of zero measure are dropped at the end.
+    Each row is cut in with the tree's ``restrict``, one bound at a time,
+    and every variable keeps room in each cell; cells that ``_nonempty``
+    finds of zero measure are dropped at the end.
     """
     cells = [list(cell)]
     for row in rows:

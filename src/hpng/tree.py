@@ -11,7 +11,9 @@ Only locations that carry probability are built.  A cell in which some
 variable's width (upper - lower) is at most EPS everywhere has zero
 measure; every firing delay has a density, so neither the cell nor
 anything reached through it can carry mass, and the cell is dropped
-together with its subtree.
+together with its subtree.  Every cell is cut with ``_apply_bound``,
+which leaves each variable room (lower <= upper) wherever the variables
+before it can lie, so a domain is exactly the set it describes.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class DetExit:
     """One deterministic way out of a location.
 
     ``delta`` is the remaining time until the exit, ``cuts`` the parent
-    domain restricted to where this exit happens first.  Kept even when the
+    domain restricted to where this exit happens first, with room for every
+    variable, so no cut reaches outside the domain.  Kept even when the
     child lies beyond the time bound, because residence in the parent is
     still limited by it.  ``latest`` is the latest time the exit can
     happen, the maximum of ``entry + delta`` over ``cuts``; ``build_plt``
@@ -152,13 +155,13 @@ def _apply_bound(
     The result is a list of disjoint triangular cells covering exactly the
     intersection.  When the new bound crosses the cell's existing bound for
     var_k, the cell is split along the crossing hyperplane, which is itself a
-    bound on a lower-indexed variable, so the recursion terminates.
+    bound on a lower-indexed variable, so the recursion terminates.  Where
+    the bound written leaves var_k no room (lower > upper), ``_with_bound``
+    cuts that part away, so a cell with room keeps it.
     """
     iv = piece[k]
     if upper and iv.upper is None:
-        out = list(piece)
-        out[k] = SymInterval(iv.lower, form)
-        return [out]
+        return _with_bound(piece, k, SymInterval(iv.lower, form))
     cur = iv.upper if upper else iv.lower
     diff = form - cur
     lo = extremal_value(diff, piece, "min")
@@ -169,9 +172,8 @@ def _apply_bound(
     if slack:
         return [list(piece)]
     if tight:
-        out = list(piece)
-        out[k] = SymInterval(iv.lower, form) if upper else SymInterval(form, iv.upper)
-        return [out]
+        return _with_bound(piece, k, SymInterval(iv.lower, form) if upper
+                           else SymInterval(form, iv.upper))
     # Bounds cross inside the cell; split on the sign of diff.
     j = diff.top_index()
     cj = diff.coeff(j)
@@ -179,45 +181,42 @@ def _apply_bound(
     above = _apply_bound(piece, j, root, upper=False)   # region with var_j >= root
     below = _apply_bound(piece, j, root, upper=True)
     positive, negative = (above, below) if cj > 0 else (below, above)
-    out = []
-    for sub in (positive if upper else negative):       # new bound is slack here
-        out.append(sub)
+    out = list(positive if upper else negative)         # new bound is slack here
     for sub in (negative if upper else positive):       # new bound binds here
-        cell = list(sub)
-        cell[k] = SymInterval(cell[k].lower, form) if upper \
-            else SymInterval(form, cell[k].upper)
-        out.append(cell)
+        out.extend(_with_bound(sub, k, SymInterval(sub[k].lower, form) if upper
+                               else SymInterval(form, sub[k].upper)))
     return out
+
+
+def _with_bound(cell: list[SymInterval], k: int, iv: SymInterval) -> list[list[SymInterval]]:
+    """The cell with var_k's interval set to ``iv``, cut to where it has room.
+
+    Room is lower <= upper (up to EPS).  lower - upper is a form over
+    variables below k, so the cut ``restrict`` makes ends.
+    """
+    out = list(cell)
+    out[k] = iv
+    if iv.upper is None:
+        return [out]
+    gap = iv.lower - iv.upper
+    if extremal_value(gap, out, "max") > EPS:
+        return restrict(out, gap)
+    return [out]
 
 
 def restrict(cell: list[SymInterval], con: LinearForm) -> list[list[SymInterval]]:
     """Disjoint triangular cells covering the part of a cell where ``con <= 0``.
 
     The constraint becomes a bound on its top variable k, applied with
-    ``_apply_bound``.  That can leave a variable at or below k whose lower
-    bound exceeds its upper one on part of a sub-cell; going up from
-    variable 0, each such part is cut away by restricting the sub-cell to
-    lower - upper <= 0, a constraint on lower variables only, so the
-    recursion ends.  Every variable up to k then has room wherever the
-    variables before it can lie.  A constraint without a variable keeps
-    the cell whole or empties it.
+    ``_apply_bound``, which keeps room in every cell it returns.  A
+    constraint without a variable keeps the cell whole or empties it.
     """
     k = con.top_index()
     if k is None:
         return [list(cell)] if con.const <= EPS else []
     ck = con.coeff(k)
     bound = (con - var(k, ck)).scaled(-1.0 / ck)
-    cells = _apply_bound(cell, k, bound, upper=ck > 0)
-    for i in range(k + 1):
-        feasible: list[list[SymInterval]] = []
-        for sub in cells:
-            iv = sub[i]
-            if iv.upper is not None and extremal_value(iv.lower - iv.upper, sub, "max") > EPS:
-                feasible.extend(restrict(sub, iv.lower - iv.upper))
-            else:
-                feasible.append(sub)
-        cells = feasible
-    return cells
+    return _apply_bound(cell, k, bound, upper=ck > 0)
 
 
 def _nonempty(cuts: list[SymInterval]) -> bool:

@@ -51,14 +51,28 @@ def test_traced_build_goes_through_the_wrapped_names(monkeypatch, battery_model)
     with tracing.install(tracing.Tracer()) as tracer:
         hpng.build_plt(battery_model, 12.0)
     locations = tracer.counts["locations"]
-    assert locations == 371
+    assert locations == 363
     assert tracer.aggs["semantics.min_det_events"].calls == locations
     assert 0 < tracer.aggs["semantics.rate_adaptation"].calls < locations
     # The build's traffic through the kernel, pinned exactly: a cheaper
     # kernel makes the same calls, and a change that prunes calls re-pins
     # these counts on purpose.
-    assert tracer.aggs["symbolic.extremal_value"].calls == 5235
-    assert tracer.aggs["symbolic.compare_remaining_times"].calls == 443
+    assert tracer.aggs["symbolic.extremal_value"].calls == 5361
+    assert tracer.aggs["symbolic.compare_remaining_times"].calls == 415
+
+
+def test_traced_intervals_query_kernel_traffic(monkeypatch, battery_trees):
+    # The intervals route's traffic through the kernel, pinned exactly like
+    # the build's: cells are cut with restrict, which checks room only
+    # where a bound is written (a sweep over every variable of every
+    # sub-cell made 20,553 walks here).
+    tracing = _tracing(monkeypatch)
+    tree = battery_trees[12.0]
+    with tracing.install(tracing.Tracer()) as tracer:
+        hpng.transient.transient_probability(tree, 12.0, method="intervals")
+    assert tracer.counts["candidates"] == 363
+    assert tracer.counts["cells"] == 495
+    assert tracer.aggs["symbolic.extremal_value"].calls == 16597
 
 
 def test_traced_estimate_goes_through_the_wrapped_names(monkeypatch, reservoir_model):

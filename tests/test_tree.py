@@ -10,14 +10,21 @@ import hpng.semantics
 from hpng.montecarlo import McConfig
 from hpng.props import parse_property
 from hpng.semantics import EventKind, ResourceLimitError
-from hpng.symbolic import ComparisonKind, SymInterval, compare_remaining_times, const, var
+from hpng.symbolic import (
+    EPS,
+    ComparisonKind,
+    SymInterval,
+    compare_remaining_times,
+    const,
+    extremal_value,
+    var,
+)
 from hpng.transient import _gauss_legendre_rule, transient_probability
 from hpng.tree import (
     _apply_bound,
     build_plt,
     dump_json,
     pending_rvs,
-    restrict,
     tree_to_dot,
     tree_to_json,
 )
@@ -104,7 +111,6 @@ def test_new_variable_lower_bound_is_enabled_time(battery_tree, reservoir_tree):
 
 
 def test_entry_times_within_bound(battery_tree, reservoir_tree):
-    from hpng.symbolic import extremal_value
     for tree in (battery_tree, reservoir_tree):
         for loc in tree.locations:
             lo = extremal_value(loc.entry, loc.domain, "min")
@@ -185,12 +191,29 @@ def test_zero_horizon_is_accepted(reservoir_model):
 # ---------------------------------------------------------------------------
 # zero-measure pruning and the bits of the tree
 
-def _volume(loc):
-    """Domain volume, summed over cells in which every variable has room.
+@pytest.mark.parametrize("model, tau", [("battery", 12.0), ("battery", 20.0),
+                                        ("reservoir", 10.0)])
+def test_every_cell_has_room(battery_trees, reservoir_tree, model, tau):
+    # Every domain and exit cut has lower <= upper (up to EPS) for each
+    # bounded variable wherever the variables before it can lie, so
+    # earliest entries, latest exits and the measure tests see the cell
+    # itself and not a superset.  Cells cut with bare bounds left 14 of
+    # the 371 domains at tau = 12 without room.
+    tree = reservoir_tree if model == "reservoir" else battery_trees[tau]
+    cells = [loc.domain for loc in tree.locations]
+    cells += [list(ex.cuts) for loc in tree.locations for ex in loc.det_exits]
+    for cell in cells:
+        for iv in cell:
+            if iv.upper is not None:
+                assert extremal_value(iv.lower - iv.upper, cell, "max") <= EPS
 
-    ``restrict`` cuts each variable's lower <= upper into the domain, so
-    no width is negative.  The Jacobian of the unit-cube map of such a cell
-    is then a product of affine widths, of degree below n in each
+
+def _volume(loc):
+    """Domain volume.
+
+    Every variable of a domain has room (see ``test_every_cell_has_room``),
+    so no width is negative.  The Jacobian of the unit-cube map of the
+    domain is then a product of affine widths, of degree below n in each
     coordinate, so a Gauss-Legendre rule of n // 2 + 1 points per axis is
     exact.  An unbounded variable gets width 1: only a width of zero
     matters here.
@@ -198,28 +221,22 @@ def _volume(loc):
     n = len(loc.domain)
     if n == 0:
         return 1.0
-    cells = [[SymInterval(iv.lower, iv.lower + 1.0 if iv.upper is None else iv.upper)
-              for iv in loc.domain]]
-    for k in range(n):
-        cells = [sub for cell in cells for sub in restrict(cell, cell[k].lower - cell[k].upper)]
     nodes, weights = _gauss_legendre_rule(n // 2 + 1, n)
-    total = 0.0
-    for cell in cells:
-        vals = np.zeros((len(nodes), n))
-        w = np.ones(len(nodes))
-        for k, iv in enumerate(cell):
-            lo = iv.lower.evaluate_batch(vals)
-            width = np.maximum(iv.upper.evaluate_batch(vals) - lo, 0.0)
-            vals[:, k] = lo + nodes[:, k] * width
-            w = w * width
-        total += float(weights @ w)
-    return total
+    vals = np.zeros((len(nodes), n))
+    w = np.ones(len(nodes))
+    for k, iv in enumerate(loc.domain):
+        lo = iv.lower.evaluate_batch(vals)
+        width = 1.0 if iv.upper is None else np.maximum(iv.upper.evaluate_batch(vals) - lo, 0.0)
+        vals[:, k] = lo + nodes[:, k] * width
+        w = w * width
+    return float(weights @ w)
 
 
-@pytest.mark.parametrize("tau, size", [(12.0, 371), (20.0, 2110)])
+@pytest.mark.parametrize("tau, size", [(12.0, 363), (20.0, 2107)])
 def test_every_location_carries_volume(battery_trees, tau, size):
     # Before zero-measure cells were pruned these trees had 554 and 4,062
-    # locations, of which 183 and 1,952 had a domain of zero volume.
+    # locations, of which 183 and 1,952 had a domain of zero volume.  Before
+    # every cell kept room they had 371 and 2,110.
     tree = battery_trees[tau]
     assert len(tree.locations) == size
     thin = [loc.id for loc in tree.locations if _volume(loc) < 1e-6]
@@ -293,7 +310,7 @@ def test_tree_floats_are_pinned(battery_trees, reservoir_tree):
 
 
 RESERVOIR_T10_DIGEST = "bc42979959d1aa141641c143d1982470b4317d70a81aa48751d06303d09c69b5"
-BATTERY_T20_DIGEST = "f3d4cc706186ea771072c269a1bdfdfbd5f779d038f7cc8519b3d9fbb8407e35"
+BATTERY_T20_DIGEST = "b003b8e3dd133c1b168ff94339f89e32eb5eebb503e20766052089aa9c05ee75"
 
 
 def test_more_battery_trees_are_pinned(battery_trees):
@@ -307,8 +324,8 @@ def test_more_battery_trees_are_pinned(battery_trees):
         BATTERY_T8_REPAIR11_U010_DIGEST
 
 
-BATTERY_T12_DIGEST = "e7081f25f4df0ee99df4b9fea67d8cf6ec0f1f6a9c40fbbc3579dfb39525e8f2"
-BATTERY_T8_REPAIR5_DIGEST = "28ea8a686f0d38abe332714c246eb5f9b6764cbc1a5cda85fda31c05381713f4"
+BATTERY_T12_DIGEST = "acb3715cbb22ab0f84acb2ddc4d0e2ad6ec66dee687f61c227ede176bbac5e0b"
+BATTERY_T8_REPAIR5_DIGEST = "f56f652aded05eda7b75b6239238188480ec296fe05f26a791bd9f52198ddab6"
 BATTERY_T8_REPAIR11_U010_DIGEST = \
     "6fd77a87063d9ba2bdd933d0bb0fe43f4d480bbfebd318dd2759ac3d06938d19"
 
@@ -322,11 +339,11 @@ def test_intervals_cells_are_pinned(battery_trees):
     for lid in sorted(res.per_location):
         value, sigma = res.per_location[lid]
         h.update(f"{lid}:{value.hex()}:{sigma.hex()};".encode())
-    assert len(res.per_location) == 994
+    assert len(res.per_location) == 984
     assert h.hexdigest() == INTERVALS_T20_AT16_DIGEST
 
 
-INTERVALS_T20_AT16_DIGEST = "705b616d841121e042d51249369b07efca5e746c25ee1be080834297478f729c"
+INTERVALS_T20_AT16_DIGEST = "b2d931aebb63d05059f51248acae4e46cd23ca8de56e965c3a8711c89ec7d6a2"
 
 
 def _zero_blind(form):
@@ -386,12 +403,11 @@ def test_apply_bound_crossing_splits():
 
 def test_apply_bound_lower_tight_replaces():
     # The new lower bound s0 sits at or above the existing 0 everywhere, so
-    # it simply replaces it; emptiness of [s0, 5] for s0 > 5 is filtered
-    # later, when the pieces are checked for feasibility.
+    # it replaces it; [s0, 5] has no room for s0 > 5, which is cut away.
     piece = _box([(0.0, 10.0), (0.0, 5.0)])
     out = _apply_bound(piece, 1, var(0), upper=False)
     assert len(out) == 1
-    assert out[0][1].text(["s0"]) == "[s0, 5]"
+    assert [iv.text(["s0"]) for iv in out[0]] == ["[0, 5]", "[s0, 5]"]
 
 
 def test_apply_bound_lower_crossing_splits():
@@ -399,7 +415,7 @@ def test_apply_bound_lower_crossing_splits():
     out = _apply_bound(piece, 1, var(0), upper=False)
     assert len(out) == 2
     texts = sorted((cell[0].text(["s0"]), cell[1].text(["s0"])) for cell in out)
-    assert texts == [("[0, 3]", "[3, 5]"), ("[3, 10]", "[s0, 5]")]
+    assert texts == [("[0, 3]", "[3, 5]"), ("[3, 5]", "[s0, 5]")]
 
 
 def test_apply_bound_on_unbounded_interval():
