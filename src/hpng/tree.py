@@ -161,7 +161,7 @@ def _apply_bound(
     """
     iv = piece[k]
     if upper and iv.upper is None:
-        return _with_bound(piece, k, SymInterval(iv.lower, form))
+        return _with_bound(piece, k, form, upper)
     cur = iv.upper if upper else iv.lower
     diff = form - cur
     lo = extremal_value(diff, piece, "min")
@@ -172,8 +172,7 @@ def _apply_bound(
     if slack:
         return [list(piece)]
     if tight:
-        return _with_bound(piece, k, SymInterval(iv.lower, form) if upper
-                           else SymInterval(form, iv.upper))
+        return _with_bound(piece, k, form, upper)
     # Bounds cross inside the cell; split on the sign of diff.
     j = diff.top_index()
     cj = diff.coeff(j)
@@ -183,19 +182,20 @@ def _apply_bound(
     positive, negative = (above, below) if cj > 0 else (below, above)
     out = list(positive if upper else negative)         # new bound is slack here
     for sub in (negative if upper else positive):       # new bound binds here
-        out.extend(_with_bound(sub, k, SymInterval(sub[k].lower, form) if upper
-                               else SymInterval(form, sub[k].upper)))
+        out.extend(_with_bound(sub, k, form, upper))
     return out
 
 
-def _with_bound(cell: list[SymInterval], k: int, iv: SymInterval) -> list[list[SymInterval]]:
-    """The cell with var_k's interval set to ``iv``, cut to where it has room.
+def _with_bound(
+    cell: list[SymInterval], k: int, form: LinearForm, upper: bool
+) -> list[list[SymInterval]]:
+    """The cell with ``form`` as var_k's upper (or lower) bound, cut to where var_k has room.
 
     Room is lower <= upper (up to EPS).  lower - upper is a form over
     variables below k, so the cut ``restrict`` makes ends.
     """
     out = list(cell)
-    out[k] = iv
+    iv = out[k] = SymInterval(cell[k].lower, form) if upper else SymInterval(form, cell[k].upper)
     if iv.upper is None:
         return [out]
     gap = iv.lower - iv.upper
@@ -314,8 +314,7 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
         loc = locs[lid]
         events = next_events(model, loc.state, loc.domain, net)
         gens = [ev for ev in events if ev.kind is EventKind.GENERAL]
-        det = min_det_events([ev for ev in events if ev.kind is not EventKind.GENERAL],
-                             loc.domain)
+        det = min_det_events(events, loc.domain)
         groups = _group_coincident(det)
 
         contexts: list[tuple[Optional[LinearForm], list[SymInterval]]] = []

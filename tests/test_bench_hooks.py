@@ -63,9 +63,8 @@ def test_traced_build_goes_through_the_wrapped_names(monkeypatch, battery_model)
 
 def test_traced_intervals_query_kernel_traffic(monkeypatch, battery_trees):
     # The intervals route's traffic through the kernel, pinned exactly like
-    # the build's: cells are cut with restrict, which checks room only
-    # where a bound is written (a sweep over every variable of every
-    # sub-cell made 20,553 walks here).
+    # the build's: restrict checks room only where a bound is written, and
+    # a change that adds or prunes walks re-pins these counts on purpose.
     tracing = _tracing(monkeypatch)
     tree = battery_trees[12.0]
     with tracing.install(tracing.Tracer()) as tracer:

@@ -197,8 +197,7 @@ def test_every_cell_has_room(battery_trees, reservoir_tree, model, tau):
     # Every domain and exit cut has lower <= upper (up to EPS) for each
     # bounded variable wherever the variables before it can lie, so
     # earliest entries, latest exits and the measure tests see the cell
-    # itself and not a superset.  Cells cut with bare bounds left 14 of
-    # the 371 domains at tau = 12 without room.
+    # itself and not a superset.
     tree = reservoir_tree if model == "reservoir" else battery_trees[tau]
     cells = [loc.domain for loc in tree.locations]
     cells += [list(ex.cuts) for loc in tree.locations for ex in loc.det_exits]
@@ -235,8 +234,7 @@ def _volume(loc):
 @pytest.mark.parametrize("tau, size", [(12.0, 363), (20.0, 2107)])
 def test_every_location_carries_volume(battery_trees, tau, size):
     # Before zero-measure cells were pruned these trees had 554 and 4,062
-    # locations, of which 183 and 1,952 had a domain of zero volume.  Before
-    # every cell kept room they had 371 and 2,110.
+    # locations, of which 183 and 1,952 had a domain of zero volume.
     tree = battery_trees[tau]
     assert len(tree.locations) == size
     thin = [loc.id for loc in tree.locations if _volume(loc) < 1e-6]
