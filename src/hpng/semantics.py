@@ -439,7 +439,6 @@ def _reduce(model: HPnGModel, actual: dict[str, float], arcs, budget: float) -> 
 # state construction
 
 def finalize_state(
-    model: HPnGModel,
     m: tuple[int, ...],
     x: tuple[LinearForm, ...],
     c: tuple[LinearForm, ...],
@@ -474,11 +473,10 @@ def initial_state(model: HPnGModel, net: CompiledNet) -> SymState:
     gs_cont: list[Optional[bool]] = [None] * len(model.guard_arcs)
     for ai, pi, op, threshold in net.continuous_guards:
         gs_cont[ai] = compare(op, model.continuous_places[pi].level, threshold, EPS)
-    return finalize_state(model, m, x, c, g, gs_cont, net)
+    return finalize_state(m, x, c, g, gs_cont, net)
 
 
-def evolve(model: HPnGModel, state: SymState, delta: LinearForm,
-           net: CompiledNet) -> SymState:
+def evolve(state: SymState, delta: LinearForm, net: CompiledNet) -> SymState:
     """Let time pass: levels move with drift, active clocks accumulate."""
     x = tuple([form.plus_scaled(delta, d) for form, d in zip(state.x, state.d)])
     clocks = list(state.c)

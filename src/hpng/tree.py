@@ -280,7 +280,7 @@ def _group_cuts(
 
 def _child_state(model: HPnGModel, st: SymState, ev: Event, delta: LinearForm,
                  net: CompiledNet) -> SymState:
-    moved = evolve(model, st, delta, net)
+    moved = evolve(st, delta, net)
     m, c, g = moved.m, list(moved.c), list(moved.g)
     if ev.kind in (EventKind.IMMEDIATE, EventKind.DETERMINISTIC, EventKind.GENERAL):
         m, c, g = fire(model, moved, ev.target, net)
@@ -289,7 +289,7 @@ def _child_state(model: HPnGModel, st: SymState, ev: Event, delta: LinearForm,
         gs_cont[ai] = moved.gs[ai]
     if ev.kind is EventKind.GUARD_ARC:
         gs_cont[ev.arc_index] = ev.new_truth
-    return finalize_state(model, m, moved.x, tuple(c), tuple(g), gs_cont, net)
+    return finalize_state(m, moved.x, tuple(c), tuple(g), gs_cont, net)
 
 
 def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) -> PLTree:

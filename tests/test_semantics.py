@@ -258,7 +258,7 @@ def test_evolve_moves_levels_and_clocks(reservoir_model):
     net = compile_net(reservoir_model)
     s = initial_state(reservoir_model, net)
     delta = const(2.0)
-    nxt = evolve(reservoir_model, s, delta, net)
+    nxt = evolve(s, delta, net)
     assert nxt.x[0].text([]) == "2"
     assert nxt.c[0].text([]) == "2"
     assert nxt.g[0].text([]) == "2"
@@ -269,7 +269,7 @@ def test_evolve_skips_disabled_clocks(reservoir_model):
     s = initial_state(reservoir_model, net)
     stopped = SymState(s.m, s.x, s.c, s.d, s.g,
                        tuple(False for _ in s.e), s.gs)
-    nxt = evolve(reservoir_model, stopped, const(2.0), net)
+    nxt = evolve(stopped, const(2.0), net)
     assert nxt.c[0] == ZERO
     assert nxt.g[0] == ZERO
 
@@ -277,13 +277,13 @@ def test_evolve_skips_disabled_clocks(reservoir_model):
 def test_evolve_symbolic_delta(reservoir_model):
     net = compile_net(reservoir_model)
     s = initial_state(reservoir_model, net)
-    nxt = evolve(reservoir_model, s, var(0), net)
+    nxt = evolve(s, var(0), net)
     assert nxt.x[0].text(["s0"]) == "s0"
 
 
 def test_fire_moves_tokens_and_resets_clock(reservoir_model):
     net = compile_net(reservoir_model)
-    s = evolve(reservoir_model, initial_state(reservoir_model, net), const(3.0), net)
+    s = evolve(initial_state(reservoir_model, net), const(3.0), net)
     m, c, g = fire(reservoir_model, s, "demand_stop", net)
     assert m == (1, 0)
     assert c[0] == ZERO
@@ -299,7 +299,7 @@ def test_fire_disabled_raises(reservoir_model):
 
 def test_fire_general_resets_enabled_time(reservoir_model):
     net = compile_net(reservoir_model)
-    s = evolve(reservoir_model, initial_state(reservoir_model, net), const(3.0), net)
+    s = evolve(initial_state(reservoir_model, net), const(3.0), net)
     _, _, g = fire(reservoir_model, s, "pump_break", net)
     assert g[0] == ZERO
 
@@ -340,7 +340,7 @@ def test_guard_crossing_on_symbolic_level():
     s = initial_state(model, net)
     # Entry level s0 with domain [3, 4]: crossing of threshold 2 happens
     # after s0 - 2 more time units under drift -1.
-    shifted = finalize_state(model, s.m, (var(0),), s.c, s.g, [True], net)
+    shifted = finalize_state(s.m, (var(0),), s.c, s.g, [True], net)
     domain = [SymInterval(const(3.0), const(4.0))]
     events = next_events(model, shifted, domain, net)
     crossing = [ev for ev in events if ev.kind is EventKind.GUARD_ARC]
