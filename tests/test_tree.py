@@ -328,20 +328,43 @@ BATTERY_T8_REPAIR11_U010_DIGEST = \
     "6fd77a87063d9ba2bdd933d0bb0fe43f4d480bbfebd318dd2759ac3d06938d19"
 
 
+def _answer_digest(res):
+    """SHA-256 over ``float.hex`` of every location's value and error."""
+    h = hashlib.sha256()
+    for lid in sorted(res.per_location):
+        value, sigma = res.per_location[lid]
+        h.update(f"{lid}:{value.hex()}:{sigma.hex()};".encode())
+    return h.hexdigest()
+
+
 def test_intervals_cells_are_pinned(battery_trees):
     # The intervals route cuts its cells with restrict, on the same kernel
     # as the build: every location's value and error, bit for bit, at a
     # late t' where cutting carries most of the route's time.
     res = transient_probability(battery_trees[20.0], 16.0, method="intervals")
-    h = hashlib.sha256()
-    for lid in sorted(res.per_location):
-        value, sigma = res.per_location[lid]
-        h.update(f"{lid}:{value.hex()}:{sigma.hex()};".encode())
     assert len(res.per_location) == 984
-    assert h.hexdigest() == INTERVALS_T20_AT16_DIGEST
+    assert _answer_digest(res) == INTERVALS_T20_AT16_DIGEST
+
+
+def test_direct_answers_are_pinned(battery_trees):
+    # The direct route's sampling kernel, bit for bit: the benchmark's
+    # repair-5 sweep query at the gate's budget, and a deeper tree.
+    repair5 = battery_variant(repair_time=5.0)
+    atoms = parse_property("m(grid_on) >= 1", repair5)
+    res = transient_probability(build_plt(repair5, 8.0), 8.0, atoms, method="direct",
+                                cfg=McConfig(40_000, 5))
+    assert len(res.per_location) == 29
+    assert _answer_digest(res) == DIRECT_T8_R5_DIGEST
+    tree = battery_trees[20.0]
+    atoms = parse_property("m(grid_on) >= 1", tree.model)
+    res = transient_probability(tree, 8.0, atoms, method="direct", cfg=McConfig(20_000, 5))
+    assert len(res.per_location) == 25
+    assert _answer_digest(res) == DIRECT_T20_AT8_DIGEST
 
 
 INTERVALS_T20_AT16_DIGEST = "b2d931aebb63d05059f51248acae4e46cd23ca8de56e965c3a8711c89ec7d6a2"
+DIRECT_T8_R5_DIGEST = "196402ad5bb9575716df9b7709a693e6aebd36ba9be482b634e2536e4b40fed0"
+DIRECT_T20_AT8_DIGEST = "9f196801fdf33640f896412d13cba67fb3f6e3524cb66d35a95b110278cdeb67"
 
 
 def _zero_blind(form):
