@@ -161,8 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None, help="write result to file")
 
     def budget(p):      # sampling routes only; the simulator counts runs
-        p.add_argument("--samples", type=int, default=100_000)
-        p.add_argument("--iterations", type=int, default=5)
+        p.add_argument("--samples", type=int, default=100_000,
+                       help="direct and VEGAS: points per iteration per region or "
+                            "cell; simplex: samples // iterations points per simplex "
+                            "per iteration")
+        p.add_argument("--iterations", type=int, default=5,
+                       help="sampling iterations, combined by inverse variance")
 
     p = sub.add_parser("validate", help="check a model file")
     p.add_argument("model")

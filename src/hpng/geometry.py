@@ -3,9 +3,11 @@
 Regions here are intersections of affine half-spaces {x : A x <= b}.
 Vertices are enumerated exactly and without linear programs: an axis box
 tightened by bound propagation drops the rows that are slack everywhere
-on it, and every n-subset of the rows left is solved in one batch.
-Degenerate (lower-dimensional) regions count as measure zero and come
-back empty, and a region's bounding box is the box of its vertices.
+on it, and every n-subset of the rows left is solved in one batch; an
+interval takes the same vertices in closed form.  Degenerate
+(lower-dimensional) regions count as measure zero and come back empty,
+and a region's bounding box is the box of its vertices.  Direct sampling
+through that box tests a sample only against the rows that cut the box.
 ``chebyshev_center`` is the one LP left, for callers that want a
 region's largest inscribed ball.
 
@@ -161,39 +163,71 @@ def _subsets(m: int, k: int) -> np.ndarray:
     return out
 
 
+def _subset_vertices(poly: HPolytope, unit_a: np.ndarray, unit_b: np.ndarray,
+                     rows: np.ndarray) -> np.ndarray:
+    """Points where n of the rows are tight and every row holds; none
+    when the region is infeasible, unbounded or too thin on an axis.
+
+    An axis box is tightened by bound propagation, and the rows that are
+    strictly slack over the box are dropped: they are tight at no vertex.
+    Every n-subset of the rows left is solved in one batch.  When
+    propagation leaves a bound infinite, the region is bounded only if
+    the row normals positively span R^n, and then every row is kept.
+    """
+    n = poly.dim
+    a, b = unit_a[rows], unit_b[rows]
+    lo, hi = _propagate_box(a, b)
+    if np.any(hi - lo <= EPS_GEOM):         # infeasible, or too thin on an axis
+        return np.zeros((0, n))
+    if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
+        most = np.where(a > 0.0, a * hi, a * lo).sum(axis=1)
+        rows = rows[most >= b - EPS_VERTEX]
+    elif not _positively_spanning(a):
+        return np.zeros((0, n))
+    idx = rows[_subsets(len(rows), n)]
+    idx = idx[np.abs(np.linalg.det(unit_a[idx])) > EPS_VOL]
+    # solved on the rows as given: their coefficients are often small exact
+    # numbers that unit scaling would round
+    verts = np.linalg.solve(poly.a[idx], poly.b[idx][..., None])[..., 0]
+    return verts[np.all(verts @ a.T <= b + EPS_VERTEX, axis=1)]
+
+
+def _interval_vertices(poly: HPolytope, unit_a: np.ndarray, unit_b: np.ndarray,
+                       rows: np.ndarray) -> np.ndarray:
+    """``_subset_vertices`` of a one-dimensional region, in closed form.
+
+    The interval runs from the tightest lower to the tightest upper row,
+    where propagation would end.  The rows within ``EPS_VERTEX`` of an end
+    are solved as given, by one division each, the one LAPACK makes for a
+    1 x 1 system, so the same points come out in the same order, bit for
+    bit.
+    """
+    a, b = unit_a[rows, 0], unit_b[rows]
+    bound = b / a
+    up = a > 0.0
+    lo, hi = bound[~up].max(initial=-np.inf), bound[up].min(initial=np.inf)
+    if not (np.isfinite(lo) and np.isfinite(hi)) or hi - lo <= EPS_GEOM:
+        return np.zeros((0, 1))
+    rows = rows[np.where(up, a * hi, a * lo) >= b - EPS_VERTEX]
+    verts = (poly.b[rows] / poly.a[rows, 0])[:, None]
+    return verts[np.all(verts * a <= b + EPS_VERTEX, axis=1)]
+
+
 def vertex_enumeration(poly: HPolytope) -> np.ndarray:
     """Vertices of a bounded region; empty array when it is measure zero.
 
-    The rows are scaled to unit normals and deduplicated, an axis box is
-    tightened by bound propagation, and the rows that are strictly slack
-    over the box are dropped: they are tight at no vertex.  Every n-subset
-    of the rows left is solved in one batch, and a solution is a vertex
-    when it satisfies all rows.  When propagation leaves a bound infinite, the
-    region is bounded only if the row normals positively span R^n, and
-    then every row is kept.  A region whose vertices do not span n
-    dimensions, or that has none, comes back empty.
+    The rows are scaled to unit normals and deduplicated, and the points
+    where n rows are tight and every row holds are found: in closed form
+    for one dimension, by ``_subset_vertices`` for more.  Points within
+    ``EPS_GEOM`` of an earlier one are dropped.  A region whose vertices
+    do not span n dimensions, or that has none, comes back empty.
     """
     n = poly.dim
     empty = np.zeros((0, n))
     unit = _unit_rows(poly)
     if unit is None:
         return empty
-    unit_a, unit_b, rows = unit
-    a, b = unit_a[rows], unit_b[rows]
-    lo, hi = _propagate_box(a, b)
-    if np.any(hi - lo <= EPS_GEOM):         # infeasible, or too thin on an axis
-        return empty
-    if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-        most = np.where(a > 0.0, a * hi, a * lo).sum(axis=1)
-        rows = rows[most >= b - EPS_VERTEX]
-    elif not _positively_spanning(a):
-        return empty
-    idx = rows[_subsets(len(rows), n)]
-    idx = idx[np.abs(np.linalg.det(unit_a[idx])) > EPS_VOL]
-    # solved on the rows as given: their coefficients are often small exact
-    # numbers that unit scaling would round
-    verts = np.linalg.solve(poly.a[idx], poly.b[idx][..., None])[..., 0]
-    verts = verts[np.all(verts @ a.T <= b + EPS_VERTEX, axis=1)]
+    verts = (_interval_vertices if n == 1 else _subset_vertices)(poly, *unit)
     verts = verts[_first_unique(np.round(verts / EPS_GEOM))]
     if len(verts) <= n:
         return empty
@@ -307,19 +341,30 @@ def probability_over_simplex(
 def probability_over_region_direct(
     poly: HPolytope, density, cfg: McConfig, rng: np.random.Generator
 ) -> McResult:
-    """Monte Carlo integral over a region via its bounding box."""
+    """Monte Carlo integral over a region via its bounding box.
+
+    A sample counts when it satisfies every row within ``EPS_GEOM``.  Only
+    the rows that cut the box are tested: a row whose largest value over
+    the box is at most its bound holds at every sample, since the margin
+    dwarfs the rounding of a sample's row value.  When no row cuts the
+    box, the region is the box and the density is integrated directly.
+    """
     box = bounding_box(poly)
     if box is None:
         return McResult(0.0, 0.0, 0, 0)
     lo, hi = box
     if np.any(hi - lo <= EPS_VOL):
         return McResult(0.0, 0.0, 0, 0)
+    cuts = np.where(poly.a > 0.0, poly.a * hi, poly.a * lo).sum(axis=1) > poly.b
+    rows = list(zip(poly.a[cuts], poly.b[cuts] + EPS_GEOM))
 
     def f(pts: np.ndarray) -> np.ndarray:
-        inside = poly.contains(pts)
+        inside = np.ones(len(pts), dtype=bool)
+        for a, limit in rows:
+            inside &= pts @ a <= limit
         out = np.zeros(len(pts))
         if inside.any():
             out[inside] = density(pts[inside])
         return out
 
-    return mc_integrate(f, list(zip(lo, hi)), cfg, rng)
+    return mc_integrate(f if rows else density, list(zip(lo, hi)), cfg, rng)

@@ -3,7 +3,8 @@
 Two estimators over an axis-aligned box: a plain one and a VEGAS-style one
 with separable per-axis importance grids.  Both report the naive error
 estimate sigma^2 = V^2/N^2 * sum (f_i - <f>)^2 per iteration and combine
-iterations by inverse variance.  Streams are counter-based (numpy Philox
+iterations by inverse variance.  The plain one reuses its buffers across
+iterations and calls the integrand on row blocks of at most ``MC_BLOCK``.  Streams are counter-based (numpy Philox
 keyed through SeedSequence), so task k of seed s always sees the same
 numbers no matter how many workers run.
 
@@ -168,6 +169,10 @@ def _chi2_dof(values: list[float], sigmas: list[float], mean: float) -> Optional
 # ---------------------------------------------------------------------------
 # plain Monte Carlo
 
+#: Most sample rows ``mc_integrate`` passes to the integrand in one call:
+#: a block's temporaries stay in cache and come from the heap.
+MC_BLOCK = 4096
+
 def mc_integrate(
     f: Callable[[np.ndarray], np.ndarray],
     box: Sequence[tuple[float, float]],
@@ -177,7 +182,10 @@ def mc_integrate(
     """Estimate the integral of f over an axis-aligned box.
 
     f maps an (N, n) sample matrix to N values; non-finite values are
-    dropped and counted as skipped.
+    dropped and counted as skipped.  Every iteration draws its points into
+    one buffer that all iterations reuse, and f sees them in row blocks of
+    at most ``MC_BLOCK`` rows, as equal as they come, so f must act on each
+    row alone.  The estimate is reduced over the whole iteration at once.
     """
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
@@ -186,20 +194,30 @@ def mc_integrate(
         return McResult(0.0, 0.0, 0)
     rng = rng if rng is not None else stream(cfg.seed)
 
+    x = np.empty((cfg.samples, len(box)))
+    fx = np.empty(cfg.samples)
+    scratch = np.empty(cfg.samples)
+    blocks = -(-cfg.samples // MC_BLOCK)
+    edges = [k * cfg.samples // blocks for k in range(blocks + 1)]
     vals, sigmas, used, skipped = [], [], 0, 0
     for _ in range(cfg.iterations):
-        x = rng.uniform(size=(cfg.samples, len(box))) * (hi - lo) + lo
-        fx = np.asarray(f(x), dtype=float)
+        # the same stream and arithmetic as uniform(size=...) * (hi - lo) + lo
+        rng.random(out=x)
+        x *= hi - lo
+        x += lo
+        for start, stop in zip(edges, edges[1:]):
+            fx[start:stop] = f(x[start:stop])
         ok = np.isfinite(fx)
-        skipped += int((~ok).sum())
-        fx = fx[ok]
-        n = fx.size
+        n = int(ok.sum())
+        skipped += cfg.samples - n
         used += n
         if n == 0:
             continue
-        mean = fx.mean()
+        good = fx if n == cfg.samples else fx[ok]
+        mean = good.mean()
         est = vol * mean
-        var = (vol * vol / (n * n)) * float(((fx - mean) ** 2).sum())
+        dev = np.subtract(good, mean, out=scratch[:n])
+        var = (vol * vol / (n * n)) * float(np.square(dev, out=dev).sum())
         vals.append(est)
         sigmas.append(math.sqrt(var))
     if not vals:

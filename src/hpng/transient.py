@@ -26,7 +26,9 @@ firings that are still pending.  Three routes compute that integral:
     costs its enumeration and nothing else.
 ``direct``
     The same region and density sampled through the region's bounding
-    box, which is the box of its enumerated vertices.
+    box, which is the box of its enumerated vertices.  Samples are tested
+    only against the rows that cut the box; a region that fills its box
+    is the density integrated over the box.
 """
 
 from __future__ import annotations

@@ -2,14 +2,17 @@
 
 from pathlib import Path
 
+import numpy as np
+
 import hpng
 import hpng.semantics
 import hpng.simulate
 import hpng.symbolic
 import hpng.transient
 import hpng.tree
+from hpng.geometry import EPS_VOL, bounding_box
 from hpng.montecarlo import stream
-from hpng.transient import candidate_locations
+from hpng.transient import candidate_locations, location_region_terms
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -120,3 +123,31 @@ def test_traced_region_routes_solve_no_lp(monkeypatch, battery_tree):
     assert tracer.counts["empty_regions"] > 0
     assert aggs["geometry.probability_over_region_direct"].calls > 0
     assert aggs["geometry.linprog"].calls == 0
+
+
+def test_traced_direct_queries_sample_through_the_kernel(monkeypatch, reservoir_tree,
+                                                        battery_tree):
+    # montecarlo.mc_integrate_s must read the direct route's sampling: every
+    # region with a box of positive width reaches the wrapped mc_integrate
+    # once, whether or not a row cuts its box, and spends its whole budget.
+    tracing = _tracing(monkeypatch)
+    queries = ((reservoir_tree, 8.0), (battery_tree, 6.0))
+    boxed = cut = 0
+    for tree, t_prime in queries:
+        for loc in candidate_locations(tree, t_prime):
+            for _, poly, _ in location_region_terms(tree.model, tree, loc, t_prime):
+                box = None if poly is None else bounding_box(poly)
+                if box is None or np.any(box[1] - box[0] <= EPS_VOL):
+                    continue
+                boxed += 1
+                most = np.where(poly.a > 0.0, poly.a * box[1], poly.a * box[0]).sum(axis=1)
+                cut += bool(np.any(most > poly.b))
+    assert 0 < cut < boxed
+    cfg = hpng.McConfig(samples=3_000, iterations=2, seed=0)
+    with tracing.install(tracing.Tracer()) as tracer:
+        for tree, t_prime in queries:
+            hpng.transient.transient_probability(tree, t_prime, method="direct", cfg=cfg)
+    assert tracer.aggs["montecarlo.mc_integrate"].calls == boxed
+    counts = tracer.counts
+    assert counts["samples_used"] + counts["samples_skipped"] == \
+        boxed * cfg.samples * cfg.iterations

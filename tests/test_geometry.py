@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection, QhullError
 
@@ -11,6 +13,8 @@ import hpng.geometry
 from hpng import build_plt
 from hpng.geometry import (
     EPS_GEOM,
+    EPS_VERTEX,
+    EPS_VOL,
     HPolytope,
     bounding_box,
     chebyshev_center,
@@ -23,7 +27,7 @@ from hpng.geometry import (
     triangulate,
     vertex_enumeration,
 )
-from hpng.montecarlo import McConfig, mc_integrate, stream
+from hpng.montecarlo import MC_BLOCK, McConfig, McResult, _combine, mc_integrate, stream
 from hpng.transient import candidate_locations, location_region_terms
 
 
@@ -385,3 +389,174 @@ def test_vertices_and_boxes_match_the_lp_reference(region_sample):
         assert np.max(np.abs(lo - ref_lo)) <= 1e-9
         assert np.max(np.abs(hi - ref_hi)) <= 1e-9
     assert 0 < empty < len(region_sample)
+
+
+# ---------------------------------------------------------------------------
+# one-dimensional regions: the closed-form interval is the general path
+
+
+def _interval(*rows):
+    return make_polytope([(np.array([a]), b) for a, b in rows], 1)
+
+
+def _crafted_intervals():
+    polys = [
+        # duplicate rows, and rows scaled by 2 and 3
+        _interval((1.0, 5.0), (1.0, 5.0), (2.0, 10.0), (-1.0, -2.0), (-3.0, -6.0)),
+        _interval((0.5, 2.5), (-2.0, -4.0), (0.5, 2.5), (-1.0, -2.0)),
+        # rows with no variable, one that holds and one that fails
+        _interval((0.0, 1.0), (1.0, 3.0), (-1.0, 0.0)),
+        _interval((0.0, -1.0), (1.0, 3.0), (-1.0, 0.0)),
+        # infeasible, and unbounded on either side or both
+        _interval((1.0, 1.0), (-1.0, -2.0)),
+        _interval((1.0, 5.0)),
+        _interval((-1.0, 0.0), (-2.0, 1.0)),
+        _interval((1.0, 5.0), (2.0, 3.0)),
+        _interval(),
+    ]
+    # bounds within EPS_VERTEX of the tightest, some straddling a multiple
+    # of EPS_GEOM / 2 so that their vertices survive deduplication apart
+    for near in (4e-10, -4e-10, 9.9e-10, 1.1e-9):
+        for end in (5.0, 5.0 + 0.5 * EPS_GEOM):
+            polys.append(_interval((1.0, end), (1.0, end + near), (2.0, 2.0 * end + near),
+                                   (-1.0, -2.0), (-1.0, -2.0 + near)))
+    # widths around EPS_GEOM and 2 EPS_GEOM, the two emptiness thresholds
+    for lo in (0.0, 1.0, -3.0, 7.25):
+        for w in (EPS_GEOM, 2.0 * EPS_GEOM, 2.1 * EPS_GEOM, 3.0 * EPS_GEOM):
+            hi = lo + w
+            for step in range(-3, 4):
+                top = hi
+                for _ in range(abs(step)):
+                    top = np.nextafter(top, np.inf if step > 0 else -np.inf)
+                polys.append(_interval((1.0, top), (-1.0, -lo)))
+                polys.append(_interval((3.0, 3.0 * top), (-2.0, -2.0 * lo), (1.0, top + 1e-9)))
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        m = int(rng.integers(1, 8))
+        a = rng.choice([-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=m)
+        b = a * rng.choice([0.0, 1.0, 1.0 + EPS_VERTEX, 1.0 + 2e-7, 2.0], size=m)
+        b = b + rng.choice([0.0, 3e-10, -7e-10, EPS_GEOM], size=m)
+        polys.append(_interval(*zip(a, b)))
+    return polys
+
+
+def test_interval_vertices_are_the_general_paths(region_sample, monkeypatch):
+    # One dimension takes its interval in closed form; the general path
+    # (propagation, subset solve) must give the same vertices, bit for bit,
+    # and so the same emptiness.
+    polys = [poly for poly in region_sample if poly.dim == 1] + _crafted_intervals()
+    assert sum(poly.dim == 1 for poly in region_sample) >= 10
+    closed = [vertex_enumeration(poly) for poly in polys]
+    monkeypatch.setattr(hpng.geometry, "_interval_vertices", hpng.geometry._subset_vertices)
+    shapes = set()
+    for poly, got in zip(polys, closed):
+        want = vertex_enumeration(poly)
+        assert got.shape == want.shape, (poly.a.ravel(), poly.b)
+        assert got.tobytes() == want.tobytes(), (poly.a.ravel(), poly.b)
+        shapes.add(len(got))
+    assert {0, 2, 3} <= shapes
+
+
+# ---------------------------------------------------------------------------
+# the direct route's kernel against every row, unblocked
+
+
+def _reference_mc(f, box, cfg, rng):
+    """``mc_integrate`` drawing and evaluating each iteration in one call."""
+    lo = np.array([b[0] for b in box], dtype=float)
+    hi = np.array([b[1] for b in box], dtype=float)
+    vol = float(np.prod(hi - lo)) if len(box) else 1.0
+    if vol <= 0.0:
+        return McResult(0.0, 0.0, 0)
+    vals, sigmas, used, skipped = [], [], 0, 0
+    for _ in range(cfg.iterations):
+        x = rng.uniform(size=(cfg.samples, len(box))) * (hi - lo) + lo
+        fx = np.asarray(f(x), dtype=float)
+        ok = np.isfinite(fx)
+        skipped += int((~ok).sum())
+        fx = fx[ok]
+        n = fx.size
+        used += n
+        if n == 0:
+            continue
+        mean = fx.mean()
+        vals.append(vol * mean)
+        sigmas.append(math.sqrt((vol * vol / (n * n)) * float(((fx - mean) ** 2).sum())))
+    if not vals:
+        return McResult(0.0, 0.0, used, skipped)
+    value, sigma = _combine(vals, sigmas)
+    return McResult(value, sigma, used, skipped)
+
+
+def _reference_direct(poly, density, cfg, rng):
+    """``probability_over_region_direct`` testing every sample against every row."""
+    box = bounding_box(poly)
+    if box is None:
+        return McResult(0.0, 0.0, 0, 0)
+    lo, hi = box
+    if np.any(hi - lo <= EPS_VOL):
+        return McResult(0.0, 0.0, 0, 0)
+
+    def f(pts):
+        inside = poly.contains(pts)
+        out = np.zeros(len(pts))
+        if inside.any():
+            out[inside] = density(pts[inside])
+        return out
+
+    return _reference_mc(f, list(zip(lo, hi)), cfg, rng)
+
+
+def _hex(res):
+    return (res.value.hex(), res.sigma.hex(), res.samples_used, res.samples_skipped)
+
+
+@st.composite
+def _cut_boxes(draw):
+    """A dyadic box, cut by rows that miss it, touch it at a corner or an
+    edge (box maximum equal to the bound), or cut it; some duplicated or
+    scaled, so every box maximum below is exact."""
+    n = draw(st.integers(1, 4))
+    lo = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), dtype=float)
+    hi = lo + np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    rows = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        rows += [(e, hi[i]), (-e, -lo[i])]
+    coeff = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    for _ in range(draw(st.integers(0, 4))):
+        a = np.array(draw(st.lists(coeff, min_size=n, max_size=n)))
+        most = float(np.where(a > 0.0, a * hi, a * lo).sum())
+        least = float(np.where(a > 0.0, a * lo, a * hi).sum())
+        b = draw(st.sampled_from([most, most + 0.5, most - 0.25, (most + least) / 2,
+                                  least + 0.25]))
+        rows.append((a, b))
+        if draw(st.booleans()):
+            scale = draw(st.sampled_from([1.0, 2.0]))
+            rows.append((a * scale, b * scale))
+    order = draw(st.permutations(range(len(rows))))
+    return make_polytope([rows[i] for i in order], n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly=_cut_boxes(),
+       samples=st.sampled_from([2, 3, 257, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1,
+                                2 * MC_BLOCK + 1, 5_000, 9_999]),
+       iterations=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+       nan_above=st.sampled_from([None, 0.0, 1.5]))
+def test_direct_kernel_is_the_all_rows_reference(poly, samples, iterations, seed, nan_above):
+    # Dropping the rows that cannot fail in the box, and evaluating in
+    # blocks, changes no value, sigma or sample count.
+    c = np.linspace(0.3, 0.9, poly.dim)
+
+    def density(pts):
+        out = np.exp(-0.1 * (pts @ c)) * (1.0 + pts[:, 0] ** 2)
+        if nan_above is not None:
+            out[pts[:, -1] > nan_above] = np.nan
+        return out
+
+    cfg = McConfig(samples=samples, iterations=iterations, seed=seed)
+    want = _reference_direct(poly, density, cfg, stream(seed, 1))
+    got = probability_over_region_direct(poly, density, cfg, stream(seed, 1))
+    assert _hex(got) == _hex(want)
