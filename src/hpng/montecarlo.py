@@ -169,9 +169,10 @@ def _chi2_dof(values: list[float], sigmas: list[float], mean: float) -> Optional
 # ---------------------------------------------------------------------------
 # plain Monte Carlo
 
-#: Most sample rows ``mc_integrate`` passes to the integrand in one call:
-#: a block's temporaries stay in cache and come from the heap.
-MC_BLOCK = 4096
+#: Most sample rows ``mc_integrate`` passes to the integrand in one call.
+#: Smaller blocks pay the integrand's per-call numpy overhead more often;
+#: larger ones make temporaries that are mapped and unmapped every call.
+MC_BLOCK = 8192
 
 def mc_integrate(
     f: Callable[[np.ndarray], np.ndarray],
