@@ -174,6 +174,7 @@ def _chi2_dof(values: list[float], sigmas: list[float], mean: float) -> Optional
 #: larger ones make temporaries that are mapped and unmapped every call.
 MC_BLOCK = 8192
 
+
 def mc_integrate(
     f: Callable[[np.ndarray], np.ndarray],
     box: Sequence[tuple[float, float]],
@@ -198,6 +199,8 @@ def mc_integrate(
     x = np.empty((cfg.samples, len(box)))
     fx = np.empty(cfg.samples)
     scratch = np.empty(cfg.samples)
+    # Equal blocks leave no one-row tail: numpy computes a one-row x @ c
+    # as a vector dot, which rounds differently from the other rows.
     blocks = -(-cfg.samples // MC_BLOCK)
     edges = [k * cfg.samples // blocks for k in range(blocks + 1)]
     vals, sigmas, used, skipped = [], [], 0, 0
