@@ -362,7 +362,33 @@ def test_direct_answers_are_pinned(battery_trees):
     assert _answer_digest(res) == DIRECT_T20_AT8_DIGEST
 
 
+def test_simplex_answers_are_pinned(battery_trees):
+    # The simplex route's sampling kernel, bit for bit: the benchmark's
+    # repair-5 sweep query and its N(7,2)-switch query at the gate's budget
+    # (normal densities and survival factors), and a deeper tree whose
+    # regions triangulate into 2-D simplices.
+    repair5 = battery_variant(repair_time=5.0)
+    atoms = parse_property("m(grid_on) >= 1", repair5)
+    res = transient_probability(build_plt(repair5, 8.0), 8.0, atoms, method="simplex",
+                                cfg=McConfig(40_000, 5))
+    assert len(res.per_location) == 29
+    assert _answer_digest(res) == SIMPLEX_T8_R5_DIGEST
+    n72 = battery_variant(11.0, {"family": "normal", "mu": 7.0, "sigma": 2.0})
+    atoms = parse_property("m(demand_std) = 1", n72)
+    res = transient_probability(build_plt(n72, 8.0), 8.0, atoms, method="simplex",
+                                cfg=McConfig(40_000, 5))
+    assert len(res.per_location) == 5
+    assert _answer_digest(res) == SIMPLEX_T8_N72_DIGEST
+    res = transient_probability(battery_trees[20.0], 8.0, method="simplex",
+                                cfg=McConfig(4_000, 2))
+    assert len(res.per_location) == 81
+    assert _answer_digest(res) == SIMPLEX_T20_AT8_DIGEST
+
+
 INTERVALS_T20_AT16_DIGEST = "b2d931aebb63d05059f51248acae4e46cd23ca8de56e965c3a8711c89ec7d6a2"
+SIMPLEX_T8_R5_DIGEST = "2f1704fed0743d23ccbf91f1487e303fabd2bace273a61cd07c5f92543c79413"
+SIMPLEX_T8_N72_DIGEST = "b7c9d554d087807bfa3f9865682f9ff5613275eb6a7dddcb0872a0a59988f842"
+SIMPLEX_T20_AT8_DIGEST = "daf1ddc664aab9c48ec670a853453360ce54b1a1dab4b68990173b5f9ac97d74"
 DIRECT_T8_R5_DIGEST = "196402ad5bb9575716df9b7709a693e6aebd36ba9be482b634e2536e4b40fed0"
 DIRECT_T20_AT8_DIGEST = "9f196801fdf33640f896412d13cba67fb3f6e3524cb66d35a95b110278cdeb67"
 
