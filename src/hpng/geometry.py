@@ -298,11 +298,52 @@ def polytope_volume(verts: np.ndarray) -> float:
         return 0.0
 
 
+def _sorted_columns(u: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """The columns of ``u`` (n, d) with each row sorted, as d rows of
+    ``cols`` (d + 1, n), which is scratch.
+
+    The columns are copied into contiguous rows and sorted by an odd-even
+    transposition network: d rounds of compare-exchanges, each a
+    ``minimum`` into the spare row and a ``maximum`` in place.  Min and max
+    return the values ``np.sort`` puts in each place, so the sort is exact.
+    """
+    d = u.shape[1]
+    np.copyto(cols[:d], u.T)
+    rows = list(cols)
+    spare = rows.pop()
+    for r in range(d):
+        for i in range(r % 2, d - 1, 2):
+            np.minimum(rows[i], rows[i + 1], out=spare)
+            np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
+            rows[i], spare = spare, rows[i]
+    return rows
+
+
+def _unit_simplex_weights(rng: np.random.Generator, u: np.ndarray, cols: np.ndarray,
+                          w: np.ndarray) -> None:
+    """Fill ``w`` (n, d + 1) with barycentric weights uniform over the
+    standard simplex: the gaps between 0, a sorted draw into ``u`` (n, d)
+    and 1.  ``cols`` (d + 1, n) is scratch for ``_sorted_columns``.
+    """
+    rng.random(out=u)                   # the same stream as rng.random((n, d))
+    rows = _sorted_columns(u, cols)
+    d = len(rows)
+    w[:, 0] = rows[0]
+    for k in range(1, d):
+        np.subtract(rows[k], rows[k - 1], out=w[:, k])
+    np.subtract(1.0, rows[d - 1], out=w[:, d])
+
+
 def sample_unit_simplex(rng: np.random.Generator, dim: int, size: int) -> np.ndarray:
-    """Barycentric weights (size, dim+1) uniform over the standard simplex."""
-    u = np.sort(rng.random((size, dim)), axis=1)
-    padded = np.hstack([np.zeros((size, 1)), u, np.ones((size, 1))])
-    return np.diff(padded, axis=1)
+    """Barycentric weights (size, dim+1) uniform over the standard simplex.
+
+    The gaps between 0, a sorted uniform draw of ``dim`` values and 1; the
+    draw is ``rng.random((size, dim))``.  ``probability_over_simplex``
+    samples through the same kernel into buffers it reuses.
+    """
+    w = np.empty((size, dim + 1))
+    _unit_simplex_weights(rng, np.empty((size, dim)), np.empty((dim + 1, size)), w)
+    return w
 
 
 def probability_over_simplex(
@@ -311,27 +352,36 @@ def probability_over_simplex(
     cfg: McConfig,
     rng: np.random.Generator,
 ) -> McResult:
-    """Monte Carlo integral of a density over one simplex."""
+    """Monte Carlo integral of a density over one simplex.
+
+    Each of the iterations draws ``samples // iterations`` points (at least
+    2) into buffers allocated once per call.  Non-finite density values are
+    dropped and counted as skipped.
+    """
     vol = simplex_volume(verts) if verts.shape[1] > 1 else float(verts[1, 0] - verts[0, 0])
     if vol <= EPS_VOL:
         return McResult(0.0, 0.0, 0, 0)
     dim = verts.shape[1]
     n = max(cfg.samples // cfg.iterations, 2)
+    u, cols, w = np.empty((n, dim)), np.empty((dim + 1, n)), np.empty((n, dim + 1))
+    pts, dev = np.empty((n, dim)), np.empty(n)
     values, sigmas = [], []
     used = skipped = 0
     for _ in range(cfg.iterations):
-        w = sample_unit_simplex(rng, dim, n)
-        pts = w @ verts
-        fx = np.asarray(density(pts), dtype=float)
-        good = np.isfinite(fx)
-        skipped += int(n - good.sum())
-        fx = fx[good]
-        used += len(fx)
-        if len(fx) == 0:
+        _unit_simplex_weights(rng, u, cols, w)
+        fx = np.asarray(density(np.matmul(w, verts, out=pts)), dtype=float)
+        ok = np.isfinite(fx)
+        m = int(ok.sum())
+        skipped += n - m
+        used += m
+        if m == 0:
             continue
+        if m < n:
+            fx = fx[ok]
         mean = fx.mean()
         values.append(vol * mean)
-        sigmas.append(vol / len(fx) * np.sqrt(np.sum((fx - mean) ** 2)))
+        sq = np.square(np.subtract(fx, mean, out=dev[:m]), out=dev[:m])
+        sigmas.append(vol / m * np.sqrt(np.sum(sq)))
     if not values:
         return McResult(0.0, 0.0, used, skipped)
     value, sigma = _combine(np.array(values), np.array(sigmas))

@@ -31,12 +31,12 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 def pdf(dist: DistributionSpec, x: np.ndarray) -> np.ndarray:
     """Density of a firing-time distribution; zero for x < 0 by support."""
     x = np.asarray(x, dtype=float)
+    if dist.family == "uniform":
+        a, b = dist.params               # 0 <= a, so x >= a implies x >= 0
+        return np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
     out = np.zeros_like(x)
     pos = x >= 0
-    if dist.family == "uniform":
-        a, b = dist.params
-        out[pos & (x >= a) & (x <= b)] = 1.0 / (b - a)
-    elif dist.family == "normal":
+    if dist.family == "normal":
         # Truncated at 0 and renormalized so the support really is [0, inf).
         from scipy.special import ndtr
 
@@ -59,13 +59,18 @@ def pdf(dist: DistributionSpec, x: np.ndarray) -> np.ndarray:
 
 def cdf(dist: DistributionSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
+    if dist.family == "uniform":
+        # (x - a) / (b - a) clamped to [0, 1] in one buffer; fmax sends nan
+        # to 0, as the support test x >= 0 does
+        a, b = dist.params
+        out = np.subtract(x, a, out=np.empty_like(x))
+        out /= b - a
+        np.fmax(out, 0.0, out=out)
+        return np.fmin(out, 1.0, out=out)
     out = np.zeros_like(x)
     pos = x >= 0
     xp = x[pos]
-    if dist.family == "uniform":
-        a, b = dist.params
-        out[pos] = np.clip((xp - a) / (b - a), 0.0, 1.0)
-    elif dist.family == "normal":
+    if dist.family == "normal":
         from scipy.special import ndtr
 
         mu, sg = dist.params
@@ -240,19 +245,29 @@ class _Grid:
         self.bins = bins
         self.edges = np.tile(np.linspace(0.0, 1.0, bins + 1), (dim, 1))
 
-    def transform(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Map uniform u in [0,1) to grid points; return (x01, jac, bin index)."""
-        n, dim = u.shape
-        idx = np.minimum((u * self.bins).astype(int), self.bins - 1)
-        frac = u * self.bins - idx
-        x = np.empty_like(u)
-        jac = np.ones(n)
-        for d in range(dim):
-            left = self.edges[d, idx[:, d]]
-            width = self.edges[d, idx[:, d] + 1] - left
-            x[:, d] = left + frac[:, d] * width
-            jac *= width * self.bins
-        return x, jac, idx
+    def transform(self, u: np.ndarray, x: np.ndarray, jac: np.ndarray, idx: np.ndarray,
+                  tmp: np.ndarray) -> None:
+        """Map uniform u (n, dim) in [0,1) to grid points x01 in ``x``.
+
+        Fills ``jac`` (n,) with the Jacobian and ``idx`` (dim, n) with each
+        axis's bin index, one contiguous row per axis; ``tmp`` (2, n) is
+        scratch.
+        """
+        jac.fill(1.0)
+        scaled, width = tmp
+        for d in range(u.shape[1]):
+            bins, edges = idx[d], self.edges[d]
+            np.multiply(u[:, d], self.bins, out=scaled)
+            np.copyto(bins, scaled, casting="unsafe")     # truncates, as astype(int)
+            np.minimum(bins, self.bins - 1, out=bins)
+            frac = np.subtract(scaled, bins, out=scaled)
+            left = np.take(edges, bins, out=x[:, d])
+            np.take(edges[1:], bins, out=width)
+            width -= left
+            frac *= width
+            left += frac                                   # left + frac * width
+            width *= self.bins
+            jac *= width
 
     def refine(self, weight: np.ndarray, damping: float = 0.75) -> None:
         """Move edges so accumulated |f| mass spreads evenly across bins."""
@@ -302,31 +317,38 @@ def vegas_integrate(
     dim = len(box)
     grid = _Grid(dim, cfg.grid_bins)
 
+    n = cfg.samples
+    u, x = np.empty((n, dim)), np.empty((n, dim))
+    jac, contrib, idx = np.empty(n), np.empty(n), np.empty((dim, n), dtype=np.intp)
+    scratch = np.empty((2, n))
     vals, sigmas, used, skipped = [], [], 0, 0
     for _ in range(cfg.iterations):
-        u = rng.uniform(size=(cfg.samples, dim))
-        x01, jac, idx = grid.transform(u)
-        x = lo + x01 * span
+        rng.random(out=u)               # the same stream as uniform(size=(n, dim))
+        grid.transform(u, x, jac, idx, scratch)
+        x *= span
+        x += lo
         fx = np.asarray(f(x), dtype=float)
         ok = np.isfinite(fx)
-        skipped += int((~ok).sum())
-        fx = np.where(ok, fx, 0.0)
-        n = int(ok.sum())
-        used += n
-        contrib = fx * jac  # importance-weighted integrand on [0,1)^dim
+        good = int(ok.sum())
+        skipped += n - good
+        used += good
+        np.multiply(fx, jac, out=contrib)     # importance-weighted integrand on [0,1)^dim
+        if good < n:
+            contrib[~ok] = 0.0
         mean = contrib.mean()
         est = vol * mean
-        var = (vol * vol / (cfg.samples * cfg.samples)) * float(((contrib - mean) ** 2).sum())
+        dev = np.subtract(contrib, mean, out=scratch[0])
+        var = (vol * vol / (n * n)) * float(np.square(dev, out=dev).sum())
         vals.append(est)
         sigmas.append(math.sqrt(var))
         # Mean |f|*jac per bin and axis drives refinement.  A mean, not a
         # sum, so the random number of samples landing in a bin does not
         # bend the grid: a constant integrand keeps its uniform grid.
-        w = np.abs(contrib)
+        w = np.abs(contrib, out=scratch[0])
         imp = np.zeros((dim, cfg.grid_bins))
         for d in range(dim):
-            sums = np.bincount(idx[:, d], weights=w, minlength=cfg.grid_bins)
-            counts = np.bincount(idx[:, d], minlength=cfg.grid_bins)
+            sums = np.bincount(idx[d], weights=w, minlength=cfg.grid_bins)
+            counts = np.bincount(idx[d], minlength=cfg.grid_bins)
             imp[d] = sums / np.maximum(counts, 1)
         grid.refine(imp)
     value, sigma = _combine(vals, sigmas)

@@ -133,9 +133,12 @@ def pending_vars(
 
 def _survival(factors: Sequence[tuple[DistributionSpec, LinearForm]],
               vals: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``w`` times 1 - F(lower) of every factor, at each row of ``vals``."""
+    """``w`` times 1 - F(lower) of every factor, at each row of ``vals``.
+
+    ``w`` is multiplied in place: every caller passes a fresh array.
+    """
     for dist, lf in factors:
-        w = w * (1.0 - cdf(dist, lf.evaluate_batch(vals)))
+        w *= 1.0 - cdf(dist, lf.evaluate_batch(vals))
     return w
 
 

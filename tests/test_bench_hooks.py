@@ -10,9 +10,9 @@ import hpng.simulate
 import hpng.symbolic
 import hpng.transient
 import hpng.tree
-from hpng.geometry import EPS_VOL, bounding_box
+from hpng.geometry import EPS_VOL, bounding_box, triangulate, vertex_enumeration
 from hpng.montecarlo import stream
-from hpng.transient import candidate_locations, location_region_terms
+from hpng.transient import candidate_locations, location_region_terms, pending_vars
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -151,3 +151,39 @@ def test_traced_direct_queries_sample_through_the_kernel(monkeypatch, reservoir_
     counts = tracer.counts
     assert counts["samples_used"] + counts["samples_skipped"] == \
         boxed * cfg.samples * cfg.iterations
+
+
+def test_traced_simplex_queries_sample_through_the_kernel(monkeypatch, reservoir_tree,
+                                                          battery_tree):
+    # geometry.simplex_integrate_s and montecarlo.density_s must read the
+    # simplex route's sampling: every triangulated simplex reaches the
+    # wrapped probability_over_simplex once, its density reaches the
+    # wrapped pdf once per variable and cdf once per pending firing in
+    # each iteration (a location with no variable takes the cdf once per
+    # pending firing, outside the kernel), and each simplex spends samples // iterations points
+    # per iteration.
+    tracing = _tracing(monkeypatch)
+    queries = ((reservoir_tree, 8.0), (battery_tree, 6.0))
+    cfg = hpng.McConfig(samples=3_001, iterations=2, seed=0)
+    simplices = pdfs = cdfs = 0
+    for tree, t_prime in queries:
+        for loc in candidate_locations(tree, t_prime):
+            for _, poly, _ in location_region_terms(tree.model, tree, loc, t_prime):
+                pending = len(pending_vars(tree.model, loc, t_prime))
+                if poly is None:            # a closed-form survival product
+                    cdfs += pending
+                    continue
+                k = len(triangulate(vertex_enumeration(poly)))
+                simplices += k
+                pdfs += k * poly.dim * cfg.iterations
+                cdfs += k * pending * cfg.iterations
+    assert simplices > 0 and cdfs > 0
+    with tracing.install(tracing.Tracer()) as tracer:
+        for tree, t_prime in queries:
+            hpng.transient.transient_probability(tree, t_prime, method="simplex", cfg=cfg)
+    aggs, counts = tracer.aggs, tracer.counts
+    assert aggs["geometry.probability_over_simplex"].calls == counts["simplices"] == simplices
+    assert aggs["montecarlo.pdf"].calls == pdfs
+    assert aggs["montecarlo.cdf"].calls == cdfs
+    assert counts["samples_used"] + counts["samples_skipped"] == \
+        simplices * (cfg.samples // cfg.iterations) * cfg.iterations

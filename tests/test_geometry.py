@@ -16,6 +16,7 @@ from hpng.geometry import (
     EPS_VERTEX,
     EPS_VOL,
     HPolytope,
+    _sorted_columns,
     bounding_box,
     chebyshev_center,
     make_polytope,
@@ -560,3 +561,85 @@ def test_direct_kernel_is_the_all_rows_reference(poly, samples, iterations, seed
     want = _reference_direct(poly, density, cfg, stream(seed, 1))
     got = probability_over_region_direct(poly, density, cfg, stream(seed, 1))
     assert _hex(got) == _hex(want)
+
+
+# ---------------------------------------------------------------------------
+# the simplex route's kernel against allocating every array per iteration
+
+
+def _reference_simplex(verts, density, cfg, rng):
+    """``probability_over_simplex`` sorting with ``np.sort`` and allocating
+    every array afresh in each iteration."""
+    vol = simplex_volume(verts) if verts.shape[1] > 1 else float(verts[1, 0] - verts[0, 0])
+    if vol <= EPS_VOL:
+        return McResult(0.0, 0.0, 0, 0)
+    dim = verts.shape[1]
+    n = max(cfg.samples // cfg.iterations, 2)
+    values, sigmas = [], []
+    used = skipped = 0
+    for _ in range(cfg.iterations):
+        u = np.sort(rng.random((n, dim)), axis=1)
+        w = np.diff(np.hstack([np.zeros((n, 1)), u, np.ones((n, 1))]), axis=1)
+        fx = np.asarray(density(w @ verts), dtype=float)
+        good = np.isfinite(fx)
+        skipped += int(n - good.sum())
+        fx = fx[good]
+        used += len(fx)
+        if len(fx) == 0:
+            continue
+        mean = fx.mean()
+        values.append(vol * mean)
+        sigmas.append(vol / len(fx) * np.sqrt(np.sum((fx - mean) ** 2)))
+    if not values:
+        return McResult(0.0, 0.0, used, skipped)
+    value, sigma = _combine(np.array(values), np.array(sigmas))
+    return McResult(value, sigma, used, skipped)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 7), samples=st.sampled_from([2, 3, 5, 7, 999, 4_001, 40_000]),
+       iterations=st.integers(1, 5), seed=st.integers(0, 2 ** 16),
+       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]), degenerate=st.booleans())
+def test_simplex_kernel_is_the_allocating_reference(dim, samples, iterations, seed, bad,
+                                                    degenerate):
+    # Reused buffers, the sorting network and the skipped gather change no
+    # value, sigma or sample count; a density that returns nan or inf on
+    # some rows, and a simplex of no volume, included.
+    rng = np.random.default_rng(seed)
+    verts = rng.uniform(-3.0, 5.0, size=(dim + 1, dim))
+    if degenerate:
+        verts[-1] = verts[0] if dim == 1 else 0.5 * (verts[0] + verts[1])
+    c = np.linspace(0.3, 0.9, dim)
+
+    def density(pts):
+        out = np.exp(-0.1 * (pts @ c)) * (1.0 + pts[:, 0] ** 2)
+        if bad is not None:
+            out[pts[:, -1] > np.median(verts[:, -1])] = bad
+        return out
+
+    cfg = McConfig(samples=samples, iterations=iterations, seed=seed)
+    want = _reference_simplex(verts, density, cfg, stream(seed, 2))
+    got = probability_over_simplex(verts, density, cfg, stream(seed, 2))
+    assert _hex(got) == _hex(want)
+    if degenerate:
+        assert _hex(got) == _hex(McResult(0.0, 0.0, 0, 0))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_sorting_network_is_np_sort(dim):
+    # Every row of random draws, and of rows with ties and zeros, comes
+    # out of the network with the bytes np.sort gives; so do the weights
+    # of sample_unit_simplex.
+    rng = np.random.default_rng(dim)
+    draws = rng.random((5_000, dim))
+    ties = rng.choice([0.0, 0.25, 0.5, 1.0 - 2.0 ** -53], size=(5_000, dim))
+    ties[::7] = 0.0
+    ties[1::7] = 0.5
+    for u in (draws, ties, np.ascontiguousarray(draws[:1])):
+        cols = np.empty((dim + 1, len(u)))
+        got = np.stack(_sorted_columns(u, cols), axis=1)
+        assert got.tobytes() == np.sort(u, axis=1).tobytes()
+    # sample_unit_simplex samples through the same network
+    u = np.sort(stream(dim, 0).random((1_001, dim)), axis=1)
+    want = np.diff(np.hstack([np.zeros((1_001, 1)), u, np.ones((1_001, 1))]), axis=1)
+    assert sample_unit_simplex(stream(dim, 0), dim, 1_001).tobytes() == want.tobytes()

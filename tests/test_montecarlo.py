@@ -56,6 +56,51 @@ def test_samples_match_cdf(dist):
         assert float(cdf(dist, np.array([emp]))[0]) == pytest.approx(q, abs=0.02)
 
 
+def _masked_uniform_pdf(a, b, x):
+    """The uniform density through a support mask and a scatter."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x >= 0
+    out[pos & (x >= a) & (x <= b)] = 1.0 / (b - a)
+    return out
+
+
+def _masked_uniform_cdf(a, b, x):
+    """The uniform CDF through a support mask, a gather and a scatter."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x >= 0
+    out[pos] = np.clip((x[pos] - a) / (b - a), 0.0, 1.0)
+    return out
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 10.0), (6.0, 10.0), (0.0, 1e-3)])
+def test_uniform_density_is_the_masked_form(a, b):
+    # The mask-free uniform pdf and survival 1 - F give the masked forms'
+    # bytes at signed zeros, both support ends and their neighbouring
+    # floats, infinities, nan and negative values; for 0-d inputs and
+    # strided column views too.
+    dist = DistributionSpec("uniform", (a, b))
+    ends = [v for e in (a, b) for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+    xs = np.array([-0.0, 0.0, *ends, np.inf, -np.inf, np.nan, -1.0, -5e-324, 0.5 * (a + b),
+                   2.0 * b])
+    wide = np.stack([xs, -xs, xs[::-1]], axis=1)
+    inputs = [xs, wide, wide[:, 1], wide[::2, 2]] + [np.float64(x) for x in xs] + list(xs)
+    for x in inputs:
+        got, want = pdf(dist, x), _masked_uniform_pdf(a, b, x)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), x
+        got, want = cdf(dist, x), _masked_uniform_cdf(a, b, x)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert (1.0 - got).tobytes() == (1.0 - want).tobytes(), x
+        # F itself enters only as 1 - F.  Its bytes match too, except that
+        # at x = -0.0 with a = 0 the sign of the zero is the one fmax or
+        # clip keep, which 1 - F cannot see.
+        signed = np.signbit(x) & (np.asarray(x) == 0.0) & (a == 0.0)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.where(signed, 0.0, got).tobytes() == np.where(signed, 0.0, want).tobytes()
+
+
 def test_stream_reproducible_and_task_independent():
     a = stream(5, 1).uniform(size=8)
     b = stream(5, 1).uniform(size=8)
