@@ -8,6 +8,9 @@ interval takes the same vertices in closed form.  Degenerate
 (lower-dimensional) regions count as measure zero and come back empty,
 and a region's bounding box is the box of its vertices.  Direct sampling
 through that box tests a sample only against the rows that cut the box.
+Simplex sampling reuses its buffers across iterations and sorts each
+uniform draw with a network of min/max compare-exchanges, which puts the
+values ``np.sort`` would in each place.
 ``chebyshev_center`` is the one LP left, for callers that want a
 region's largest inscribed ball.
 

@@ -3,8 +3,9 @@
 Two estimators over an axis-aligned box: a plain one and a VEGAS-style one
 with separable per-axis importance grids.  Both report the naive error
 estimate sigma^2 = V^2/N^2 * sum (f_i - <f>)^2 per iteration and combine
-iterations by inverse variance.  The plain one reuses its buffers across
-iterations and calls the integrand on row blocks of at most ``MC_BLOCK``.  Streams are counter-based (numpy Philox
+iterations by inverse variance.  Both draw into buffers that every
+iteration of a call reuses, and the plain one calls the integrand on row
+blocks of at most ``MC_BLOCK``.  Streams are counter-based (numpy Philox
 keyed through SeedSequence), so task k of seed s always sees the same
 numbers no matter how many workers run.
 
