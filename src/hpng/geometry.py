@@ -406,8 +406,6 @@ def probability_over_region_direct(
     if box is None:
         return McResult(0.0, 0.0, 0, 0)
     lo, hi = box
-    if np.any(hi - lo <= EPS_VOL):
-        return McResult(0.0, 0.0, 0, 0)
     cuts = np.where(poly.a > 0.0, poly.a * hi, poly.a * lo).sum(axis=1) > poly.b
     rows = list(zip(poly.a[cuts], poly.b[cuts] + EPS_GEOM))
 

@@ -24,6 +24,8 @@ import numpy as np
 from .model import DistributionSpec
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+#: Bins per axis of the VEGAS grid.
+GRID_BINS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +118,10 @@ def sample(dist: DistributionSpec, rng: np.random.Generator, size=None) -> np.nd
 class McConfig:
     samples: int = 100_000
     iterations: int = 5
-    grid_bins: int = 64
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 2 or self.iterations < 1 or self.grid_bins < 2:
+        if self.samples < 2 or self.iterations < 1:
             raise ValueError("McConfig out of range")
 
 
@@ -240,11 +241,10 @@ def mc_integrate(
 # VEGAS
 
 class _Grid:
-    """Per-axis adaptive grid mapping [0,1) onto the box via bin edges."""
+    """Per-axis adaptive grid mapping [0,1) onto the box via ``GRID_BINS`` bin edges."""
 
-    def __init__(self, dim: int, bins: int):
-        self.bins = bins
-        self.edges = np.tile(np.linspace(0.0, 1.0, bins + 1), (dim, 1))
+    def __init__(self, dim: int):
+        self.edges = np.tile(np.linspace(0.0, 1.0, GRID_BINS + 1), (dim, 1))
 
     def transform(self, u: np.ndarray, x: np.ndarray, jac: np.ndarray, idx: np.ndarray,
                   tmp: np.ndarray) -> None:
@@ -258,19 +258,19 @@ class _Grid:
         scaled, width = tmp
         for d in range(u.shape[1]):
             bins, edges = idx[d], self.edges[d]
-            np.multiply(u[:, d], self.bins, out=scaled)
+            np.multiply(u[:, d], GRID_BINS, out=scaled)
             np.copyto(bins, scaled, casting="unsafe")     # truncates, as astype(int)
-            np.minimum(bins, self.bins - 1, out=bins)
+            np.minimum(bins, GRID_BINS - 1, out=bins)
             frac = np.subtract(scaled, bins, out=scaled)
             left = np.take(edges, bins, out=x[:, d])
             np.take(edges[1:], bins, out=width)
             width -= left
             frac *= width
             left += frac                                   # left + frac * width
-            width *= self.bins
+            width *= GRID_BINS
             jac *= width
 
-    def refine(self, weight: np.ndarray, damping: float = 0.75) -> None:
+    def refine(self, weight: np.ndarray) -> None:
         """Move edges so accumulated |f| mass spreads evenly across bins."""
         for d in range(weight.shape[0]):
             w = weight[d].copy()
@@ -280,15 +280,14 @@ class _Grid:
             sm = np.empty_like(w)
             sm[0] = (7 * w[0] + w[1]) / 8
             sm[-1] = (w[-2] + 7 * w[-1]) / 8
-            if len(w) > 2:
-                sm[1:-1] = (w[:-2] + 6 * w[1:-1] + w[2:]) / 8
+            sm[1:-1] = (w[:-2] + 6 * w[1:-1] + w[2:]) / 8
             sm /= sm.sum()
             nz = sm > 0
             d_imp = np.zeros_like(sm)
-            d_imp[nz] = sm[nz] ** damping
+            d_imp[nz] = sm[nz] ** 0.75
             d_imp /= d_imp.sum()
             cum = np.concatenate(([0.0], np.cumsum(d_imp)))
-            targets = np.linspace(0.0, 1.0, self.bins + 1)
+            targets = np.linspace(0.0, 1.0, GRID_BINS + 1)
             old = self.edges[d]
             new = np.interp(targets, cum, old)
             new[0], new[-1] = 0.0, 1.0
@@ -303,8 +302,8 @@ def vegas_integrate(
 ) -> McResult:
     """VEGAS-style importance sampling over the box.
 
-    Separable per-axis grids are refined after each iteration toward equal
-    |f| mass per bin; estimates from all iterations combine by inverse
+    Separable per-axis grids of ``GRID_BINS`` bins are refined after each
+    iteration toward equal |f| mass per bin; estimates combine by inverse
     variance, which keeps early badly-adapted iterations from dominating.
     The result carries the iterations' chi^2 / dof (``_chi2_dof``).
     """
@@ -316,7 +315,7 @@ def vegas_integrate(
         return McResult(0.0, 0.0, 0)
     rng = rng if rng is not None else stream(cfg.seed)
     dim = len(box)
-    grid = _Grid(dim, cfg.grid_bins)
+    grid = _Grid(dim)
 
     n = cfg.samples
     u, x = np.empty((n, dim)), np.empty((n, dim))
@@ -346,10 +345,10 @@ def vegas_integrate(
         # sum, so the random number of samples landing in a bin does not
         # bend the grid: a constant integrand keeps its uniform grid.
         w = np.abs(contrib, out=scratch[0])
-        imp = np.zeros((dim, cfg.grid_bins))
+        imp = np.zeros((dim, GRID_BINS))
         for d in range(dim):
-            sums = np.bincount(idx[d], weights=w, minlength=cfg.grid_bins)
-            counts = np.bincount(idx[d], minlength=cfg.grid_bins)
+            sums = np.bincount(idx[d], weights=w, minlength=GRID_BINS)
+            counts = np.bincount(idx[d], minlength=GRID_BINS)
             imp[d] = sums / np.maximum(counts, 1)
         grid.refine(imp)
     value, sigma = _combine(vals, sigmas)

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .model import GUARD_OPS, HPnGModel
+from .symbolic import EPS
 
 _ATOM = re.compile(
     r"^\s*(?P<fn>[mx])\s*\(\s*(?P<place>[A-Za-z0-9_.-]+)\s*\)\s*"
@@ -76,14 +77,13 @@ def holds_concrete(
     atoms: list[Atom],
     marking: dict[str, int],
     levels: dict[str, float],
-    eps: float = 1e-9,
 ) -> bool:
-    """Evaluate a property on concrete numbers, as the simulator sees them."""
+    """Evaluate a property on concrete numbers, levels to within EPS, as the simulator does."""
     for a in atoms:
         if a.kind == "m":
             if not compare(a.op, float(marking[a.place]), a.value):
                 return False
         else:
-            if not compare(a.op, levels[a.place], a.value, eps):
+            if not compare(a.op, levels[a.place], a.value, EPS):
                 return False
     return True

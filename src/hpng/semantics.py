@@ -36,6 +36,9 @@ from .symbolic import (
     extremal_value,
 )
 
+#: Most passes ``rate_adaptation`` makes before it gives up on a fixed point.
+RATE_PASSES = 100
+
 
 class UnsupportedModelError(RuntimeError):
     """Raised when a model needs machinery beyond the supported fragment."""
@@ -49,6 +52,12 @@ def check_horizon(tau_max: float) -> None:
     """Raise ``ValueError`` unless the horizon tau_max is finite and >= 0."""
     if not (math.isfinite(tau_max) and tau_max >= 0.0):
         raise ValueError(f"horizon {tau_max} is not a finite number >= 0")
+
+
+def check_observation(t: float, tau_max: float) -> None:
+    """Raise ``ValueError`` unless the observation time t lies in [0, tau_max] up to EPS."""
+    if not -EPS <= t <= tau_max + EPS:     # nan fails too
+        raise ValueError(f"observation time {t} outside [0, {tau_max}]")
 
 
 class EventKind(Enum):
@@ -361,7 +370,6 @@ def rate_adaptation(
     enab: dict[str, bool],
     at_lower: set[str],
     at_upper: set[str],
-    max_passes: int = 100,
 ) -> tuple[dict[str, float], dict[str, float]]:
     """Actual flow rates and drifts under boundary adaptation.
 
@@ -370,14 +378,14 @@ def rate_adaptation(
     places: inflow down to outflow at an upper bound, outflow down to inflow
     at a lower bound, allocating by descending priority and within one
     priority proportionally to share (capped by nominal).  Repeats until the
-    rate vector is stable.
+    rate vector is stable, or raises ``UnsupportedModelError`` after ``RATE_PASSES``.
     """
     statics = {t.id: (t.rate if enab[t.id] else 0.0) for t in model.static_continuous}
     actual = dict(statics)
     for t in model.dynamic_continuous:
         actual[t.id] = 0.0
 
-    for _ in range(max_passes):
+    for _ in range(RATE_PASSES):
         prev = dict(actual)
         nominal = dict(statics)
         for t in model.dynamic_continuous:

@@ -40,6 +40,7 @@ from .semantics import (
     ResourceLimitError,
     bound_ahead,
     check_horizon,
+    check_observation,
     compile_net,
     enabled_row,
     enabling,
@@ -52,6 +53,8 @@ from .semantics import (
 from .symbolic import EPS
 
 MAX_STEPS = 1_000_000
+MIN_RUNS = 100     # fewest runs before estimate_probability may stop early
+Z = 1.96           # normal quantile of the Wilson interval: 95% two-sided
 
 
 @dataclass(frozen=True)
@@ -271,11 +274,6 @@ def _apply(run: _Run, ev: tuple, values: dict, fired: list) -> None:
     _enter(run, _pins_after_step(run))
 
 
-def _check_observation(observe_at: float, tau_max: float) -> None:
-    if not (-EPS <= observe_at <= tau_max + EPS):
-        raise ValueError(f"observation time {observe_at} outside [0, {tau_max}]")
-
-
 def simulate_run(
     model: HPnGModel,
     tau_max: float,
@@ -297,7 +295,7 @@ def simulate_run(
     """
     check_horizon(tau_max)
     if observe_at is not None:
-        _check_observation(observe_at, tau_max)
+        check_observation(observe_at, tau_max)
     if rng is None:
         rng = stream(0, 0)
     if net is None:
@@ -326,14 +324,13 @@ def simulate_run(
     obs_m: Optional[dict[str, int]] = None
     obs_x: Optional[dict[str, float]] = None
 
-    def observe(now_delta: float) -> None:
+    def observe() -> None:     # at observe_at, which lies in the step ahead
         nonlocal obs_m, obs_x
         if observe_at is None or obs_m is not None:
             return
-        if run.time + now_delta >= observe_at - EPS:
-            dt = observe_at - run.time
-            obs_m = dict(zip(marking_ids, run.m))
-            obs_x = {pid: lvl + d * dt for pid, lvl, d in zip(place_ids, run.x, run.drift)}
+        dt = observe_at - run.time
+        obs_m = dict(zip(marking_ids, run.m))
+        obs_x = {pid: lvl + d * dt for pid, lvl, d in zip(place_ids, run.x, run.drift)}
 
     horizon = tau_max + EPS
     for steps in range(MAX_STEPS):     # steps: the events applied so far
@@ -358,7 +355,7 @@ def simulate_run(
             choice = tied[won[k][0]]
         delta = max(best, 0.0)
         if observe_at is not None and run.time + delta > observe_at + EPS:
-            observe(delta)
+            observe()
         _advance(run, delta)
         _apply(run, choice, values, fired)
         if keep_trace:
@@ -366,12 +363,9 @@ def simulate_run(
     else:
         raise ResourceLimitError(f"simulation exceeded the step limit of {MAX_STEPS}")
 
+    observe()     # observe_at <= tau_max + EPS, and no step passed it
     if run.time < tau_max:
-        if observe_at is not None and tau_max >= observe_at - EPS:
-            observe(tau_max - run.time)
         _advance(run, tau_max - run.time)
-    elif observe_at is not None:
-        observe(0.0)
 
     return SimResult(run.time, dict(zip(marking_ids, run.m)), dict(zip(place_ids, run.x)),
                      trace, fired, obs_m, obs_x, steps)
@@ -382,9 +376,9 @@ class SimEstimate:
     """A simulated probability with its error.
 
     ``sigma`` is the plug-in binomial standard error, which is 0 when no
-    run or every run hits; ``half_width`` is the half width of the z-scaled
-    Wilson score interval, which stays open there.  ``error``, that half
-    width divided by z, is the error the command line reports.
+    run or every run hits; ``half_width`` is the half width of the Wilson
+    score interval at ``Z`` (95%), which stays open there.  ``error``, that
+    half width divided by ``Z``, is the error the command line reports.
     ``steps`` counts the events applied over all runs and ``modes`` the step
     plans built, so 1 - modes / steps is the share of steps that found
     their plan in the memo.
@@ -394,23 +388,22 @@ class SimEstimate:
     sigma: float
     runs: int
     half_width: float
-    z: float
     steps: int
     modes: int
 
     @property
     def error(self) -> float:
-        return self.half_width / self.z
+        return self.half_width / Z
 
 
-def _wilson_half_width(hits: int, n: int, z: float) -> float:
-    """Half the width of the Wilson score interval for ``hits`` out of ``n``.
+def _wilson_half_width(hits: int, n: int) -> float:
+    """Half the width of the Wilson score interval at ``Z`` for ``hits`` out of ``n``.
 
     Unlike the Wald interval it stays open when no run or every run hits.
     """
     p = hits / n
-    z2n = z * z / n
-    return z / (1.0 + z2n) * float(np.sqrt(p * (1.0 - p) / n + z2n / (4.0 * n)))
+    z2n = Z * Z / n
+    return Z / (1.0 + z2n) * float(np.sqrt(p * (1.0 - p) / n + z2n / (4.0 * n)))
 
 
 def estimate_probability(
@@ -420,22 +413,20 @@ def estimate_probability(
     atoms: list[Atom],
     seed: int = 0,
     runs: int = 10_000,
-    min_runs: int = 100,
     half_width: Optional[float] = None,
-    z: float = 1.96,
 ) -> SimEstimate:
     """Fraction of runs satisfying the property at t_prime.
 
     ``sigma`` is the binomial standard error at the observed fraction, and
-    ``half_width`` the half width of the z-scaled Wilson score interval.
+    ``half_width`` the half width of the Wilson score interval at ``Z``.
     Stops early once that half width drops under ``half_width`` (when
-    given), but never before ``min_runs`` runs.  Raises ``ValueError``
-    unless tau_max is finite and >= 0 and runs >= 1.
+    given), but never before ``MIN_RUNS`` runs.  Raises ``ValueError``
+    unless tau_max is finite and >= 0, t_prime is in [0, tau_max], runs >= 1.
     """
     check_horizon(tau_max)
     if runs < 1:
         raise ValueError(f"runs must be at least 1, not {runs}")
-    _check_observation(t_prime, tau_max)
+    check_observation(t_prime, tau_max)
     net = compile_net(model)    # shared by every run, with its drift and plan memos
     hits = 0
     n = 0
@@ -447,9 +438,9 @@ def estimate_probability(
             hits += 1
         n += 1
         steps += res.steps
-        if (half_width is not None and n >= min_runs
-                and _wilson_half_width(hits, n, z) <= half_width):
+        if (half_width is not None and n >= MIN_RUNS
+                and _wilson_half_width(hits, n) <= half_width):
             break
     p = hits / n
     sigma = float(np.sqrt(max(p * (1 - p), 0.0) / n))
-    return SimEstimate(p, sigma, n, _wilson_half_width(hits, n, z), z, steps, len(net.plans))
+    return SimEstimate(p, sigma, n, _wilson_half_width(hits, n), steps, len(net.plans))

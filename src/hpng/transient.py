@@ -54,7 +54,7 @@ from .model import DistributionSpec, HPnGModel
 from .montecarlo import McConfig, McResult, cdf, stream, vegas_integrate
 from .montecarlo import pdf as dist_pdf
 from .props import Atom, compare
-from .semantics import UnsupportedModelError
+from .semantics import UnsupportedModelError, check_observation
 from .symbolic import EPS, LinearForm, SymInterval, const, extremal_value, var
 from .tree import ParametricLocation, PLTree, _nonempty, pending_rvs, restrict
 
@@ -538,8 +538,7 @@ def transient_probability(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if not -EPS <= t_prime <= tree.tau_max + EPS:     # nan fails too
-        raise ValueError(f"t'={t_prime} outside the tree horizon {tree.tau_max}")
+    check_observation(t_prime, tree.tau_max)
     cfg = cfg or McConfig()
     model = tree.model
     atoms = atoms or []

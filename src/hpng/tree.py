@@ -52,6 +52,9 @@ from .symbolic import (
     var,
 )
 
+#: Most locations ``build_plt`` builds before it raises ``ResourceLimitError``.
+MAX_LOCATIONS = 1_000_000
+
 
 @dataclass(frozen=True)
 class DetExit:
@@ -292,13 +295,14 @@ def _child_state(model: HPnGModel, st: SymState, ev: Event, delta: LinearForm,
     return finalize_state(m, moved.x, tuple(c), tuple(g), gs_cont, net)
 
 
-def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) -> PLTree:
+def build_plt(model: HPnGModel, tau_max: float) -> PLTree:
     """Breadth-first unfolding of the symbolic state space up to tau_max.
 
     An exit or a random firing whose cell has zero measure (some width at
     most EPS over the whole cell, see ``_nonempty``) is dropped together
     with the subtree below it: it carries no probability at any t'.
-    Raises ``ValueError`` unless tau_max is finite and >= 0.
+    Raises ``ValueError`` unless tau_max is finite and >= 0, and
+    ``ResourceLimitError`` once the tree would exceed ``MAX_LOCATIONS``.
     """
     check_horizon(tau_max)
     net = compile_net(model)    # tables and drift memo for this build
@@ -326,7 +330,7 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
                 loc.det_exits.append(DetExit(delta, tuple(cuts), latest))
                 for ev, pw in resolve_conflict(model, grp):
                     _spawn(model, locs, queue, loc, ev, ev.delta, list(cuts),
-                           pw, None, tau_max, max_locations, net)
+                           pw, None, tau_max, net)
         if not groups:
             contexts.append((None, list(loc.domain)))
 
@@ -345,7 +349,7 @@ def build_plt(model: HPnGModel, tau_max: float, max_locations: int = 1_000_000) 
                 fire_delta = var(n) - g_form
                 _spawn(model, locs, queue, loc, gev, fire_delta,
                        list(cuts) + [interval], 1.0,
-                       RvId(gev.target, count), tau_max, max_locations, net)
+                       RvId(gev.target, count), tau_max, net)
 
     return PLTree(model, tau_max, locs)
 
@@ -361,15 +365,14 @@ def _spawn(
     p: float,
     new_rv: Optional[RvId],
     tau_max: float,
-    max_locations: int,
     net: CompiledNet,
 ) -> None:
     entry = parent.entry + delta
     earliest = extremal_value(entry, domain, "min")
     if earliest > tau_max + EPS:
         return
-    if len(locs) >= max_locations:
-        raise ResourceLimitError(f"location tree exceeds {max_locations} nodes")
+    if len(locs) >= MAX_LOCATIONS:
+        raise ResourceLimitError(f"location tree exceeds {MAX_LOCATIONS} nodes")
     state = _child_state(model, parent.state, ev, delta, net)
     child = ParametricLocation(
         id=len(locs), parent=parent.id, source=ev.describe(),

@@ -1,0 +1,36 @@
+"""The public settings, pinned.
+
+Each limit, grid size and tolerance a caller cannot change is a module
+constant, so the parameters below are all there is to configure.  Adding
+one is a deliberate edit here.
+"""
+
+import dataclasses
+import inspect
+
+from hpng.montecarlo import McConfig
+from hpng.props import holds_concrete
+from hpng.semantics import rate_adaptation
+from hpng.simulate import SimEstimate, estimate_probability
+from hpng.tree import build_plt
+
+
+def parameters(fn) -> list[str]:
+    return list(inspect.signature(fn).parameters)
+
+
+def test_mc_config_fields():
+    assert [f.name for f in dataclasses.fields(McConfig)] == ["samples", "iterations", "seed"]
+
+
+def test_entry_point_parameters():
+    assert parameters(estimate_probability) == [
+        "model", "tau_max", "t_prime", "atoms", "seed", "runs", "half_width"]
+    assert parameters(build_plt) == ["model", "tau_max"]
+    assert parameters(rate_adaptation) == ["model", "enab", "at_lower", "at_upper"]
+    assert parameters(holds_concrete) == ["model", "atoms", "marking", "levels"]
+
+
+def test_sim_estimate_fields():
+    assert [f.name for f in dataclasses.fields(SimEstimate)] == [
+        "p", "sigma", "runs", "half_width", "steps", "modes"]

@@ -6,8 +6,8 @@ import pytest
 
 import hpng.cli
 import hpng.simulate
+import hpng.tree
 from hpng.cli import main
-from hpng.tree import build_plt
 
 from conftest import MODELS
 
@@ -200,8 +200,7 @@ def test_fewer_than_one_run_exits_one(monkeypatch, capsys, command, runs):
 ])
 def test_horizon_not_finite_and_non_negative_exits_one(monkeypatch, capsys, argv):
     # nan and inf would unfold without end; tight caps keep a lost check quick
-    monkeypatch.setattr(hpng.cli, "build_plt",
-                        lambda model, tau: build_plt(model, tau, max_locations=100))
+    monkeypatch.setattr(hpng.tree, "MAX_LOCATIONS", 100)
     monkeypatch.setattr(hpng.simulate, "MAX_STEPS", 100)
     command, *options = argv
     code, out, err = run(capsys, command, RESERVOIR, *options)
@@ -223,8 +222,7 @@ def test_simulate_rejects_a_sampler_budget():
 
 
 def test_location_cap_exits_two(monkeypatch, capsys):
-    monkeypatch.setattr(hpng.cli, "build_plt",
-                        lambda model, tau: build_plt(model, tau, max_locations=3))
+    monkeypatch.setattr(hpng.tree, "MAX_LOCATIONS", 3)
     code, _, err = run(capsys, "plt", RESERVOIR, "--tau-max", "10")
     assert code == 2
     assert "resource limit:" in err

@@ -386,6 +386,8 @@ def test_vertices_and_boxes_match_the_lp_reference(region_sample):
             continue
         assert polytope_volume(got) == pytest.approx(polytope_volume(ref), abs=1e-9)
         lo, hi = bounding_box(poly)
+        # a box this thin would have no vertices, so the direct route never sees one
+        assert np.all(hi - lo > EPS_VOL)
         ref_lo, ref_hi = reference_box(poly)
         assert np.max(np.abs(lo - ref_lo)) <= 1e-9
         assert np.max(np.abs(hi - ref_hi)) <= 1e-9

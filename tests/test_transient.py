@@ -221,10 +221,9 @@ def test_unknown_method_rejected(reservoir_tree):
 
 
 def test_time_outside_horizon_rejected(reservoir_tree):
-    with pytest.raises(ValueError):
-        transient_probability(reservoir_tree, 11.0)
-    with pytest.raises(ValueError):
-        transient_probability(reservoir_tree, -1.0)
+    for t_prime in (11.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="observation time"):
+            transient_probability(reservoir_tree, t_prime)
 
 
 def test_threaded_run_matches_serial(reservoir_tree, fast_cfg):

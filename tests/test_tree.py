@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hpng.semantics
+import hpng.tree
 from hpng.montecarlo import McConfig
 from hpng.props import parse_property
 from hpng.semantics import EventKind, ResourceLimitError
@@ -172,16 +173,18 @@ def test_det_exit_cuts_partition_domain(reservoir_tree, battery_tree):
             assert hits > 0
 
 
-def test_max_locations_cap(reservoir_model):
+def test_max_locations_cap(monkeypatch, reservoir_model):
+    monkeypatch.setattr(hpng.tree, "MAX_LOCATIONS", 3)
     with pytest.raises(ResourceLimitError):
-        build_plt(reservoir_model, 10.0, max_locations=3)
+        build_plt(reservoir_model, 10.0)
 
 
 @pytest.mark.parametrize("tau", [-2.0, float("inf"), float("nan")])
-def test_build_rejects_a_horizon_not_finite_and_non_negative(battery_model, tau):
+def test_build_rejects_a_horizon_not_finite_and_non_negative(monkeypatch, battery_model, tau):
     # nan and inf would unfold up to the location cap, kept small here
+    monkeypatch.setattr(hpng.tree, "MAX_LOCATIONS", 100)
     with pytest.raises(ValueError, match="horizon"):
-        build_plt(battery_model, tau, max_locations=100)
+        build_plt(battery_model, tau)
 
 
 def test_zero_horizon_is_accepted(reservoir_model):
