@@ -18,7 +18,7 @@ import json
 import sys
 import time
 
-from .model import ModelError, load_model, validate
+from .model import ModelError, load_model
 from .montecarlo import McConfig
 from .props import PropertyError, parse_property
 from .semantics import ResourceLimitError, UnsupportedModelError
@@ -35,19 +35,8 @@ def _write(text: str, path: str | None) -> None:
         print(text)
 
 
-def _load_valid(path: str):
-    """The model in ``path``, or None once its validation issues are printed."""
-    model = load_model(path)
-    issues = validate(model)
-    for issue in issues:
-        print(f"error: {issue}", file=sys.stderr)
-    return None if issues else model
-
-
 def cmd_validate(args) -> int:
-    model = _load_valid(args.model)
-    if model is None:
-        return 1
+    model = load_model(args.model)
     counts = (
         f"{len(model.discrete_places)} discrete places, "
         f"{len(model.continuous_places)} continuous places, "
@@ -73,9 +62,7 @@ def _mc_config(args) -> McConfig:
 
 
 def cmd_transient(args) -> int:
-    model = _load_valid(args.model)
-    if model is None:
-        return 1
+    model = load_model(args.model)
     atoms = parse_property(args.property, model) if args.property else None
     tree = build_plt(model, args.tau_max)
     methods = list(METHODS) if args.method == "all" else [args.method]
@@ -102,9 +89,7 @@ def cmd_transient(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = _load_valid(args.model)
-    if model is None:
-        return 1
+    model = load_model(args.model)
     atoms = parse_property(args.property, model) if args.property else []
     start = time.perf_counter()
     est = estimate_probability(
@@ -127,9 +112,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    model = _load_valid(args.model)
-    if model is None:
-        return 1
+    model = load_model(args.model)
     atoms = parse_property(args.property, model) if args.property else None
     if args.runs < 1:   # before the routes run, not after them
         raise ValueError(f"runs must be at least 1, not {args.runs}")

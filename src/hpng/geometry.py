@@ -10,7 +10,9 @@ and a region's bounding box is the box of its vertices.  Direct sampling
 through that box tests a sample only against the rows that cut the box.
 Simplex sampling reuses its buffers across iterations and sorts each
 uniform draw with a network of min/max compare-exchanges, which puts the
-values ``np.sort`` would in each place.
+values ``np.sort`` would in each place.  Both samplers only draw: the
+estimate, its sigma and the rule for non-finite values are
+``montecarlo._estimate``'s.
 ``chebyshev_center`` is the one LP left, for callers that want a
 region's largest inscribed ball.
 
@@ -28,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .montecarlo import McConfig, McResult, _combine, mc_integrate
+from .montecarlo import McConfig, McResult, _estimate, mc_integrate
 
 EPS_GEOM = 1e-7
 EPS_VOL = 1e-10
@@ -358,8 +360,8 @@ def probability_over_simplex(
     """Monte Carlo integral of a density over one simplex.
 
     Each of the iterations draws ``samples // iterations`` points (at least
-    2) into buffers allocated once per call.  Non-finite density values are
-    dropped and counted as skipped.
+    2) into buffers allocated once per call, and ``_estimate`` reduces the
+    density there; non-finite values count as skipped and as 0.
     """
     vol = simplex_volume(verts) if verts.shape[1] > 1 else float(verts[1, 0] - verts[0, 0])
     if vol <= EPS_VOL:
@@ -367,28 +369,13 @@ def probability_over_simplex(
     dim = verts.shape[1]
     n = max(cfg.samples // cfg.iterations, 2)
     u, cols, w = np.empty((n, dim)), np.empty((dim + 1, n)), np.empty((n, dim + 1))
-    pts, dev = np.empty((n, dim)), np.empty(n)
-    values, sigmas = [], []
-    used = skipped = 0
-    for _ in range(cfg.iterations):
+    pts = np.empty((n, dim))
+
+    def step() -> np.ndarray:
         _unit_simplex_weights(rng, u, cols, w)
-        fx = np.asarray(density(np.matmul(w, verts, out=pts)), dtype=float)
-        ok = np.isfinite(fx)
-        m = int(ok.sum())
-        skipped += n - m
-        used += m
-        if m == 0:
-            continue
-        if m < n:
-            fx = fx[ok]
-        mean = fx.mean()
-        values.append(vol * mean)
-        sq = np.square(np.subtract(fx, mean, out=dev[:m]), out=dev[:m])
-        sigmas.append(vol / m * np.sqrt(np.sum(sq)))
-    if not values:
-        return McResult(0.0, 0.0, used, skipped)
-    value, sigma = _combine(np.array(values), np.array(sigmas))
-    return McResult(value, sigma, used, skipped)
+        return np.asarray(density(np.matmul(w, verts, out=pts)), dtype=float)
+
+    return _estimate(step, cfg.iterations, vol, n)
 
 
 def probability_over_region_direct(

@@ -201,13 +201,22 @@ class HPnGModel:
         return [a for a in self.continuous_arcs if a.place == place_id and not a.to_place]
 
 
-def _capacity(raw, where: str) -> float:
-    if raw == "inf":
-        return math.inf
+def _number(raw, name: str, where: str) -> float:
+    """``raw`` as a float; NaN and the infinities, which JSON and ``float``
+    both read, are refused like any other non-number."""
     try:
         v = float(raw)
     except (TypeError, ValueError):
-        raise ModelError(f"bad capacity {raw!r}", where) from None
+        v = math.nan
+    if not math.isfinite(v):
+        raise ModelError(f"{name} must be a finite number, got {raw!r}", where)
+    return v
+
+
+def _capacity(raw, where: str) -> float:
+    if raw == "inf":
+        return math.inf
+    v = _number(raw, "capacity", where)
     if v <= 0:
         raise ModelError("capacity must be positive or \"inf\"", where)
     return v
@@ -226,13 +235,19 @@ def _dist(raw, where: str) -> DistributionSpec:
     if keys is None:
         raise ModelError(f"unknown distribution family {fam!r}", where)
     try:
-        params = tuple(float(raw[k]) for k in keys)
+        params = tuple(_number(raw[k], k, where) for k in keys)
     except KeyError as missing:
         raise ModelError(f"distribution missing parameter {missing}", where) from None
     try:
         return DistributionSpec(fam, params)
     except ModelError as err:
         raise ModelError(str(err), where) from None
+
+
+def _order(t: dict, where: str, tie: str = "weight") -> tuple[int, float]:
+    """A transition's priority and its tie-break weight (or fluid share)."""
+    return (int(_number(t.get("priority", 0), "priority", where)),
+            _number(t.get(tie, 1.0), tie, where))
 
 
 def parse_model(text: str) -> HPnGModel:
@@ -258,7 +273,7 @@ def parse_model(text: str) -> HPnGModel:
     for i, p in enumerate(places.get("continuous", [])):
         where = f"places.continuous[{i}]"
         cap = _capacity(p.get("capacity", "inf"), where)
-        level = float(p.get("level", 0.0))
+        level = _number(p.get("level", 0.0), "level", where)
         if level < 0 or level > cap:
             raise ModelError(f"initial level {level} outside [0, {cap}]", where)
         cps.append(ContinuousPlace(p["id"], level, cap))
@@ -266,14 +281,13 @@ def parse_model(text: str) -> HPnGModel:
     det = []
     for i, t in enumerate(transitions.get("deterministic", [])):
         where = f"transitions.deterministic[{i}]"
-        ft = float(t.get("firingTime", 0.0))
+        ft = _number(t.get("firingTime", 0.0), "firingTime", where)
         if ft <= 0:
             raise ModelError("firingTime must be > 0", where)
-        det.append(DeterministicTransition(t["id"], ft, int(t.get("priority", 0)),
-                                           float(t.get("weight", 1.0))))
+        det.append(DeterministicTransition(t["id"], ft, *_order(t, where)))
 
-    imm = [ImmediateTransition(t["id"], int(t.get("priority", 0)), float(t.get("weight", 1.0)))
-           for t in transitions.get("immediate", [])]
+    imm = [ImmediateTransition(t["id"], *_order(t, f"transitions.immediate[{i}]"))
+           for i, t in enumerate(transitions.get("immediate", []))]
 
     gen = []
     for i, t in enumerate(transitions.get("general", [])):
@@ -283,20 +297,19 @@ def parse_model(text: str) -> HPnGModel:
     stat = []
     for i, t in enumerate(transitions.get("staticContinuous", [])):
         where = f"transitions.staticContinuous[{i}]"
-        rate = float(t.get("rate", 0.0))
+        rate = _number(t.get("rate", 0.0), "rate", where)
         if rate < 0:
             raise ModelError("rate must be >= 0", where)
-        stat.append(StaticContinuousTransition(t["id"], rate, int(t.get("priority", 0)),
-                                               float(t.get("share", 1.0))))
+        stat.append(StaticContinuousTransition(t["id"], rate, *_order(t, where, "share")))
 
     dyn = []
     for i, t in enumerate(transitions.get("dynamicContinuous", [])):
         where = f"transitions.dynamicContinuous[{i}]"
-        terms = tuple((term["transition"], float(term["coefficient"]))
+        terms = tuple((term["transition"], _number(term["coefficient"], "coefficient", where))
                       for term in t.get("terms", []))
-        dyn.append(DynamicContinuousTransition(t["id"], float(t.get("constant", 0.0)),
-                                               terms, int(t.get("priority", 0)),
-                                               float(t.get("share", 1.0))))
+        constant = _number(t.get("constant", 0.0), "constant", where)
+        dyn.append(DynamicContinuousTransition(t["id"], constant, terms,
+                                               *_order(t, where, "share")))
 
     model = HPnGModel(dps, cps, det, imm, gen, stat, dyn, [], [], [])
 
@@ -325,7 +338,7 @@ def parse_model(text: str) -> HPnGModel:
     for i, a in enumerate(arcs.get("continuous", [])):
         where = f"arcs.continuous[{i}]"
         src, dst = resolve(a["from"], where), resolve(a["to"], where)
-        w = float(a.get("weight", 1.0))
+        w = _number(a.get("weight", 1.0), "weight", where)
         if w <= 0:
             raise ModelError("continuous arc weight must be positive", where)
         if src in model.cp_index and dst in model.t_ref:
@@ -353,7 +366,8 @@ def parse_model(text: str) -> HPnGModel:
         if src in model.cp_index and model.t_ref[dst][0] not in DISCRETE_KINDS:
             raise ModelError("continuous-place guards may only target discrete transitions",
                              where)
-        model.guard_arcs.append(GuardArc(src, dst, op, float(a.get("threshold", 1))))
+        model.guard_arcs.append(GuardArc(src, dst, op,
+                                         _number(a.get("threshold", 1), "threshold", where)))
 
     issues = validate(model)
     if issues:

@@ -1,13 +1,16 @@
 """Monte Carlo integration and firing-time distributions.
 
-Two estimators over an axis-aligned box: a plain one and a VEGAS-style one
-with separable per-axis importance grids.  Both report the naive error
-estimate sigma^2 = V^2/N^2 * sum (f_i - <f>)^2 per iteration and combine
-iterations by inverse variance.  Both draw into buffers that every
-iteration of a call reuses, and the plain one calls the integrand on row
-blocks of at most ``MC_BLOCK``.  Streams are counter-based (numpy Philox
-keyed through SeedSequence), so task k of seed s always sees the same
-numbers no matter how many workers run.
+One Monte Carlo estimator, ``_estimate``, behind three samplers: a plain
+one and a VEGAS-style one over an axis-aligned box here, and one over a
+simplex in ``geometry``.  A sampler only draws an iteration's values; the
+estimator counts a non-finite value as skipped and as 0 in the mean, takes
+the naive error estimate sigma^2 = V^2/N^2 * sum (f_i - <f>)^2 per
+iteration, and combines iterations by inverse variance with their
+chi^2 / dof.  The samplers draw into buffers that every iteration of a call
+reuses, and the plain one calls the integrand on row blocks of at most
+``MC_BLOCK``.  Streams are counter-based (numpy Philox keyed through
+SeedSequence), so task k of seed s always sees the same numbers no matter
+how many workers run.
 
 The normal and folded normal branches import ``scipy.special`` when they
 run; uniform and exponential delays load no scipy here.
@@ -136,8 +139,8 @@ class McResult:
     sigma: float
     samples_used: int
     samples_skipped: int = 0
-    # VEGAS only: chi^2 per degree of freedom of the iterations around
-    # their combined value; None when it is undefined (see ``_chi2_dof``).
+    # chi^2 per degree of freedom of the iterations around their combined
+    # value; None when it is undefined (see ``_chi2_dof``).
     chi2_dof: Optional[float] = None
 
 
@@ -170,7 +173,37 @@ def _chi2_dof(values: list[float], sigmas: list[float], mean: float) -> Optional
     if len(values) < 2 or any(s <= 0.0 for s in sigmas):
         return None
     chi2 = sum((v - mean) ** 2 / (s * s) for v, s in zip(values, sigmas))
-    return chi2 / (len(values) - 1)
+    return float(chi2 / (len(values) - 1))
+
+
+def _estimate(step: Callable[[], np.ndarray], iterations: int, vol: float,
+              size: int) -> McResult:
+    """The Monte Carlo estimate over a domain of volume ``vol``.
+
+    Each of the iterations calls ``step`` for ``size`` values whose mean,
+    times ``vol``, estimates the integral.  A non-finite value counts as
+    skipped and as 0 in the mean; it is zeroed in ``step``'s array in
+    place, so ``step`` returns an array the estimator may overwrite.  An
+    iteration estimates vol * mean with sigma^2 = vol^2/N^2 * sum
+    (f_i - mean)^2, and the iterations combine by ``_combine`` with their
+    ``_chi2_dof``.
+    """
+    dev, ok = np.empty(size), np.empty(size, dtype=bool)
+    scale = vol * vol / (size * size)
+    vals, sigmas, skipped = [], [], 0
+    for _ in range(iterations):
+        fx = step()
+        bad = size - int(np.count_nonzero(np.isfinite(fx, out=ok)))
+        if bad:
+            skipped += bad
+            fx[~ok] = 0.0
+        mean = fx.mean()
+        vals.append(vol * mean)
+        np.subtract(fx, mean, out=dev)
+        sigmas.append(math.sqrt(scale * float(np.square(dev, out=dev).sum())))
+    value, sigma = _combine(vals, sigmas)
+    return McResult(value, sigma, iterations * size - skipped, skipped,
+                    _chi2_dof(vals, sigmas, value))
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +223,11 @@ def mc_integrate(
 ) -> McResult:
     """Estimate the integral of f over an axis-aligned box.
 
-    f maps an (N, n) sample matrix to N values; non-finite values are
-    dropped and counted as skipped.  Every iteration draws its points into
-    one buffer that all iterations reuse, and f sees them in row blocks of
-    at most ``MC_BLOCK`` rows, as equal as they come, so f must act on each
-    row alone.  The estimate is reduced over the whole iteration at once.
+    f maps an (N, n) sample matrix to N values; non-finite values count as
+    skipped and as 0 (``_estimate``).  Every iteration draws its points
+    into one buffer that all iterations reuse, and f sees them in row
+    blocks of at most ``MC_BLOCK`` rows, as equal as they come, so f must
+    act on each row alone.
     """
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
@@ -205,36 +238,21 @@ def mc_integrate(
 
     x = np.empty((cfg.samples, len(box)))
     fx = np.empty(cfg.samples)
-    scratch = np.empty(cfg.samples)
     # Equal blocks leave no one-row tail: numpy computes a one-row x @ c
     # as a vector dot, which rounds differently from the other rows.
     blocks = -(-cfg.samples // MC_BLOCK)
     edges = [k * cfg.samples // blocks for k in range(blocks + 1)]
-    vals, sigmas, used, skipped = [], [], 0, 0
-    for _ in range(cfg.iterations):
+
+    def step() -> np.ndarray:
         # the same stream and arithmetic as uniform(size=...) * (hi - lo) + lo
         rng.random(out=x)
-        x *= hi - lo
-        x += lo
+        np.multiply(x, hi - lo, out=x)
+        np.add(x, lo, out=x)
         for start, stop in zip(edges, edges[1:]):
             fx[start:stop] = f(x[start:stop])
-        ok = np.isfinite(fx)
-        n = int(ok.sum())
-        skipped += cfg.samples - n
-        used += n
-        if n == 0:
-            continue
-        good = fx if n == cfg.samples else fx[ok]
-        mean = good.mean()
-        est = vol * mean
-        dev = np.subtract(good, mean, out=scratch[:n])
-        var = (vol * vol / (n * n)) * float(np.square(dev, out=dev).sum())
-        vals.append(est)
-        sigmas.append(math.sqrt(var))
-    if not vals:
-        return McResult(0.0, 0.0, used, skipped)
-    value, sigma = _combine(vals, sigmas)
-    return McResult(value, sigma, used, skipped)
+        return fx
+
+    return _estimate(step, cfg.iterations, vol, cfg.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +320,10 @@ def vegas_integrate(
 ) -> McResult:
     """VEGAS-style importance sampling over the box.
 
-    Separable per-axis grids of ``GRID_BINS`` bins are refined after each
-    iteration toward equal |f| mass per bin; estimates combine by inverse
-    variance, which keeps early badly-adapted iterations from dominating.
-    The result carries the iterations' chi^2 / dof (``_chi2_dof``).
+    Separable per-axis grids of ``GRID_BINS`` bins are refined between
+    iterations toward equal |f| mass per bin; the importance-weighted values
+    go through ``_estimate``, whose inverse-variance combination keeps early
+    badly-adapted iterations from dominating.
     """
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
@@ -321,35 +339,26 @@ def vegas_integrate(
     u, x = np.empty((n, dim)), np.empty((n, dim))
     jac, contrib, idx = np.empty(n), np.empty(n), np.empty((dim, n), dtype=np.intp)
     scratch = np.empty((2, n))
-    vals, sigmas, used, skipped = [], [], 0, 0
-    for _ in range(cfg.iterations):
-        rng.random(out=u)               # the same stream as uniform(size=(n, dim))
-        grid.transform(u, x, jac, idx, scratch)
-        x *= span
-        x += lo
-        fx = np.asarray(f(x), dtype=float)
-        ok = np.isfinite(fx)
-        good = int(ok.sum())
-        skipped += n - good
-        used += good
-        np.multiply(fx, jac, out=contrib)     # importance-weighted integrand on [0,1)^dim
-        if good < n:
-            contrib[~ok] = 0.0
-        mean = contrib.mean()
-        est = vol * mean
-        dev = np.subtract(contrib, mean, out=scratch[0])
-        var = (vol * vol / (n * n)) * float(np.square(dev, out=dev).sum())
-        vals.append(est)
-        sigmas.append(math.sqrt(var))
-        # Mean |f|*jac per bin and axis drives refinement.  A mean, not a
-        # sum, so the random number of samples landing in a bin does not
-        # bend the grid: a constant integrand keeps its uniform grid.
-        w = np.abs(contrib, out=scratch[0])
-        imp = np.zeros((dim, GRID_BINS))
-        for d in range(dim):
-            sums = np.bincount(idx[d], weights=w, minlength=GRID_BINS)
-            counts = np.bincount(idx[d], minlength=GRID_BINS)
-            imp[d] = sums / np.maximum(counts, 1)
-        grid.refine(imp)
-    value, sigma = _combine(vals, sigmas)
-    return McResult(value, sigma, used, skipped, _chi2_dof(vals, sigmas, value))
+    imp = np.empty((dim, GRID_BINS))
+
+    def draws():
+        while True:
+            rng.random(out=u)               # the same stream as uniform(size=(n, dim))
+            grid.transform(u, x, jac, idx, scratch)
+            np.multiply(x, span, out=x)
+            np.add(x, lo, out=x)
+            # importance-weighted integrand on [0,1)^dim
+            yield np.multiply(np.asarray(f(x), dtype=float), jac, out=contrib)
+            # Resumed by the next iteration, after ``_estimate`` zeroed the
+            # non-finite values: mean |f|*jac per bin and axis drives
+            # refinement.  A mean, not a sum, so the random number of
+            # samples landing in a bin does not bend the grid: a constant
+            # integrand keeps its uniform grid.
+            w = np.abs(contrib, out=scratch[0])
+            for d in range(dim):
+                sums = np.bincount(idx[d], weights=w, minlength=GRID_BINS)
+                counts = np.bincount(idx[d], minlength=GRID_BINS)
+                imp[d] = sums / np.maximum(counts, 1)
+            grid.refine(imp)
+
+    return _estimate(draws().__next__, cfg.iterations, vol, n)

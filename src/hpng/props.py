@@ -49,8 +49,8 @@ def parse_property(text: str, model: HPnGModel | None = None) -> list[Atom]:
             raise PropertyError(f"bad number in atom {part.strip()!r}")
         if op not in GUARD_OPS:
             raise PropertyError(f"bad operator {op!r}")
-        if kind == "m" and value != int(value):
-            raise PropertyError(f"token comparison against non-integer in {part.strip()!r}")
+        if kind == "m" and not value.is_integer():
+            raise PropertyError(f"token count must be a finite integer in {part.strip()!r}")
         if model is not None:
             if kind == "m" and place not in model.dp_index:
                 raise PropertyError(f"unknown discrete place {place!r}")

@@ -209,6 +209,39 @@ def test_horizon_not_finite_and_non_negative_exits_one(monkeypatch, capsys, argv
     assert out == ""
 
 
+def test_model_with_a_non_finite_number_exits_one(tmp_path, capsys):
+    bad = tmp_path / "nan_level.json"
+    bad.write_text((MODELS / "reservoir.json").read_text()
+                   .replace('"level": 0.0', '"level": NaN'))
+    code, out, err = run(capsys, "transient", str(bad), "--tau-max", "10", "--time", "6")
+    assert code == 1
+    assert err.startswith("error:") and "level must be a finite number" in err
+    assert out == ""
+
+
+def test_infinite_token_count_in_a_property_exits_one(capsys):
+    code, out, err = run(capsys, "transient", str(MODELS / "battery.json"), "--tau-max", "8",
+                         "--time", "4", "--property", "m(grid_on) >= 1e400")
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("argv", [("validate",), ("transient", "--tau-max", "4", "--time", "2")])
+def test_model_that_does_not_validate_exits_one(tmp_path, capsys, argv):
+    # one place and an immediate transition that takes its token and gives
+    # it back: a zero-time cycle
+    zeno = tmp_path / "zeno.json"
+    zeno.write_text(json.dumps({
+        "places": {"discrete": [{"id": "p", "tokens": 1}]},
+        "transitions": {"immediate": [{"id": "loop"}]},
+        "arcs": {"discrete": [{"from": "p", "to": "loop"}, {"from": "loop", "to": "p"}]},
+    }))
+    command, *options = argv
+    code, out, err = run(capsys, command, str(zeno), *options)
+    assert code == 1
+    assert err.startswith("error: zero-time cycle") and out == ""
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -464,6 +464,24 @@ def test_interval_vertices_are_the_general_paths(region_sample, monkeypatch):
 # the direct route's kernel against every row, unblocked
 
 
+def _reference_estimate(draws, vol):
+    """The estimator over each iteration's values, allocating every array
+    afresh: a non-finite value counts as skipped and as 0 in the mean, and
+    sigma^2 = vol^2/n^2 * sum (f - mean)^2."""
+    vals, sigmas, used, skipped = [], [], 0, 0
+    for fx in draws:
+        ok = np.isfinite(fx)
+        n, good = fx.size, int(ok.sum())
+        used += good
+        skipped += n - good
+        fx = np.where(ok, fx, 0.0)
+        mean = fx.mean()
+        vals.append(vol * mean)
+        sigmas.append(math.sqrt((vol * vol / (n * n)) * float(((fx - mean) ** 2).sum())))
+    value, sigma = _combine(vals, sigmas)
+    return McResult(value, sigma, used, skipped)
+
+
 def _reference_mc(f, box, cfg, rng):
     """``mc_integrate`` drawing and evaluating each iteration in one call."""
     lo = np.array([b[0] for b in box], dtype=float)
@@ -471,24 +489,9 @@ def _reference_mc(f, box, cfg, rng):
     vol = float(np.prod(hi - lo)) if len(box) else 1.0
     if vol <= 0.0:
         return McResult(0.0, 0.0, 0)
-    vals, sigmas, used, skipped = [], [], 0, 0
-    for _ in range(cfg.iterations):
-        x = rng.uniform(size=(cfg.samples, len(box))) * (hi - lo) + lo
-        fx = np.asarray(f(x), dtype=float)
-        ok = np.isfinite(fx)
-        skipped += int((~ok).sum())
-        fx = fx[ok]
-        n = fx.size
-        used += n
-        if n == 0:
-            continue
-        mean = fx.mean()
-        vals.append(vol * mean)
-        sigmas.append(math.sqrt((vol * vol / (n * n)) * float(((fx - mean) ** 2).sum())))
-    if not vals:
-        return McResult(0.0, 0.0, used, skipped)
-    value, sigma = _combine(vals, sigmas)
-    return McResult(value, sigma, used, skipped)
+    return _reference_estimate(
+        (np.asarray(f(rng.uniform(size=(cfg.samples, len(box))) * (hi - lo) + lo), dtype=float)
+         for _ in range(cfg.iterations)), vol)
 
 
 def _reference_direct(poly, density, cfg, rng):
@@ -577,25 +580,14 @@ def _reference_simplex(verts, density, cfg, rng):
         return McResult(0.0, 0.0, 0, 0)
     dim = verts.shape[1]
     n = max(cfg.samples // cfg.iterations, 2)
-    values, sigmas = [], []
-    used = skipped = 0
-    for _ in range(cfg.iterations):
-        u = np.sort(rng.random((n, dim)), axis=1)
-        w = np.diff(np.hstack([np.zeros((n, 1)), u, np.ones((n, 1))]), axis=1)
-        fx = np.asarray(density(w @ verts), dtype=float)
-        good = np.isfinite(fx)
-        skipped += int(n - good.sum())
-        fx = fx[good]
-        used += len(fx)
-        if len(fx) == 0:
-            continue
-        mean = fx.mean()
-        values.append(vol * mean)
-        sigmas.append(vol / len(fx) * np.sqrt(np.sum((fx - mean) ** 2)))
-    if not values:
-        return McResult(0.0, 0.0, used, skipped)
-    value, sigma = _combine(np.array(values), np.array(sigmas))
-    return McResult(value, sigma, used, skipped)
+
+    def draws():
+        for _ in range(cfg.iterations):
+            u = np.sort(rng.random((n, dim)), axis=1)
+            w = np.diff(np.hstack([np.zeros((n, 1)), u, np.ones((n, 1))]), axis=1)
+            yield np.asarray(density(w @ verts), dtype=float)
+
+    return _reference_estimate(draws(), vol)
 
 
 @settings(max_examples=80, deadline=None)
@@ -604,8 +596,8 @@ def _reference_simplex(verts, density, cfg, rng):
        bad=st.sampled_from([None, np.nan, np.inf, -np.inf]), degenerate=st.booleans())
 def test_simplex_kernel_is_the_allocating_reference(dim, samples, iterations, seed, bad,
                                                     degenerate):
-    # Reused buffers, the sorting network and the skipped gather change no
-    # value, sigma or sample count; a density that returns nan or inf on
+    # Reused buffers, the sorting network and the in-place zero fill
+    # change no value, sigma or sample count; a density that returns nan or inf on
     # some rows, and a simplex of no volume, included.
     rng = np.random.default_rng(seed)
     verts = rng.uniform(-3.0, 5.0, size=(dim + 1, dim))

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conftest import MODELS
 from hpng.model import (
     ModelError,
     TKind,
@@ -187,3 +188,33 @@ def test_distribution_families_parse():
     bad["transitions"]["general"][0]["distribution"] = {"family": "cauchy"}
     with pytest.raises(ModelError):
         parse_model(json.dumps(bad))
+
+
+def _set(doc, path, value):
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("path,raw,field", [
+    (("places", "continuous", 0, "level"), "NaN", "level"),
+    (("places", "continuous", 0, "capacity"), "NaN", "capacity"),
+    (("places", "continuous", 0, "capacity"), "Infinity", "capacity"),   # only "inf"
+    (("places", "continuous", 0, "capacity"), '"nan"', "capacity"),
+    (("transitions", "deterministic", 0, "firingTime"), "Infinity", "firingTime"),
+    (("transitions", "deterministic", 0, "priority"), "Infinity", "priority"),
+    (("transitions", "staticContinuous", 0, "rate"), "NaN", "rate"),
+    (("transitions", "staticContinuous", 0, "share"), "-Infinity", "share"),
+    (("arcs", "guard", 0, "threshold"), "NaN", "threshold"),
+    (("arcs", "continuous", 0, "weight"), "Infinity", "weight"),
+    (("transitions", "general", 0, "distribution", "b"), "NaN", "b"),
+])
+def test_non_finite_numbers_are_rejected(path, raw, field):
+    # JSON reads NaN and Infinity and float() reads "nan"; a model with one
+    # means nothing, so the parser names the field instead of answering.
+    doc = json.loads((MODELS / "reservoir.json").read_text())
+    _set(doc, path, "SENTINEL")
+    text = json.dumps(doc).replace('"SENTINEL"', raw)
+    with pytest.raises(ModelError, match=f"{field} must be a finite number"):
+        parse_model(text)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hpng.geometry import probability_over_simplex
 from hpng.model import DistributionSpec
 from hpng.montecarlo import (
     McConfig,
@@ -135,6 +136,7 @@ def test_combine_zero_sigma_iteration_does_not_win():
 def test_chi2_dof_of_iterations():
     # Two iterations 2 sigma apart around their mean: chi^2 = 1 + 1, one dof.
     assert _chi2_dof([1.0, 3.0], [1.0, 1.0], 2.0) == pytest.approx(2.0)
+    assert type(_chi2_dof(np.array([1.0, 3.0]), [1.0, 1.0], 2.0)) is float
     assert _chi2_dof([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], 1.0) == 0.0
     assert _chi2_dof([1.0], [0.1], 1.0) is None          # no degree of freedom
     assert _chi2_dof([1.0, 2.0], [0.0, 0.1], 1.0) is None  # a zero sigma
@@ -147,6 +149,48 @@ def test_vegas_reports_chi2_dof():
     single = McConfig(samples=4_000, iterations=1, seed=0)
     assert vegas_integrate(lambda p: 1.0 + p[:, 0], [(0.0, 1.0)], single,
                            stream(4, 0)).chi2_dof is None
+
+
+UNIT_SIMPLEX_1D = np.array([[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("estimator", ["plain", "vegas", "simplex"])
+def test_non_finite_samples_count_as_zero(estimator):
+    # f = 1 on [0, 1] with NaN above 0.75.  Every estimator counts a NaN as
+    # skipped and as 0 in the mean, so all three give 0.75 with an error
+    # bar; dropping the NaNs would give 1 with a sigma of 0.
+    drawn = nans = 0
+
+    def f(pts):
+        nonlocal drawn, nans
+        out = np.ones(len(pts))
+        out[pts[:, 0] > 0.75] = np.nan
+        drawn += len(out)
+        nans += int(np.isnan(out).sum())
+        return out
+
+    cfg = McConfig(4_000, 3)
+    if estimator == "simplex":
+        res = probability_over_simplex(UNIT_SIMPLEX_1D, f, cfg, stream(0, 0))
+    else:
+        integrate = mc_integrate if estimator == "plain" else vegas_integrate
+        res = integrate(f, [(0.0, 1.0)], cfg, stream(0, 0))
+    assert res.sigma > 0.0
+    assert abs(res.value - 0.75) <= 3 * res.sigma
+    assert res.samples_skipped == nans > 0
+    assert res.samples_used + res.samples_skipped == drawn
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+def test_plain_and_simplex_report_chi2_dof(iterations):
+    cfg = McConfig(samples=3_000, iterations=iterations, seed=0)
+    f = lambda p: 1.0 + p[:, 0]
+    for res in (mc_integrate(f, [(0.0, 1.0)], cfg, stream(4, 0)),
+                probability_over_simplex(UNIT_SIMPLEX_1D, f, cfg, stream(4, 0))):
+        if iterations == 1:
+            assert res.chi2_dof is None
+        else:
+            assert type(res.chi2_dof) is float and 0.0 <= res.chi2_dof < 10.0
 
 
 def test_mc_integrate_triangle_area():

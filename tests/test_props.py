@@ -42,6 +42,14 @@ def test_parse_rejects_fractional_token_count():
         parse_property("m(pump_ok) >= 0.5")
 
 
+def test_parse_rejects_an_infinite_token_count(battery_model):
+    # 1e400 reads as inf, which is no token count; a level may still be
+    # compared against it
+    with pytest.raises(PropertyError, match="finite integer"):
+        parse_property("m(grid_on) >= 1e400", battery_model)
+    assert parse_property("x(battery) < 1e400", battery_model)[0].value == float("inf")
+
+
 def test_parse_rejects_unknown_place(reservoir_model):
     with pytest.raises(PropertyError):
         parse_property("m(nonexistent) >= 1", reservoir_model)

@@ -389,9 +389,9 @@ def test_simplex_answers_are_pinned(battery_trees):
 
 
 INTERVALS_T20_AT16_DIGEST = "b2d931aebb63d05059f51248acae4e46cd23ca8de56e965c3a8711c89ec7d6a2"
-SIMPLEX_T8_R5_DIGEST = "2f1704fed0743d23ccbf91f1487e303fabd2bace273a61cd07c5f92543c79413"
+SIMPLEX_T8_R5_DIGEST = "d3818d4b19e4659b191f28dcb8db870b3425021a99dce6489f17e50eb1406aaf"
 SIMPLEX_T8_N72_DIGEST = "b7c9d554d087807bfa3f9865682f9ff5613275eb6a7dddcb0872a0a59988f842"
-SIMPLEX_T20_AT8_DIGEST = "daf1ddc664aab9c48ec670a853453360ce54b1a1dab4b68990173b5f9ac97d74"
+SIMPLEX_T20_AT8_DIGEST = "c13fbc9c9f82b54ed93a87375281443e58dbc1e8145dad16de57bee16ece385a"
 DIRECT_T8_R5_DIGEST = "196402ad5bb9575716df9b7709a693e6aebd36ba9be482b634e2536e4b40fed0"
 DIRECT_T20_AT8_DIGEST = "9f196801fdf33640f896412d13cba67fb3f6e3524cb66d35a95b110278cdeb67"
 
