@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ModelError, PropertyError, FileNotFoundError, ValueError) as exc:
+    except (ModelError, PropertyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except UnsupportedModelError as exc:

@@ -17,8 +17,10 @@ max(constant + sum coefficient * actual_rate(static ref), 0).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -44,6 +46,17 @@ class TKind(Enum):
 DISCRETE_KINDS = (TKind.DETERMINISTIC, TKind.IMMEDIATE, TKind.GENERAL)
 CONTINUOUS_KINDS = (TKind.STATIC, TKind.DYNAMIC)
 
+_NORMAL = (("mu", "sigma"), lambda mu, sigma: sigma > 0, "(mu, sigma) with sigma > 0")
+
+#: Each distribution family's parameters, in ``DistributionSpec.params``
+#: order: their names in the model file, the rule they meet and its wording.
+_FAMILIES = {
+    "uniform": (("a", "b"), lambda a, b: 0 <= a < b, "0 <= a < b"),
+    "normal": _NORMAL,
+    "foldedNormal": _NORMAL,
+    "exponential": (("rate",), lambda rate: rate > 0, "rate > 0"),
+}
+
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -51,18 +64,12 @@ class DistributionSpec:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        fam, p = self.family, self.params
-        if fam == "uniform":
-            if len(p) != 2 or p[0] < 0 or p[1] <= p[0]:
-                raise ModelError(f"uniform needs 0 <= a < b, got {p}")
-        elif fam in ("normal", "foldedNormal"):
-            if len(p) != 2 or p[1] <= 0:
-                raise ModelError(f"{fam} needs (mu, sigma) with sigma > 0, got {p}")
-        elif fam == "exponential":
-            if len(p) != 1 or p[0] <= 0:
-                raise ModelError(f"exponential needs rate > 0, got {p}")
-        else:
-            raise ModelError(f"unknown distribution family {fam!r}")
+        if self.family not in _FAMILIES:
+            raise ModelError(f"unknown distribution family {self.family!r}")
+        names, holds, rule = _FAMILIES[self.family]
+        p = self.params
+        if len(p) != len(names) or not all(map(math.isfinite, p)) or not holds(*p):
+            raise ModelError(f"{self.family} needs {rule}, got {p}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,10 @@ class ContinuousPlace:
     level: float
     capacity: float  # math.inf for unbounded
 
+    def __post_init__(self):
+        if not 0 <= self.level <= self.capacity:
+            raise ModelError(f"initial level {self.level} outside [0, {self.capacity}]")
+
 
 @dataclass(frozen=True)
 class DeterministicTransition:
@@ -84,6 +95,10 @@ class DeterministicTransition:
     firing_time: float
     priority: int = 0
     weight: float = 1.0
+
+    def __post_init__(self):
+        if self.firing_time <= 0:
+            raise ModelError("firingTime must be > 0")
 
 
 @dataclass(frozen=True)
@@ -105,6 +120,10 @@ class StaticContinuousTransition:
     rate: float
     priority: int = 0
     share: float = 1.0
+
+    def __post_init__(self):
+        if self.rate < 0:
+            raise ModelError("rate must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -140,16 +159,6 @@ class GuardArc:
     threshold: float
 
 
-#: The model field that lists the transitions of each kind.
-_KIND_ATTR = {
-    TKind.DETERMINISTIC: "deterministic",
-    TKind.IMMEDIATE: "immediate",
-    TKind.GENERAL: "general",
-    TKind.STATIC: "static_continuous",
-    TKind.DYNAMIC: "dynamic_continuous",
-}
-
-
 @dataclass
 class HPnGModel:
     discrete_places: list[DiscretePlace]
@@ -164,9 +173,9 @@ class HPnGModel:
     guard_arcs: list[GuardArc]
 
     # Derived lookup tables, built in __post_init__.
-    dp_index: dict[str, int] = field(default_factory=dict)
-    cp_index: dict[str, int] = field(default_factory=dict)
-    t_ref: dict[str, tuple[TKind, int]] = field(default_factory=dict)
+    dp_index: dict[str, int] = field(init=False)
+    cp_index: dict[str, int] = field(init=False)
+    t_ref: dict[str, tuple[TKind, int]] = field(init=False)
 
     def __post_init__(self):
         self.dp_index = {p.id: i for i, p in enumerate(self.discrete_places)}
@@ -201,53 +210,114 @@ class HPnGModel:
         return [a for a in self.continuous_arcs if a.place == place_id and not a.to_place]
 
 
-def _number(raw, name: str, where: str) -> float:
-    """``raw`` as a float; NaN and the infinities, which JSON and ``float``
-    both read, are refused like any other non-number."""
+@contextmanager
+def _at(where: str):
+    """Locate at ``where`` a ModelError raised inside the block."""
     try:
-        v = float(raw)
-    except (TypeError, ValueError):
-        v = math.nan
-    if not math.isfinite(v):
-        raise ModelError(f"{name} must be a finite number, got {raw!r}", where)
-    return v
-
-
-def _capacity(raw, where: str) -> float:
-    if raw == "inf":
-        return math.inf
-    v = _number(raw, "capacity", where)
-    if v <= 0:
-        raise ModelError("capacity must be positive or \"inf\"", where)
-    return v
-
-
-def _dist(raw, where: str) -> DistributionSpec:
-    if not isinstance(raw, dict) or "family" not in raw:
-        raise ModelError("distribution needs a 'family'", where)
-    fam = raw["family"]
-    keys = {
-        "uniform": ("a", "b"),
-        "normal": ("mu", "sigma"),
-        "foldedNormal": ("mu", "sigma"),
-        "exponential": ("rate",),
-    }.get(fam)
-    if keys is None:
-        raise ModelError(f"unknown distribution family {fam!r}", where)
-    try:
-        params = tuple(_number(raw[k], k, where) for k in keys)
-    except KeyError as missing:
-        raise ModelError(f"distribution missing parameter {missing}", where) from None
-    try:
-        return DistributionSpec(fam, params)
+        yield
     except ModelError as err:
         raise ModelError(str(err), where) from None
 
 
-def _order(t: dict, where: str, tie: str = "weight") -> tuple[int, float]:
-    """A transition's priority and its tie-break weight (or fluid share)."""
-    return (int(_number(t.get("priority", 0), "priority", where)),
-            _number(t.get(tie, 1.0), tie, where))
+def _number(raw, name: str) -> float:
+    """``raw`` as a float; NaN and the infinities, which JSON and ``float``
+    both read, are refused like any other non-number, and so is JSON ``true``."""
+    try:
+        v = math.nan if isinstance(raw, bool) else float(raw)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise ModelError(f"{name} must be a finite number, got {raw!r}")
+    return v
+
+
+def _count(raw, name: str, least: int = 0) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < least:
+        kind = "positive" if least else "nonnegative"
+        raise ModelError(f"{name} must be a {kind} integer, got {raw!r}")
+    return raw
+
+
+def _name(entry: dict, key: str) -> str:
+    """``entry[key]``, an id or an arc end: a required string."""
+    name = entry.get(key)
+    if not isinstance(name, str):
+        raise ModelError(f"{key} must be a string, got {name!r}" if key in entry
+                         else f"missing {key!r}")
+    return name
+
+
+def _capacity(raw, name: str) -> float:
+    v = math.inf if raw == "inf" else _number(raw, name)
+    if v <= 0:
+        raise ModelError(f"{name} must be positive or \"inf\"")
+    return v
+
+
+def _dist(raw, name: str) -> DistributionSpec:
+    if not isinstance(raw, dict) or not isinstance(raw.get("family"), str):
+        raise ModelError(f"{name} needs a 'family'")
+    fam = raw["family"]
+    names = _FAMILIES[fam][0] if fam in _FAMILIES else ()   # DistributionSpec refuses the family
+    return DistributionSpec(fam, tuple(_number(raw.get(k), k) for k in names))
+
+
+def _terms(raw, name: str) -> tuple[tuple[str, float], ...]:
+    if not isinstance(raw, list) or not all(isinstance(term, dict) for term in raw):
+        raise ModelError(f"{name} must be a list of objects")
+    return tuple((_name(term, "transition"), _number(term.get("coefficient"), "coefficient"))
+                 for term in raw)
+
+
+def _same(value):
+    return value
+
+
+_PRIORITY = ("priority", 0, lambda raw, name: int(_number(raw, name)), _same)
+
+#: Each place and transition kind, in HPnGModel's order: its section and key
+#: in the file, its model attribute, its class and, in constructor order
+#: after ``id``, a (file key, default, reader, writer) tuple for each field.
+_NODES = (
+    ("places", "discrete", "discrete_places", DiscretePlace,
+     (("tokens", 0, _count, _same),)),
+    ("places", "continuous", "continuous_places", ContinuousPlace,
+     (("level", 0.0, _number, _same),
+      ("capacity", "inf", _capacity, lambda c: "inf" if math.isinf(c) else c))),
+    ("transitions", "deterministic", "deterministic", DeterministicTransition,
+     (("firingTime", 0.0, _number, _same), _PRIORITY, ("weight", 1.0, _number, _same))),
+    ("transitions", "immediate", "immediate", ImmediateTransition,
+     (_PRIORITY, ("weight", 1.0, _number, _same))),
+    ("transitions", "general", "general", GeneralTransition,
+     (("distribution", None, _dist,
+       lambda d: {"family": d.family, **dict(zip(_FAMILIES[d.family][0], d.params))}),)),
+    ("transitions", "staticContinuous", "static_continuous", StaticContinuousTransition,
+     (("rate", 0.0, _number, _same), _PRIORITY, ("share", 1.0, _number, _same))),
+    ("transitions", "dynamicContinuous", "dynamic_continuous", DynamicContinuousTransition,
+     (("constant", 0.0, _number, _same),
+      ("terms", [], _terms,
+       lambda terms: [{"transition": r, "coefficient": c} for r, c in terms]),
+      _PRIORITY, ("share", 1.0, _number, _same))),
+)
+
+#: The model attribute that lists the transitions of each kind.
+_KIND_ATTR = {TKind(kind): attr for section, kind, attr, _, _ in _NODES
+              if section == "transitions"}
+
+
+def _entries(doc: dict, section: str, kind: str):
+    """Yield ``(where, entry)`` for each entry of ``doc[section][kind]``."""
+    part = doc.get(section, {})
+    if not isinstance(part, dict):
+        raise ModelError("must be an object", section)
+    entries = part.get(kind, [])
+    if not isinstance(entries, list):
+        raise ModelError("must be a list", f"{section}.{kind}")
+    for i, entry in enumerate(entries):
+        where = f"{section}.{kind}[{i}]"
+        if not isinstance(entry, dict):
+            raise ModelError("must be an object", where)
+        yield where, entry
 
 
 def parse_model(text: str) -> HPnGModel:
@@ -256,118 +326,69 @@ def parse_model(text: str) -> HPnGModel:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ModelError(f"not valid JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise ModelError("a model must be a JSON object")
 
-    places = doc.get("places", {})
-    transitions = doc.get("transitions", {})
-    arcs = doc.get("arcs", {})
+    nodes = {}
+    for section, kind, attr, cls, fields in _NODES:
+        nodes[attr] = []
+        for where, entry in _entries(doc, section, kind):
+            with _at(where):
+                nodes[attr].append(cls(_name(entry, "id"), *(
+                    read(entry.get(key, default), key) for key, default, read, _ in fields)))
+    model = HPnGModel(**nodes, discrete_arcs=[], continuous_arcs=[], guard_arcs=[])
 
-    dps = []
-    for i, p in enumerate(places.get("discrete", [])):
-        where = f"places.discrete[{i}]"
-        tokens = p.get("tokens", 0)
-        if not isinstance(tokens, int) or tokens < 0:
-            raise ModelError(f"tokens must be a nonnegative integer, got {tokens!r}", where)
-        dps.append(DiscretePlace(p["id"], tokens))
+    def ends(arc: dict) -> tuple[str, str]:
+        src, dst = _name(arc, "from"), _name(arc, "to")
+        for name in (src, dst):
+            if not any(name in ids for ids in (model.dp_index, model.cp_index, model.t_ref)):
+                raise ModelError(f"unknown id {name!r}")
+        return src, dst
 
-    cps = []
-    for i, p in enumerate(places.get("continuous", [])):
-        where = f"places.continuous[{i}]"
-        cap = _capacity(p.get("capacity", "inf"), where)
-        level = _number(p.get("level", 0.0), "level", where)
-        if level < 0 or level > cap:
-            raise ModelError(f"initial level {level} outside [0, {cap}]", where)
-        cps.append(ContinuousPlace(p["id"], level, cap))
+    for where, a in _entries(doc, "arcs", "discrete"):
+        with _at(where):
+            src, dst = ends(a)
+            w = _count(a.get("weight", 1), "discrete arc weight", 1)
+            if src in model.dp_index and dst in model.t_ref:
+                place, trans, to_transition = src, dst, True
+            elif src in model.t_ref and dst in model.dp_index:
+                place, trans, to_transition = dst, src, False
+            else:
+                raise ModelError("discrete arc must join a discrete place and a transition")
+            if model.t_ref[trans][0] not in DISCRETE_KINDS:
+                raise ModelError("discrete arc must attach a discrete transition")
+            model.discrete_arcs.append(DiscreteArc(place, trans, w, to_transition))
 
-    det = []
-    for i, t in enumerate(transitions.get("deterministic", [])):
-        where = f"transitions.deterministic[{i}]"
-        ft = _number(t.get("firingTime", 0.0), "firingTime", where)
-        if ft <= 0:
-            raise ModelError("firingTime must be > 0", where)
-        det.append(DeterministicTransition(t["id"], ft, *_order(t, where)))
+    for where, a in _entries(doc, "arcs", "continuous"):
+        with _at(where):
+            src, dst = ends(a)
+            w = _number(a.get("weight", 1.0), "weight")
+            if w <= 0:
+                raise ModelError("continuous arc weight must be positive")
+            if src in model.cp_index and dst in model.t_ref:
+                place, trans, to_place = src, dst, False
+            elif src in model.t_ref and dst in model.cp_index:
+                place, trans, to_place = dst, src, True
+            else:
+                raise ModelError("continuous arc must join a continuous place and a transition")
+            if model.t_ref[trans][0] not in CONTINUOUS_KINDS:
+                raise ModelError("continuous arc must attach a continuous transition")
+            model.continuous_arcs.append(ContinuousArc(place, trans, w, to_place))
 
-    imm = [ImmediateTransition(t["id"], *_order(t, f"transitions.immediate[{i}]"))
-           for i, t in enumerate(transitions.get("immediate", []))]
-
-    gen = []
-    for i, t in enumerate(transitions.get("general", [])):
-        gen.append(GeneralTransition(t["id"], _dist(t.get("distribution"),
-                                                    f"transitions.general[{i}]")))
-
-    stat = []
-    for i, t in enumerate(transitions.get("staticContinuous", [])):
-        where = f"transitions.staticContinuous[{i}]"
-        rate = _number(t.get("rate", 0.0), "rate", where)
-        if rate < 0:
-            raise ModelError("rate must be >= 0", where)
-        stat.append(StaticContinuousTransition(t["id"], rate, *_order(t, where, "share")))
-
-    dyn = []
-    for i, t in enumerate(transitions.get("dynamicContinuous", [])):
-        where = f"transitions.dynamicContinuous[{i}]"
-        terms = tuple((term["transition"], _number(term["coefficient"], "coefficient", where))
-                      for term in t.get("terms", []))
-        constant = _number(t.get("constant", 0.0), "constant", where)
-        dyn.append(DynamicContinuousTransition(t["id"], constant, terms,
-                                               *_order(t, where, "share")))
-
-    model = HPnGModel(dps, cps, det, imm, gen, stat, dyn, [], [], [])
-
-    def resolve(name: str, where: str) -> str:
-        if name in model.dp_index or name in model.cp_index or name in model.t_ref:
-            return name
-        raise ModelError(f"unknown id {name!r}", where)
-
-    for i, a in enumerate(arcs.get("discrete", [])):
-        where = f"arcs.discrete[{i}]"
-        src, dst = resolve(a["from"], where), resolve(a["to"], where)
-        w = a.get("weight", 1)
-        if not isinstance(w, int) or w < 1:
-            raise ModelError(f"discrete arc weight must be a positive integer, got {w!r}", where)
-        if src in model.dp_index and dst in model.t_ref:
-            if model.t_ref[dst][0] not in DISCRETE_KINDS:
-                raise ModelError("discrete arc must attach a discrete transition", where)
-            model.discrete_arcs.append(DiscreteArc(src, dst, w, True))
-        elif src in model.t_ref and dst in model.dp_index:
-            if model.t_ref[src][0] not in DISCRETE_KINDS:
-                raise ModelError("discrete arc must attach a discrete transition", where)
-            model.discrete_arcs.append(DiscreteArc(dst, src, w, False))
-        else:
-            raise ModelError("discrete arc must join a discrete place and a transition", where)
-
-    for i, a in enumerate(arcs.get("continuous", [])):
-        where = f"arcs.continuous[{i}]"
-        src, dst = resolve(a["from"], where), resolve(a["to"], where)
-        w = _number(a.get("weight", 1.0), "weight", where)
-        if w <= 0:
-            raise ModelError("continuous arc weight must be positive", where)
-        if src in model.cp_index and dst in model.t_ref:
-            kind = model.t_ref[dst][0]
-            place, trans, to_place = src, dst, False
-        elif src in model.t_ref and dst in model.cp_index:
-            kind = model.t_ref[src][0]
-            place, trans, to_place = dst, src, True
-        else:
-            raise ModelError("continuous arc must join a continuous place and a transition", where)
-        if kind not in CONTINUOUS_KINDS:
-            raise ModelError("continuous arc must attach a continuous transition", where)
-        model.continuous_arcs.append(ContinuousArc(place, trans, w, to_place))
-
-    for i, a in enumerate(arcs.get("guard", [])):
-        where = f"arcs.guard[{i}]"
-        src, dst = resolve(a["from"], where), resolve(a["to"], where)
-        if src not in model.dp_index and src not in model.cp_index:
-            raise ModelError("guard arc source must be a place", where)
-        if dst not in model.t_ref:
-            raise ModelError("guard arc target must be a transition", where)
-        op = a.get("op", ">=")
-        if op not in GUARD_OPS:
-            raise ModelError(f"guard op must be one of {GUARD_OPS}, got {op!r}", where)
-        if src in model.cp_index and model.t_ref[dst][0] not in DISCRETE_KINDS:
-            raise ModelError("continuous-place guards may only target discrete transitions",
-                             where)
-        model.guard_arcs.append(GuardArc(src, dst, op,
-                                         _number(a.get("threshold", 1), "threshold", where)))
+    for where, a in _entries(doc, "arcs", "guard"):
+        with _at(where):
+            src, dst = ends(a)
+            if src not in model.dp_index and src not in model.cp_index:
+                raise ModelError("guard arc source must be a place")
+            if dst not in model.t_ref:
+                raise ModelError("guard arc target must be a transition")
+            op = a.get("op", ">=")
+            if op not in GUARD_OPS:
+                raise ModelError(f"guard op must be one of {GUARD_OPS}, got {op!r}")
+            if src in model.cp_index and model.t_ref[dst][0] not in DISCRETE_KINDS:
+                raise ModelError("continuous-place guards may only target discrete transitions")
+            model.guard_arcs.append(
+                GuardArc(src, dst, op, _number(a.get("threshold", 1), "threshold")))
 
     issues = validate(model)
     if issues:
@@ -463,65 +484,30 @@ def validate(model: HPnGModel) -> list[str]:
 
 def serialize(model: HPnGModel) -> str:
     """Canonical JSON; parse_model(serialize(m)) reproduces m."""
-    doc = {
-        "places": {
-            "discrete": [{"id": p.id, "tokens": p.tokens} for p in model.discrete_places],
-            "continuous": [
-                {"id": p.id, "level": p.level,
-                 "capacity": "inf" if math.isinf(p.capacity) else p.capacity}
-                for p in model.continuous_places
-            ],
-        },
-        "transitions": {
-            "deterministic": [
-                {"id": t.id, "firingTime": t.firing_time, "priority": t.priority,
-                 "weight": t.weight} for t in model.deterministic
-            ],
-            "immediate": [
-                {"id": t.id, "priority": t.priority, "weight": t.weight}
-                for t in model.immediate
-            ],
-            "general": [
-                {"id": t.id, "distribution": _dist_doc(t.distribution)}
-                for t in model.general
-            ],
-            "staticContinuous": [
-                {"id": t.id, "rate": t.rate, "priority": t.priority, "share": t.share}
-                for t in model.static_continuous
-            ],
-            "dynamicContinuous": [
-                {"id": t.id, "constant": t.constant,
-                 "terms": [{"transition": r, "coefficient": c} for r, c in t.terms],
-                 "priority": t.priority, "share": t.share}
-                for t in model.dynamic_continuous
-            ],
-        },
-        "arcs": {
-            "discrete": [
-                {"from": a.place if a.to_transition else a.transition,
-                 "to": a.transition if a.to_transition else a.place,
-                 "weight": a.weight} for a in model.discrete_arcs
-            ],
-            "continuous": [
-                {"from": a.transition if a.to_place else a.place,
-                 "to": a.place if a.to_place else a.transition,
-                 "weight": a.weight} for a in model.continuous_arcs
-            ],
-            "guard": [
-                {"from": g.place, "to": g.transition, "op": g.op, "threshold": g.threshold}
-                for g in model.guard_arcs
-            ],
-        },
+    doc = {"places": {}, "transitions": {}}
+    for section, kind, attr, _, fields in _NODES:
+        doc[section][kind] = [
+            {"id": node.id, **{key: write(getattr(node, f.name)) for (key, _, _, write), f
+                               in zip(fields, dataclasses.fields(node)[1:])}}
+            for node in getattr(model, attr)
+        ]
+    doc["arcs"] = {
+        "discrete": [
+            {"from": a.place if a.to_transition else a.transition,
+             "to": a.transition if a.to_transition else a.place,
+             "weight": a.weight} for a in model.discrete_arcs
+        ],
+        "continuous": [
+            {"from": a.transition if a.to_place else a.place,
+             "to": a.place if a.to_place else a.transition,
+             "weight": a.weight} for a in model.continuous_arcs
+        ],
+        "guard": [
+            {"from": g.place, "to": g.transition, "op": g.op, "threshold": g.threshold}
+            for g in model.guard_arcs
+        ],
     }
     return json.dumps(doc, indent=2)
-
-
-def _dist_doc(d: DistributionSpec) -> dict:
-    if d.family == "uniform":
-        return {"family": "uniform", "a": d.params[0], "b": d.params[1]}
-    if d.family in ("normal", "foldedNormal"):
-        return {"family": d.family, "mu": d.params[0], "sigma": d.params[1]}
-    return {"family": "exponential", "rate": d.params[0]}
 
 
 def load_model(path: str) -> HPnGModel:

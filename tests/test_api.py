@@ -8,6 +8,7 @@ one is a deliberate edit here.
 import dataclasses
 import inspect
 
+from hpng.model import HPnGModel
 from hpng.montecarlo import McConfig
 from hpng.props import holds_concrete
 from hpng.semantics import rate_adaptation
@@ -34,3 +35,11 @@ def test_entry_point_parameters():
 def test_sim_estimate_fields():
     assert [f.name for f in dataclasses.fields(SimEstimate)] == [
         "p", "sigma", "runs", "half_width", "steps", "modes"]
+
+
+def test_model_init_parameters():
+    # the id lookup tables are derived from these lists, never passed in
+    assert parameters(HPnGModel) == [
+        "discrete_places", "continuous_places", "deterministic", "immediate", "general",
+        "static_continuous", "dynamic_continuous", "discrete_arcs", "continuous_arcs",
+        "guard_arcs"]

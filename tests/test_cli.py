@@ -43,6 +43,31 @@ def test_validate_broken_model(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"places": {"discrete": [{"id": "p"}]}, "transitions": {"immediate": [{"id": "t"}]}, '
+    '"arcs": {"discrete": [{"from": "p"}]}}',
+], ids=["array", "arc-without-to"])
+def test_validate_malformed_document_exits_one(tmp_path, capsys, text):
+    bad = tmp_path / "malformed.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+
+
+def test_validate_a_directory_exits_one(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+
+
+def test_plt_output_to_a_directory_exits_one(tmp_path, capsys):
+    code, out, err = run(capsys, "plt", RESERVOIR, "--tau-max", "2", "-o", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+
+
 def test_plt_json(capsys):
     code, out, _ = run(capsys, "plt", RESERVOIR, "--tau-max", "10")
     assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import MODELS
 from hpng.model import (
+    DistributionSpec,
     ModelError,
     TKind,
     _guards_disjoint,
@@ -49,8 +51,21 @@ def test_parse_minimal_model():
 
 def test_round_trip_serialize_parse(reservoir_model, battery_model):
     for m in (reservoir_model, battery_model):
-        again = parse_model(serialize(m))
-        assert serialize(again) == serialize(m)
+        assert parse_model(serialize(m)) == m
+
+
+# SHA-256 of serialize() for the bundled models: the canonical bytes, key
+# order included, stay what they were before the format got its field table.
+SERIALIZED_SHA256 = {
+    "battery": "83781d4d4e3743286b9010fd079b9dffb448541b6e7dc8058cf3f60a26f664a5",
+    "reservoir": "f68d0a706a9f63e8386576d40d2afbdb8137bdddabc27004856cd1ef3eedc60d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIALIZED_SHA256))
+def test_serialize_bytes_pinned(name):
+    text = serialize(load_model(str(MODELS / f"{name}.json")))
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED_SHA256[name]
 
 
 def test_duplicate_ids_rejected():
@@ -218,3 +233,69 @@ def test_non_finite_numbers_are_rejected(path, raw, field):
     text = json.dumps(doc).replace('"SENTINEL"', raw)
     with pytest.raises(ModelError, match=f"{field} must be a finite number"):
         parse_model(text)
+
+
+def _without(path):
+    d = doc()
+    *keys, last = path
+    entry = d
+    for key in keys:
+        entry = entry[key]
+    del entry[last]
+    return json.dumps(d)
+
+
+def _with_dynamic(term):
+    d = doc()
+    d["transitions"]["dynamicContinuous"] = [{"id": "dyn", "terms": [term]}]
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("[]", "a model must be a JSON object", id="array"),
+    pytest.param(json.dumps(doc(places=[])), "places: must be an object", id="places-list"),
+    pytest.param(json.dumps(doc(arcs={"guard": {}})), r"arcs\.guard: must be a list",
+                 id="guard-arcs-object"),
+    pytest.param(json.dumps(doc(places={"discrete": [7]})),
+                 r"places\.discrete\[0\]: must be an object", id="entry-number"),
+    pytest.param(_without(("places", "discrete", 0, "id")),
+                 r"places\.discrete\[0\]: missing 'id'", id="no-id"),
+    pytest.param(_without(("arcs", "discrete", 0, "from")),
+                 r"arcs\.discrete\[0\]: missing 'from'", id="no-from"),
+    pytest.param(_without(("arcs", "continuous", 0, "to")),
+                 r"arcs\.continuous\[0\]: missing 'to'", id="no-to"),
+    pytest.param(_with_dynamic({"coefficient": 1.0}),
+                 r"transitions\.dynamicContinuous\[0\]: missing 'transition'",
+                 id="no-transition"),
+    pytest.param(_with_dynamic({"transition": "f"}),
+                 r"transitions\.dynamicContinuous\[0\]: coefficient must be a finite number",
+                 id="no-coefficient"),
+    pytest.param(_with_dynamic(3),
+                 r"transitions\.dynamicContinuous\[0\]: terms must be a list of objects",
+                 id="term-number"),
+])
+def test_malformed_document_names_where_and_what(text, message):
+    with pytest.raises(ModelError, match=message):
+        parse_model(text)
+
+
+@pytest.mark.parametrize("path,field", [
+    (("places", "discrete", 0, "tokens"), "tokens"),
+    (("arcs", "discrete", 0, "weight"), "discrete arc weight"),
+    (("transitions", "deterministic", 0, "firingTime"), "firingTime"),
+    (("arcs", "continuous", 0, "weight"), "weight"),
+], ids=["tokens", "discrete-arc-weight", "firingTime", "continuous-arc-weight"])
+def test_json_true_is_not_a_number(path, field):
+    d = doc()
+    _set(d, path, True)
+    with pytest.raises(ModelError, match=f"{field} must be a .* got True"):
+        parse_model(json.dumps(d))
+
+
+@pytest.mark.parametrize("family,params", [
+    ("normal", (1.0, math.nan)),
+    ("uniform", (0.0, math.inf)),
+])
+def test_distribution_spec_refuses_non_finite_parameters(family, params):
+    with pytest.raises(ModelError, match=f"{family} needs"):
+        DistributionSpec(family, params)
