@@ -24,7 +24,29 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .montecarlo import FAMILIES, DistributionSpec
+
+#: The comparison operators of guards and state properties.  ``compare``
+#: is the one place that says what each means.
 GUARD_OPS = ("<", "<=", "=", ">=", ">")
+
+
+def compare(op: str, left: float, right: float, eps: float = 0.0) -> bool:
+    if op == "<":
+        return left < right - eps
+    if op == "<=":
+        return left <= right + eps
+    if op == "=":
+        return abs(left - right) <= eps
+    if op == ">=":
+        return left >= right - eps
+    return left > right + eps
+
+
+#: Each operator's truth for a value below, at and above its threshold.
+ZONE_TRUTH = {op: {zone: compare(op, level, 0.0)
+                   for zone, level in (("below", -1.0), ("at", 0.0), ("above", 1.0))}
+              for op in GUARD_OPS}
 
 
 class ModelError(ValueError):
@@ -45,32 +67,6 @@ class TKind(Enum):
 
 DISCRETE_KINDS = (TKind.DETERMINISTIC, TKind.IMMEDIATE, TKind.GENERAL)
 CONTINUOUS_KINDS = (TKind.STATIC, TKind.DYNAMIC)
-
-_NORMAL = (("mu", "sigma"), lambda mu, sigma: sigma > 0, "(mu, sigma) with sigma > 0")
-
-#: Each distribution family's parameters, in ``DistributionSpec.params``
-#: order: their names in the model file, the rule they meet and its wording.
-_FAMILIES = {
-    "uniform": (("a", "b"), lambda a, b: 0 <= a < b, "0 <= a < b"),
-    "normal": _NORMAL,
-    "foldedNormal": _NORMAL,
-    "exponential": (("rate",), lambda rate: rate > 0, "rate > 0"),
-}
-
-
-@dataclass(frozen=True)
-class DistributionSpec:
-    family: str  # uniform | normal | foldedNormal | exponential
-    params: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ModelError(f"unknown distribution family {self.family!r}")
-        names, holds, rule = _FAMILIES[self.family]
-        p = self.params
-        if len(p) != len(names) or not all(map(math.isfinite, p)) or not holds(*p):
-            raise ModelError(f"{self.family} needs {rule}, got {p}")
-
 
 @dataclass(frozen=True)
 class DiscretePlace:
@@ -220,11 +216,12 @@ def _at(where: str):
 
 
 def _number(raw, name: str) -> float:
-    """``raw`` as a float; NaN and the infinities, which JSON and ``float``
-    both read, are refused like any other non-number, and so is JSON ``true``."""
+    """``raw`` as a float; NaN and the infinities, which JSON reads, are
+    refused like any other non-number, and so are JSON ``true``, a string
+    and an integer too large for a float."""
     try:
-        v = math.nan if isinstance(raw, bool) else float(raw)
-    except (TypeError, ValueError):
+        v = math.nan if isinstance(raw, (bool, str)) else float(raw)
+    except (TypeError, OverflowError):
         v = math.nan
     if not math.isfinite(v):
         raise ModelError(f"{name} must be a finite number, got {raw!r}")
@@ -258,7 +255,7 @@ def _dist(raw, name: str) -> DistributionSpec:
     if not isinstance(raw, dict) or not isinstance(raw.get("family"), str):
         raise ModelError(f"{name} needs a 'family'")
     fam = raw["family"]
-    names = _FAMILIES[fam][0] if fam in _FAMILIES else ()   # DistributionSpec refuses the family
+    names = FAMILIES[fam].names if fam in FAMILIES else ()   # DistributionSpec refuses the family
     return DistributionSpec(fam, tuple(_number(raw.get(k), k) for k in names))
 
 
@@ -273,7 +270,14 @@ def _same(value):
     return value
 
 
-_PRIORITY = ("priority", 0, lambda raw, name: int(_number(raw, name)), _same)
+def _priority(raw, name: str) -> int:
+    v = _number(raw, name)
+    if not v.is_integer():
+        raise ModelError(f"{name} must be an integer, got {raw!r}")
+    return int(v)
+
+
+_PRIORITY = ("priority", 0, _priority, _same)
 
 #: Each place and transition kind, in HPnGModel's order: its section and key
 #: in the file, its model attribute, its class and, in constructor order
@@ -290,7 +294,7 @@ _NODES = (
      (_PRIORITY, ("weight", 1.0, _number, _same))),
     ("transitions", "general", "general", GeneralTransition,
      (("distribution", None, _dist,
-       lambda d: {"family": d.family, **dict(zip(_FAMILIES[d.family][0], d.params))}),)),
+       lambda d: {"family": d.family, **dict(zip(FAMILIES[d.family].names, d.params))}),)),
     ("transitions", "staticContinuous", "static_continuous", StaticContinuousTransition,
      (("rate", 0.0, _number, _same), _PRIORITY, ("share", 1.0, _number, _same))),
     ("transitions", "dynamicContinuous", "dynamic_continuous", DynamicContinuousTransition,
@@ -397,32 +401,21 @@ def parse_model(text: str) -> HPnGModel:
 
 
 def _guards_disjoint(a: GuardArc, b: GuardArc) -> bool:
-    """True when the two conditions can never hold for one level value."""
+    """True when the two conditions can never hold for one level value.
 
-    def as_interval(op: str, c: float) -> tuple[float, float, bool, bool]:
-        # (lo, hi, lo_open, hi_open)
-        if op == "<":
-            return (-math.inf, c, False, True)
-        if op == "<=":
-            return (-math.inf, c, False, False)
-        if op == ">":
-            return (c, math.inf, True, False)
-        if op == ">=":
-            return (c, math.inf, False, False)
-        return (c, c, False, False)
+    The thresholds cut the line into at most five zones: the open
+    intervals (lo, hi) below, between and above them, and each threshold
+    as lo = hi.  The conditions are disjoint when no zone makes both true.
+    """
+    points = sorted({a.threshold, b.threshold})
+    edges = [-math.inf, *points, math.inf]
+    zones = [*zip(edges, edges[1:]), *((p, p) for p in points)]
 
-    lo_a, hi_a, loo_a, hio_a = as_interval(a.op, a.threshold)
-    lo_b, hi_b, loo_b, hio_b = as_interval(b.op, b.threshold)
-    lo = max(lo_a, lo_b)
-    hi = min(hi_a, hi_b)
-    if lo < hi:
-        return False
-    if lo > hi:
-        return True
-    # Touching endpoints: empty iff either side excludes the point.
-    lo_open = (loo_a if lo == lo_a else False) or (loo_b if lo == lo_b else False)
-    hi_open = (hio_a if hi == hi_a else False) or (hio_b if hi == hi_b else False)
-    return lo_open or hi_open
+    def side(lo: float, hi: float, c: float) -> str:
+        return "at" if lo == hi == c else "above" if lo >= c else "below"
+
+    return not any(ZONE_TRUTH[a.op][side(lo, hi, a.threshold)]
+                   and ZONE_TRUTH[b.op][side(lo, hi, b.threshold)] for lo, hi in zones)
 
 
 def validate(model: HPnGModel) -> list[str]:

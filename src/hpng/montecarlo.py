@@ -12,19 +12,17 @@ reuses, and the plain one calls the integrand on row blocks of at most
 SeedSequence), so task k of seed s always sees the same numbers no matter
 how many workers run.
 
-The normal and folded normal branches import ``scipy.special`` when they
-run; uniform and exponential delays load no scipy here.
+Each firing-delay family is one entry of ``FAMILIES``.  The normal ones
+import ``scipy.special`` when they run; uniform and exponential load none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-
-from .model import DistributionSpec
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 #: Bins per axis of the VEGAS grid.
@@ -34,84 +32,141 @@ GRID_BINS = 64
 # ---------------------------------------------------------------------------
 # distributions
 
+#: Half-width, in standard deviations, of the window cut around the peak
+#: of a normal or folded normal density (about 1e-9 of the mass outside).
+PEAK_SIGMAS = 6.0
+#: Means after which an exponential density is cut (e**-21: about 1e-9).
+EXP_MEANS = 21.0
+
+
+class Family(NamedTuple):
+    """One firing-delay family: everything that depends on which it is."""
+
+    names: tuple[str, ...]          # the parameters' keys in the file, in params order
+    holds: Callable[..., bool]      # the rule the parameters meet,
+    rule: str                       # and its wording
+    pdf: Callable[..., np.ndarray]  # pdf(x, *params), and so cdf
+    cdf: Callable[..., np.ndarray]
+    sample: Callable                # sample(rng, size, *params)
+    support: Callable               # (lo, hi) where the density lives; hi None: unbounded
+    cuts: Callable                  # where its mass concentrates: PEAK_SIGMAS, EXP_MEANS
+
+
+def _on_support(f):
+    """``f`` on the entries x >= 0, and 0 elsewhere (nan included)."""
+    def masked(x, *params):
+        out = np.zeros_like(x)
+        pos = x >= 0
+        out[pos] = f(x[pos], *params)
+        return out
+    return masked
+
+
+def _uniform_cdf(x, a, b):
+    # (x - a) / (b - a) clamped to [0, 1] in one buffer; fmax sends nan to
+    # 0, as the support test x >= 0 does
+    out = np.subtract(x, a, out=np.empty_like(x))
+    out /= b - a
+    np.fmax(out, 0.0, out=out)
+    return np.fmin(out, 1.0, out=out)
+
+
+def _ndtr(z):
+    """The standard normal CDF; the normal families alone load scipy for it."""
+    from scipy.special import ndtr
+
+    return ndtr(z)
+
+
+def _gauss(z):
+    return np.exp(-0.5 * z * z)
+
+
+def _normal_cdf(x, mu, sg):
+    base = _ndtr(-mu / sg)
+    return (_ndtr((x - mu) / sg) - base) / (1.0 - base)
+
+
+def _normal_sample(rng, size, mu, sg):
+    # Inverse-CDF through the truncation so no rejection loop is needed.
+    from scipy.special import ndtri
+
+    base = _ndtr(-mu / sg)
+    u = rng.uniform(0.0, 1.0, size)
+    return mu + sg * ndtri(base + u * (1.0 - base))
+
+
+def _unbounded(*params):
+    return 0.0, None
+
+
+def _peak_window(peak, sg):
+    return tuple(p for p in (peak - PEAK_SIGMAS * sg, peak, peak + PEAK_SIGMAS * sg)
+                 if p > 0.0)
+
+
+#: The normal families' parameter names, rule and its wording.
+_MU_SIGMA = (("mu", "sigma"), lambda mu, sg: sg > 0, "(mu, sigma) with sigma > 0")
+
+#: The delay families by their name in the model file.  Only this table
+#: says what a family name means; everything else looks its family up here.
+FAMILIES = {
+    "uniform": Family(
+        ("a", "b"), lambda a, b: 0 <= a < b, "0 <= a < b",
+        # 0 <= a, so x >= a implies x >= 0
+        lambda x, a, b: np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0),
+        _uniform_cdf,
+        lambda rng, size, a, b: rng.uniform(a, b, size),
+        lambda a, b: (a, b),
+        lambda a, b: ()),
+    # truncated at 0 and renormalized, so the support really is [0, inf)
+    "normal": Family(
+        *_MU_SIGMA,
+        _on_support(lambda x, mu, sg:
+                    _gauss((x - mu) / sg) / (sg * _SQRT2PI) / (1.0 - _ndtr(-mu / sg))),
+        _on_support(_normal_cdf), _normal_sample, _unbounded, _peak_window),
+    "foldedNormal": Family(
+        *_MU_SIGMA,
+        _on_support(lambda x, mu, sg:
+                    (_gauss((x - mu) / sg) + _gauss((x + mu) / sg)) / (sg * _SQRT2PI)),
+        _on_support(lambda x, mu, sg: _ndtr((x - mu) / sg) - _ndtr((-x - mu) / sg)),
+        lambda rng, size, mu, sg: np.abs(rng.normal(mu, sg, size)),
+        _unbounded, lambda mu, sg: _peak_window(abs(mu), sg)),
+    "exponential": Family(
+        ("rate",), lambda lam: lam > 0, "rate > 0",
+        _on_support(lambda x, lam: lam * np.exp(-lam * x)),
+        _on_support(lambda x, lam: 1.0 - np.exp(-lam * x)),
+        lambda rng, size, lam: rng.exponential(1.0 / lam, size),
+        _unbounded, lambda lam: (EXP_MEANS / lam,)),
+}
+
+
+@dataclass(frozen=True)
+class DistributionSpec:
+    family: str  # a key of FAMILIES
+    params: tuple[float, ...]
+
+    def __post_init__(self):
+        fam, p = FAMILIES.get(self.family), self.params
+        if fam is None or len(p) != len(fam.names) or not all(map(math.isfinite, p)) \
+                or not fam.holds(*p):
+            from .model import ModelError   # model imports this module
+
+            raise ModelError(f"{self.family} needs {fam.rule}, got {p}" if fam
+                             else f"unknown distribution family {self.family!r}")
+
+
 def pdf(dist: DistributionSpec, x: np.ndarray) -> np.ndarray:
     """Density of a firing-time distribution; zero for x < 0 by support."""
-    x = np.asarray(x, dtype=float)
-    if dist.family == "uniform":
-        a, b = dist.params               # 0 <= a, so x >= a implies x >= 0
-        return np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
-    out = np.zeros_like(x)
-    pos = x >= 0
-    if dist.family == "normal":
-        # Truncated at 0 and renormalized so the support really is [0, inf).
-        from scipy.special import ndtr
-
-        mu, sg = dist.params
-        z = (x[pos] - mu) / sg
-        norm = 1.0 - ndtr(-mu / sg)
-        out[pos] = np.exp(-0.5 * z * z) / (sg * _SQRT2PI) / norm
-    elif dist.family == "foldedNormal":
-        mu, sg = dist.params
-        a = (x[pos] - mu) / sg
-        b = (x[pos] + mu) / sg
-        out[pos] = (np.exp(-0.5 * a * a) + np.exp(-0.5 * b * b)) / (sg * _SQRT2PI)
-    elif dist.family == "exponential":
-        lam = dist.params[0]
-        out[pos] = lam * np.exp(-lam * x[pos])
-    else:  # pragma: no cover - DistributionSpec already validates
-        raise ValueError(dist.family)
-    return out
+    return FAMILIES[dist.family].pdf(np.asarray(x, dtype=float), *dist.params)
 
 
 def cdf(dist: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if dist.family == "uniform":
-        # (x - a) / (b - a) clamped to [0, 1] in one buffer; fmax sends nan
-        # to 0, as the support test x >= 0 does
-        a, b = dist.params
-        out = np.subtract(x, a, out=np.empty_like(x))
-        out /= b - a
-        np.fmax(out, 0.0, out=out)
-        return np.fmin(out, 1.0, out=out)
-    out = np.zeros_like(x)
-    pos = x >= 0
-    xp = x[pos]
-    if dist.family == "normal":
-        from scipy.special import ndtr
-
-        mu, sg = dist.params
-        base = ndtr(-mu / sg)
-        out[pos] = (ndtr((xp - mu) / sg) - base) / (1.0 - base)
-    elif dist.family == "foldedNormal":
-        from scipy.special import ndtr
-
-        mu, sg = dist.params
-        out[pos] = ndtr((xp - mu) / sg) - ndtr((-xp - mu) / sg)
-    elif dist.family == "exponential":
-        lam = dist.params[0]
-        out[pos] = 1.0 - np.exp(-lam * xp)
-    else:  # pragma: no cover
-        raise ValueError(dist.family)
-    return out
+    return FAMILIES[dist.family].cdf(np.asarray(x, dtype=float), *dist.params)
 
 
 def sample(dist: DistributionSpec, rng: np.random.Generator, size=None) -> np.ndarray | float:
-    if dist.family == "uniform":
-        a, b = dist.params
-        return rng.uniform(a, b, size)
-    if dist.family == "normal":
-        # Inverse-CDF through the truncation so no rejection loop is needed.
-        from scipy.special import ndtr, ndtri
-
-        mu, sg = dist.params
-        base = ndtr(-mu / sg)
-        u = rng.uniform(0.0, 1.0, size)
-        return mu + sg * ndtri(base + u * (1.0 - base))
-    if dist.family == "foldedNormal":
-        mu, sg = dist.params
-        return np.abs(rng.normal(mu, sg, size))
-    lam = dist.params[0]
-    return rng.exponential(1.0 / lam, size)
+    return FAMILIES[dist.family].sample(rng, size, *dist.params)
 
 
 # ---------------------------------------------------------------------------

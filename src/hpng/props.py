@@ -13,12 +13,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import GUARD_OPS, HPnGModel
+from .model import GUARD_OPS, HPnGModel, compare
 from .symbolic import EPS
 
+_OPS = "|".join(sorted(GUARD_OPS, key=len, reverse=True))   # "<=" is tried before "<"
 _ATOM = re.compile(
     r"^\s*(?P<fn>[mx])\s*\(\s*(?P<place>[A-Za-z0-9_.-]+)\s*\)\s*"
-    r"(?P<op><=|>=|=|<|>)\s*(?P<value>[-+0-9.eE]+)\s*$"
+    rf"(?P<op>{_OPS})\s*(?P<value>[-+0-9.eE]+)\s*$"
 )
 
 
@@ -47,8 +48,6 @@ def parse_property(text: str, model: HPnGModel | None = None) -> list[Atom]:
             value = float(m.group("value"))
         except ValueError:
             raise PropertyError(f"bad number in atom {part.strip()!r}")
-        if op not in GUARD_OPS:
-            raise PropertyError(f"bad operator {op!r}")
         if kind == "m" and not value.is_integer():
             raise PropertyError(f"token count must be a finite integer in {part.strip()!r}")
         if model is not None:
@@ -58,18 +57,6 @@ def parse_property(text: str, model: HPnGModel | None = None) -> list[Atom]:
                 raise PropertyError(f"unknown continuous place {place!r}")
         atoms.append(Atom(kind, place, op, value))
     return atoms
-
-
-def compare(op: str, left: float, right: float, eps: float = 0.0) -> bool:
-    if op == "<":
-        return left < right - eps
-    if op == "<=":
-        return left <= right + eps
-    if op == "=":
-        return abs(left - right) <= eps
-    if op == ">=":
-        return left >= right - eps
-    return left > right + eps
 
 
 def holds_concrete(

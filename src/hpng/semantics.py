@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .model import DISCRETE_KINDS, HPnGModel, TKind
-from .props import compare
+from .model import DISCRETE_KINDS, ZONE_TRUTH, HPnGModel, TKind, compare
 from .symbolic import (
     EPS,
     ComparisonKind,
@@ -225,15 +224,6 @@ def compile_net(model: HPnGModel) -> CompiledNet:
 # ---------------------------------------------------------------------------
 # guard truth
 
-_ZONE_TRUTH = {
-    "<": {"below": True, "at": False, "above": False},
-    "<=": {"below": True, "at": True, "above": False},
-    "=": {"below": False, "at": True, "above": False},
-    ">=": {"below": False, "at": True, "above": True},
-    ">": {"below": False, "at": False, "above": True},
-}
-
-
 def _level_zone(level: LinearForm, threshold: float,
                 domain: Sequence[SymInterval]) -> str:
     diff = level - threshold
@@ -261,7 +251,7 @@ def guard_crossing(op: str, zone: str, drift: float,
     the threshold in the same instant the place gets pinned, only one of
     the coincident crossings wins the step, and the rest are caught up now.
     """
-    truths = _ZONE_TRUTH[op]
+    truths = ZONE_TRUTH[op]
     if abs(drift) <= EPS:
         return (truths[zone], True) if truths[zone] != truth else None
     ahead = "above" if drift > 0 else "below"

@@ -31,9 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DistributionSpec, HPnGModel
-from .montecarlo import sample, stream
-from .props import Atom, compare, holds_concrete
+from .model import HPnGModel, compare
+from .montecarlo import DistributionSpec, sample, stream
+from .props import Atom, holds_concrete
 from .semantics import (
     CompiledNet,
     EventKind,

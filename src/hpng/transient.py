@@ -50,10 +50,11 @@ from .geometry import (
     triangulate,
     vertex_enumeration,
 )
-from .model import DistributionSpec, HPnGModel
-from .montecarlo import McConfig, McResult, cdf, stream, vegas_integrate
+from .model import ZONE_TRUTH, HPnGModel, compare
+from .montecarlo import (
+    FAMILIES, DistributionSpec, McConfig, McResult, cdf, stream, vegas_integrate)
 from .montecarlo import pdf as dist_pdf
-from .props import Atom, compare
+from .props import Atom
 from .semantics import UnsupportedModelError, check_observation
 from .symbolic import EPS, LinearForm, SymInterval, const, extremal_value, var
 from .tree import ParametricLocation, PLTree, _nonempty, pending_rvs, restrict
@@ -67,11 +68,6 @@ GL_START_ORDER = 4
 #: Most points one order of the rule may use on one sub-cell.  Cells of up
 #: to five dimensions fit two orders; beyond that they go to VEGAS.
 GL_MAX_POINTS = 2 ** 15
-#: Half-width, in standard deviations, of the window cut around the peak
-#: of a normal or folded normal density (about 1e-9 of the mass outside).
-PEAK_SIGMAS = 6.0
-#: Means after which an exponential density is cut (e**-21: about 1e-9).
-EXP_MEANS = 21.0
 #: chi^2 / dof of VEGAS iterations above which the fallback's log record
 #: flags them as inconsistent.
 VEGAS_CHI2_DOF_MAX = 2.0
@@ -178,31 +174,6 @@ def location_pieces(
             for cell in _restricted(cuts, rows + list(extra_rows))]
 
 
-def _support(dist: DistributionSpec) -> tuple[float, Optional[float]]:
-    """Interval outside which a firing density is zero (upper None: unbounded)."""
-    return dist.params if dist.family == "uniform" else (0.0, None)
-
-
-def _peak_cuts(dist: DistributionSpec) -> tuple[float, ...]:
-    """Points that fence in where a density concentrates its mass.
-
-    A normal-type density is cut at its peak and ``PEAK_SIGMAS`` either
-    side of it, an exponential at ``EXP_MEANS`` means; each window then
-    spans a few length scales, and the cells outside it hold about 1e-9
-    of the mass.  Without the cuts a density much narrower than its cell
-    can fall between the nodes of two successive orders, which then agree
-    on a value near zero.
-    """
-    if dist.family == "uniform":
-        return ()
-    if dist.family == "exponential":
-        return (EXP_MEANS / dist.params[0],)
-    mu, sg = dist.params
-    peak = abs(mu) if dist.family == "foldedNormal" else mu
-    return tuple(p for p in (peak - PEAK_SIGMAS * sg, peak, peak + PEAK_SIGMAS * sg)
-                 if p > 0.0)
-
-
 def _restrict_piece(piece: Piece, constraints: list[LinearForm]) -> list[Piece]:
     """Sub-cells of the piece where every ``constraint <= 0`` holds."""
     return [Piece(tuple(cell), piece.dists, piece.factors)
@@ -225,25 +196,30 @@ def _smooth_cells(piece: Piece) -> list[Piece]:
     a bounded variable crosses one of its density's peak cuts, and where
     the argument of a survival factor (a pending firing, or an unbounded
     variable past its lower bound) crosses its support bounds, the kinks
-    of its CDF, or its peak cuts.  Cuts that miss the cell are skipped, so
-    most cells come back whole.
+    of its CDF, or its peak cuts (``Family.support`` and ``Family.cuts``).
+    Without the peak cuts a density much narrower than its cell can fall
+    between the nodes of two successive orders, which then agree on a
+    value near zero.  Cuts that miss the cell are skipped, so most cells
+    come back whole.
     """
     ivs = piece.intervals
     clips: list[LinearForm] = []
     splits: list[tuple[LinearForm, tuple[float, ...]]] = []
     for i, iv in enumerate(ivs):
-        dist = piece.dists[i]
         if iv.upper is None:
             continue
-        lo, hi = _support(dist)
+        dist = piece.dists[i]
+        fam = FAMILIES[dist.family]
+        lo, hi = fam.support(*dist.params)
         if extremal_value(iv.lower, ivs, "min") < lo - EPS:
             clips.append(const(lo) - var(i))
         if hi is not None and extremal_value(iv.upper, ivs, "max") > hi + EPS:
             clips.append(var(i) - const(hi))
-        splits.append((var(i), _peak_cuts(dist)))
+        splits.append((var(i), fam.cuts(*dist.params)))
     for dist, lf in _survival_factors(piece):
-        lo, hi = _support(dist)
-        splits.append((lf, (lo, *_peak_cuts(dist)) if hi is None else (lo, hi)))
+        fam = FAMILIES[dist.family]
+        lo, hi = fam.support(*dist.params)
+        splits.append((lf, (lo, *fam.cuts(*dist.params)) if hi is None else (lo, hi)))
     cells = _restrict_piece(piece, clips) if clips else [piece]
     for form, points in splits:
         if not points:
@@ -513,12 +489,10 @@ def _fluid_rows(
             continue
         pi = model.cp_index[a.place]
         level = loc.state.x[pi] + (const(t_prime) - loc.entry).scaled(loc.state.d[pi])
-        if a.op in ("<", "<="):
+        # closed rows: the boundary has measure zero
+        if not ZONE_TRUTH[a.op]["above"]:
             rows.append(level - const(a.value))
-        elif a.op in (">", ">="):
-            rows.append(const(a.value) - level)
-        else:
-            rows.append(level - const(a.value))
+        if not ZONE_TRUTH[a.op]["below"]:
             rows.append(const(a.value) - level)
     return tuple(rows)
 

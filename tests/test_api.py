@@ -9,10 +9,11 @@ import dataclasses
 import inspect
 
 from hpng.model import HPnGModel
-from hpng.montecarlo import McConfig
+from hpng.montecarlo import McConfig, cdf, pdf, sample
 from hpng.props import holds_concrete
 from hpng.semantics import rate_adaptation
-from hpng.simulate import SimEstimate, estimate_probability
+from hpng.simulate import SimEstimate, estimate_probability, simulate_run
+from hpng.transient import transient_probability
 from hpng.tree import build_plt
 
 
@@ -30,6 +31,17 @@ def test_entry_point_parameters():
     assert parameters(build_plt) == ["model", "tau_max"]
     assert parameters(rate_adaptation) == ["model", "enab", "at_lower", "at_upper"]
     assert parameters(holds_concrete) == ["model", "atoms", "marking", "levels"]
+    assert parameters(transient_probability) == [
+        "tree", "t_prime", "atoms", "method", "cfg", "threads"]
+    assert parameters(simulate_run) == [
+        "model", "tau_max", "assignment", "rng", "observe_at", "keep_trace", "net"]
+
+
+def test_distribution_parameters():
+    # the family's own parameters ride in the DistributionSpec
+    assert parameters(pdf) == ["dist", "x"]
+    assert parameters(cdf) == ["dist", "x"]
+    assert parameters(sample) == ["dist", "rng", "size"]
 
 
 def test_sim_estimate_fields():

@@ -3,19 +3,25 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import MODELS
 from hpng.model import (
+    GUARD_OPS,
+    ZONE_TRUTH,
     DistributionSpec,
     ModelError,
     TKind,
     _guards_disjoint,
     GuardArc,
+    compare,
     load_model,
     parse_model,
     serialize,
     validate,
 )
+from hpng.symbolic import EPS
 
 MINIMAL = {
     "places": {
@@ -299,3 +305,142 @@ def test_json_true_is_not_a_number(path, field):
 def test_distribution_spec_refuses_non_finite_parameters(family, params):
     with pytest.raises(ModelError, match=f"{family} needs"):
         DistributionSpec(family, params)
+
+
+@pytest.mark.parametrize("path,raw", [
+    (("places", "continuous", 0, "level"), "0.5"),
+    (("places", "continuous", 0, "capacity"), "10"),
+    (("transitions", "deterministic", 0, "firingTime"), "5"),
+    (("transitions", "deterministic", 0, "priority"), "1"),
+    (("transitions", "staticContinuous", 0, "rate"), "2"),
+    (("transitions", "staticContinuous", 0, "share"), "1"),
+    (("arcs", "guard", 0, "threshold"), "1"),
+    (("arcs", "continuous", 0, "weight"), "1"),
+    (("transitions", "general", 0, "distribution", "b"), "10"),
+])
+def test_numeric_strings_are_rejected(path, raw):
+    # a string is not a number, whatever float() makes of it; only a
+    # capacity may be the string "inf"
+    doc = json.loads((MODELS / "reservoir.json").read_text())
+    _set(doc, path, raw)
+    section, kind, i, *_, field = path
+    with pytest.raises(ModelError, match=rf"^{section}\.{kind}\[{i}\]: "
+                                         rf"{field} must be a finite number, got '{raw}'$"):
+        parse_model(json.dumps(doc))
+
+
+def test_integer_too_large_for_a_float_is_rejected():
+    d = doc()
+    d["places"]["continuous"][0]["level"] = 10 ** 400
+    with pytest.raises(ModelError, match=r"places\.continuous\[0\]: level must be a finite"):
+        parse_model(json.dumps(d))
+
+
+@pytest.mark.parametrize("raw", [1.7, -0.5, 1e-300])
+def test_fractional_priority_is_rejected(raw):
+    d = doc()
+    d["transitions"]["deterministic"][0]["priority"] = raw
+    with pytest.raises(ModelError, match=rf"transitions\.deterministic\[0\]: "
+                                         rf"priority must be an integer, got {raw}$"):
+        parse_model(json.dumps(d))
+
+
+@pytest.mark.parametrize("raw,priority", [(3, 3), (-2, -2), (2.0, 2)])
+def test_integral_priority_is_read(raw, priority):
+    d = doc()
+    d["transitions"]["deterministic"][0]["priority"] = raw
+    assert parse_model(json.dumps(d)).deterministic[0].priority == priority
+
+
+# ---------------------------------------------------------------------------
+# comparison operators, against the rules they replaced
+
+
+def _reference_compare(op, left, right, eps=0.0):
+    """The comparison as written before it moved next to GUARD_OPS."""
+    if op == "<":
+        return left < right - eps
+    if op == "<=":
+        return left <= right + eps
+    if op == "=":
+        return abs(left - right) <= eps
+    if op == ">=":
+        return left >= right - eps
+    return left > right + eps
+
+
+def _reference_disjoint(a, b):
+    """Guard disjointness by intersecting each condition's interval, the
+    rule that preceded the walk over zones."""
+
+    def as_interval(op, c):
+        # (lo, hi, lo_open, hi_open)
+        if op == "<":
+            return (-math.inf, c, False, True)
+        if op == "<=":
+            return (-math.inf, c, False, False)
+        if op == ">":
+            return (c, math.inf, True, False)
+        if op == ">=":
+            return (c, math.inf, False, False)
+        return (c, c, False, False)
+
+    lo_a, hi_a, loo_a, hio_a = as_interval(a.op, a.threshold)
+    lo_b, hi_b, loo_b, hio_b = as_interval(b.op, b.threshold)
+    lo = max(lo_a, lo_b)
+    hi = min(hi_a, hi_b)
+    if lo < hi:
+        return False
+    if lo > hi:
+        return True
+    lo_open = (loo_a if lo == lo_a else False) or (loo_b if lo == lo_b else False)
+    hi_open = (hio_a if hi == hi_a else False) or (hio_b if hi == hi_b else False)
+    return lo_open or hi_open
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(op=st.sampled_from(GUARD_OPS), left=FINITE, right=FINITE,
+       near=st.sampled_from([None, 0.0, EPS, -EPS, 0.5 * EPS, 2 * EPS]),
+       eps=st.sampled_from([0.0, EPS]))
+def test_compare_is_the_reference(op, left, right, near, eps):
+    if near is not None:        # put left at or about the boundary
+        left = right + near
+    assert compare(op, left, right, eps) is _reference_compare(op, left, right, eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.integers(-10 ** 6, 10 ** 6), d=st.integers(1, 10 ** 6),
+       eps=st.sampled_from([0.0, EPS]))
+def test_zone_truths_are_compare_in_each_zone(c, d, eps):
+    # integer levels keep c - d, c and c + d exact, so each lies clearly in its zone
+    for op in GUARD_OPS:
+        assert ZONE_TRUTH[op] == {
+            "below": _reference_compare(op, float(c - d), float(c), eps),
+            "at": _reference_compare(op, float(c), float(c), eps),
+            "above": _reference_compare(op, float(c + d), float(c), eps),
+        }
+
+
+def _second_threshold(c, order, gap):
+    """A threshold below, at or above c, ``gap`` away or one float step."""
+    if order == "=":
+        return c
+    sign = 1.0 if order == ">" else -1.0
+    return math.nextafter(c, sign * math.inf) if gap is None else c + sign * gap
+
+
+@pytest.mark.parametrize("order", ["<", "=", ">"])
+@pytest.mark.parametrize("op_b", GUARD_OPS)
+@pytest.mark.parametrize("op_a", GUARD_OPS)
+@settings(max_examples=15, deadline=None)
+@given(c=FINITE, gap=st.one_of(st.none(), st.sampled_from([EPS, 1.0]),
+                               st.floats(min_value=1e-12, max_value=1e6)))
+def test_guards_disjoint_is_the_interval_rule(op_a, op_b, order, c, gap):
+    # order: where the second threshold lies against the first
+    d = _second_threshold(c, order, gap)
+    assume(order == "=" or d != c)
+    a, b = GuardArc("lv", "t1", op_a, c), GuardArc("lv", "t2", op_b, d)
+    assert _guards_disjoint(a, b) is _reference_disjoint(a, b)

@@ -3,8 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from hpng.geometry import probability_over_simplex
-from hpng.model import DistributionSpec
 from hpng.montecarlo import (
+    FAMILIES,
+    DistributionSpec,
     McConfig,
     _chi2_dof,
     _combine,
@@ -16,17 +17,18 @@ from hpng.montecarlo import (
     vegas_integrate,
 )
 
-FAMILIES = [
+DISTS = [
     DistributionSpec("uniform", (1.0, 4.0)),
     DistributionSpec("normal", (3.0, 1.5)),
     DistributionSpec("normal", (0.5, 2.0)),      # heavy truncation at zero
+    DistributionSpec("normal", (30.0, 2.0)),     # a window cut on both sides of the peak
     DistributionSpec("foldedNormal", (14.0, 4.0)),
     DistributionSpec("foldedNormal", (2.0, 2.0)),
     DistributionSpec("exponential", (0.7,)),
 ]
 
 
-@pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: f"{d.family}{d.params}")
+@pytest.mark.parametrize("dist", DISTS, ids=lambda d: f"{d.family}{d.params}")
 def test_cdf_is_integral_of_pdf(dist):
     for a, b in [(0.0, 1.0), (0.5, 3.5), (2.0, 9.0)]:
         want, err = quad(lambda x: float(pdf(dist, np.array([x]))[0]), a, b,
@@ -35,7 +37,7 @@ def test_cdf_is_integral_of_pdf(dist):
         assert got == pytest.approx(want, abs=max(1e-8, 10 * err))
 
 
-@pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: f"{d.family}{d.params}")
+@pytest.mark.parametrize("dist", DISTS, ids=lambda d: f"{d.family}{d.params}")
 def test_cdf_limits_and_support(dist):
     x = np.array([-1.0, 0.0, 1e6])
     c = cdf(dist, x)
@@ -47,7 +49,7 @@ def test_cdf_limits_and_support(dist):
     assert np.all(np.diff(cdf(dist, xs)) >= -1e-12)
 
 
-@pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: f"{d.family}{d.params}")
+@pytest.mark.parametrize("dist", DISTS, ids=lambda d: f"{d.family}{d.params}")
 def test_samples_match_cdf(dist):
     rng = stream(42, 0)
     xs = np.asarray(sample(dist, rng, 40_000), dtype=float)
@@ -55,6 +57,27 @@ def test_samples_match_cdf(dist):
     for q in (0.25, 0.5, 0.9):
         emp = np.quantile(xs, q)
         assert float(cdf(dist, np.array([emp]))[0]) == pytest.approx(q, abs=0.02)
+
+
+def test_dists_cover_every_family():
+    assert {d.family for d in DISTS} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("dist", DISTS, ids=lambda d: f"{d.family}{d.params}")
+def test_support_and_cuts_hold_the_mass(dist):
+    # the support, and the span from its lower end to the last cut point,
+    # each hold all but 1e-8 of the mass; so does the window between the
+    # outer peak cuts when there is one below the peak as well
+    family = FAMILIES[dist.family]
+    lo, hi = family.support(*dist.params)
+    cuts = family.cuts(*dist.params)
+    assert all(c > lo and (hi is None or c < hi) for c in cuts)
+    top = np.inf if hi is None else hi
+    assert float(np.diff(cdf(dist, np.array([lo, top])))[0]) >= 1.0 - 1e-8
+    last = max(cuts, default=top)
+    assert float(np.diff(cdf(dist, np.array([lo, last])))[0]) >= 1.0 - 1e-8
+    if len(cuts) == 3:
+        assert float(np.diff(cdf(dist, np.array([cuts[0], cuts[-1]])))[0]) >= 1.0 - 1e-8
 
 
 def _masked_uniform_pdf(a, b, x):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from hpng.props import Atom, PropertyError, compare, holds_concrete, parse_property
+from hpng.model import compare
+from hpng.props import Atom, PropertyError, holds_concrete, parse_property
 
 
 def test_parse_single_marking_atom(reservoir_model):

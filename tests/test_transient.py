@@ -17,6 +17,7 @@ from hpng.transient import (
     METHODS,
     Piece,
     _cube_integrand,
+    _fluid_rows,
     candidate_locations,
     integrate_piece,
     location_pieces,
@@ -162,6 +163,32 @@ def test_fluid_atom_probability(reservoir_model, reservoir_tree, fast_cfg, metho
     res = transient_probability(reservoir_tree, 4.0, atoms, method=method,
                                 cfg=fast_cfg)
     _close(res, 0.6)
+
+
+def _reference_fluid_rows(level, op, value):
+    """The rows of one fluid atom as the operator branches wrote them."""
+    if op in ("<", "<="):
+        return [level - const(value)]
+    if op in (">", ">="):
+        return [const(value) - level]
+    return [level - const(value), const(value) - level]
+
+
+@pytest.mark.parametrize("op", ["<", "<=", "=", ">=", ">"])
+def test_fluid_rows_follow_the_operator(reservoir_model, reservoir_tree, op):
+    # "=" gives two rows, the upper bound on the level first
+    atoms = parse_property(f"m(pump_ok) >= 1 & x(tank) {op} 3", reservoir_model)
+    pi = reservoir_model.cp_index["tank"]
+    seen = 0
+    for loc in candidate_locations(reservoir_tree, 6.0):
+        rows = _fluid_rows(reservoir_model, loc, 6.0, atoms)
+        if loc.state.m[reservoir_model.dp_index["pump_ok"]] < 1:
+            assert rows is None
+            continue
+        level = loc.state.x[pi] + (const(6.0) - loc.entry).scaled(loc.state.d[pi])
+        assert list(rows) == _reference_fluid_rows(level, op, 3.0)
+        seen += 1
+    assert seen > 0
 
 
 @pytest.mark.parametrize("method", METHODS)
