@@ -10,6 +10,7 @@ comparison is ``m(<place>) <op> <int>`` for a discrete place or
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -50,6 +51,8 @@ def parse_property(text: str, model: HPnGModel | None = None) -> list[Atom]:
             raise PropertyError(f"bad number in atom {part.strip()!r}")
         if kind == "m" and not value.is_integer():
             raise PropertyError(f"token count must be a finite integer in {part.strip()!r}")
+        if not math.isfinite(value):
+            raise PropertyError(f"level threshold must be finite in {part.strip()!r}")
         if model is not None:
             if kind == "m" and place not in model.dp_index:
                 raise PropertyError(f"unknown discrete place {place!r}")

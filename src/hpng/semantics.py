@@ -6,12 +6,13 @@ random firings.  Within one location every comparison a rule needs (level
 vs. guard threshold, level vs. boundary) has a uniform answer over the
 location's domain, which the event machinery guarantees by splitting.
 
-Rules that do not depend on the symbolic form of a state (guard truths of
-discrete places, enabling, which places sit at a bound, and the drift those
-give) work on a ``CompiledNet``, the model compiled once into index tables.
-The event rules (``guard_crossing``, ``bound_ahead`` and ``winners``) take
-a zone, a drift or a candidate list and leave the delay arithmetic to the
-caller.  The simulator shares all of these, on floats.
+Rules that do not depend on the symbolic form of a state work on a
+``CompiledNet``, the model compiled once into index tables: guard truths
+(``initial_guards``, ``set_marking_guards``), a firing's token moves
+(``move_tokens``), enabling, the places at a bound and their drift.  The
+event rules (``guard_crossing``, ``bound_ahead``, ``winners``) take a
+zone, a drift or a candidate list and leave the delay arithmetic to the
+caller.  The tree and the simulator (on floats) share all of these.
 """
 
 from __future__ import annotations
@@ -276,10 +277,30 @@ def enabled(model: HPnGModel, state: SymState, tid: str) -> bool:
     return True
 
 
-def set_marking_guards(net: CompiledNet, m: Sequence[int], gs: list) -> None:
-    """Overwrite the truths of the discrete-place guards in ``gs`` from marking m."""
-    for ai, pi, op, threshold in net.discrete_guards:
+def set_marking_guards(guards: Sequence[tuple], m: Sequence[int], gs: list) -> None:
+    """Overwrite in ``gs`` the truths of ``guards`` (``discrete_guards`` rows) from marking m."""
+    for ai, pi, op, threshold in guards:
         gs[ai] = compare(op, float(m[pi]), threshold, EPS)
+
+
+def initial_guards(net: CompiledNet) -> list[bool]:
+    """Every guard-arc truth at the model's initial marking and levels."""
+    model = net.model
+    gs = [False] * len(model.guard_arcs)
+    for ai, pi, op, threshold in net.continuous_guards:
+        gs[ai] = compare(op, model.continuous_places[pi].level, threshold, EPS)
+    set_marking_guards(net.discrete_guards, [p.tokens for p in model.discrete_places], gs)
+    return gs
+
+
+def move_tokens(net: CompiledNet, fi: int, m: list[int]) -> None:
+    """Move the tokens of flat transition fi's firing in m; ``RuntimeError`` if fi is disabled."""
+    for pi, w in net.inputs[fi]:
+        m[pi] -= w
+        if m[pi] < 0:
+            raise RuntimeError(f"firing disabled transition {net.order[fi]}")
+    for pi, w in net.outputs[fi]:
+        m[pi] += w
 
 
 def enabled_row(net: CompiledNet, fi: int, m: Sequence[int], gs: Sequence[bool]) -> bool:
@@ -441,20 +462,16 @@ def finalize_state(
     x: tuple[LinearForm, ...],
     c: tuple[LinearForm, ...],
     g: tuple[LinearForm, ...],
-    gs_cont: Sequence[Optional[bool]],
+    gs: list[bool],
     net: CompiledNet,
 ) -> SymState:
     """Recompute derived fields (guard truths, enabling, drift) after a change.
 
-    ``gs_cont`` gives the truth of every continuous-place guard; entries for
-    discrete-place guards are ignored.  The drift comes from ``net``'s memo
+    ``gs`` gives every guard-arc truth; its discrete-place guards are
+    overwritten from m, in place.  The drift comes from ``net``'s memo
     (``build_plt`` passes one net per build).
     """
-    gs = [None if t is None else bool(t) for t in gs_cont]
-    set_marking_guards(net, m, gs)
-    for ai, _, _, _ in net.continuous_guards:
-        if gs[ai] is None:
-            raise ValueError(f"continuous guard {ai} truth unknown")
+    set_marking_guards(net.discrete_guards, m, gs)
     gs_t = tuple(gs)
     e = enabling(net, m, gs_t)
     at_lower, at_upper = pinned(net, [f.const if f.is_constant() else None for f in x])
@@ -462,16 +479,13 @@ def finalize_state(
     return SymState(m, x, c, d, g, e, gs_t)
 
 
-def initial_state(model: HPnGModel, net: CompiledNet) -> SymState:
+def initial_state(net: CompiledNet) -> SymState:
+    model = net.model
     m = tuple(p.tokens for p in model.discrete_places)
     x = tuple(const(p.level) for p in model.continuous_places)
-    n_clocks = len(model.deterministic) + len(model.immediate)
-    c = tuple(ZERO for _ in range(n_clocks))
-    g = tuple(ZERO for _ in model.general)
-    gs_cont: list[Optional[bool]] = [None] * len(model.guard_arcs)
-    for ai, pi, op, threshold in net.continuous_guards:
-        gs_cont[ai] = compare(op, model.continuous_places[pi].level, threshold, EPS)
-    return finalize_state(m, x, c, g, gs_cont, net)
+    c = (ZERO,) * (len(model.deterministic) + len(model.immediate))
+    g = (ZERO,) * len(model.general)
+    return finalize_state(m, x, c, g, initial_guards(net), net)
 
 
 def evolve(state: SymState, delta: LinearForm, net: CompiledNet) -> SymState:
@@ -488,19 +502,13 @@ def evolve(state: SymState, delta: LinearForm, net: CompiledNet) -> SymState:
     return SymState(state.m, x, tuple(clocks), state.d, tuple(g), state.e, state.gs)
 
 
-def fire(model: HPnGModel, state: SymState, tid: str,
+def fire(state: SymState, tid: str,
          net: CompiledNet) -> tuple[tuple[int, ...], list[LinearForm], list[LinearForm]]:
-    """Token moves and clock resets caused by one discrete firing."""
-    fi = net.index[tid]
+    """Token moves (``move_tokens``) and clock resets caused by one discrete firing."""
     m = list(state.m)
-    for pi, w in net.inputs[fi]:
-        m[pi] -= w
-        if m[pi] < 0:
-            raise RuntimeError(f"firing disabled transition {tid}")
-    for pi, w in net.outputs[fi]:
-        m[pi] += w
+    move_tokens(net, net.index[tid], m)
     c = list(state.c)
-    kind, idx = model.t_ref[tid]
+    kind, idx = net.model.t_ref[tid]
     if kind is TKind.DETERMINISTIC:
         c[idx] = ZERO
     g = list(state.g)
@@ -512,10 +520,8 @@ def fire(model: HPnGModel, state: SymState, tid: str,
 # ---------------------------------------------------------------------------
 # event detection
 
-def next_events(
-    model: HPnGModel, state: SymState, domain: Sequence[SymInterval],
-    net: CompiledNet,
-) -> list[Event]:
+def next_events(state: SymState, domain: Sequence[SymInterval],
+                net: CompiledNet) -> list[Event]:
     """All events that can end the current location.
 
     Guard crossings, boundary reaches, and immediate/deterministic firings
@@ -523,6 +529,7 @@ def next_events(
     symbolic-delay events.  Events whose remaining time is negative over the
     whole domain are dropped.
     """
+    model = net.model
     events: list[Event] = []
 
     for t, fi in zip(model.immediate, net.imm_at):

@@ -7,20 +7,21 @@ at their lower and at their upper bound; markings and levels are not part
 of it, so a net has finitely many.  A mode fixes the drift, which firings
 are candidates and which clocks run, the bound each moving level heads
 for, and each continuous guard's next crossing for each zone of its level.
-The first step in a mode builds its plan (``_Plan``) from the rules the
-tree build uses (the net's drift memo, ``bound_ahead``,
-``guard_crossing``) and keeps it in the net's ``plans`` memo.  A step then
-does float arithmetic on the plan's rows: one pass for the earliest delay
-and the events tied with it, ``winners`` on a tie, then ``_advance`` and
-``_apply``.  After an event only the enabling rows and discrete guards it
-can change are re-evaluated (``CompiledNet.depends``), by the rule of
-``enabling``, and the pinned sets only when a moving level entered or left
-a bound.  Tied state-change events resolve to the first one; only
-tied firings of equal top priority draw, by weight.  Random firings draw
-their total enabled time either from the model distributions or from a
-caller-fixed assignment, which makes single runs replayable against the
-symbolic tree.  Answers are bit-identical per seed whether or not a net is
-shared across runs.
+The first step in a mode builds its plan (``_Plan``) from the tree build's
+rules (the drift memo, ``bound_ahead``, ``guard_crossing``) and keeps it in
+the net's ``plans`` memo.  A step then does float arithmetic on the plan's
+rows: one pass for the earliest delay and the events tied with it,
+``winners`` on a tie, then ``_advance`` and ``_apply``.  A run starts from
+the tree's guard truths (``initial_guards``), and a firing moves tokens by
+the tree's rule (``move_tokens``).  After an event only the enabling rows
+and discrete guards it can change are re-evaluated
+(``CompiledNet.depends``), by ``enabled_row`` and ``set_marking_guards``,
+and the pinned sets only when a moving level entered or left a bound.
+Tied state-change events resolve to the first one; only tied firings of
+equal top priority draw, by weight.  Random firings draw their total
+enabled time from the model distributions or from a caller-fixed
+assignment, which makes single runs replayable against the symbolic tree.
+Answers are bit-identical per seed whether or not a net is shared.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import HPnGModel, compare
+from .model import HPnGModel
 from .montecarlo import DistributionSpec, sample, stream
 from .props import Atom, holds_concrete
 from .semantics import (
@@ -45,6 +46,8 @@ from .semantics import (
     enabled_row,
     enabling,
     guard_crossing,
+    initial_guards,
+    move_tokens,
     pinned,
     rate_adaptation,
     set_marking_guards,
@@ -254,11 +257,7 @@ def _apply(run: _Run, ev: tuple, values: dict, fired: list) -> None:
         _reenable(run, (net.index[net.model.guard_arcs[ai].transition],))
     else:
         fi = net.index[target]
-        m = run.m
-        for pi, w in net.inputs[fi]:
-            m[pi] -= w
-        for pi, w in net.outputs[fi]:
-            m[pi] += w
+        move_tokens(net, fi, run.m)
         _, idx = net.model.t_ref[target]
         if kind is EventKind.DETERMINISTIC:
             run.clocks[idx] = 0.0
@@ -268,8 +267,7 @@ def _apply(run: _Run, ev: tuple, values: dict, fired: list) -> None:
             run.counts[idx] += 1
             run.g[idx] = 0.0
         guards, rows = net.depends[fi]
-        for ai, pi, op, threshold in guards:
-            run.gs[ai] = compare(op, float(m[pi]), threshold, EPS)
+        set_marking_guards(guards, run.m, run.gs)
         _reenable(run, rows)
     _enter(run, _pins_after_step(run))
 
@@ -309,11 +307,8 @@ def simulate_run(
         clocks=[0.0] * len(model.deterministic),
         g=[0.0] * len(model.general),
         counts=[0] * len(model.general),
-        gs=[False] * len(model.guard_arcs),
+        gs=initial_guards(net),
     )
-    for i, pi, op, threshold in net.continuous_guards:
-        run.gs[i] = compare(op, run.x[pi], threshold, EPS)
-    set_marking_guards(net, run.m, run.gs)
     run.enab = enabling(net, run.m, run.gs)
     _enter(run, pinned(net, run.x))
     place_ids = [pid for pid, _, _ in net.places]

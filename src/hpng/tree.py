@@ -281,18 +281,15 @@ def _group_cuts(
     return [p for p in pieces if _nonempty(p)]
 
 
-def _child_state(model: HPnGModel, st: SymState, ev: Event, delta: LinearForm,
-                 net: CompiledNet) -> SymState:
+def _child_state(st: SymState, ev: Event, delta: LinearForm, net: CompiledNet) -> SymState:
     moved = evolve(st, delta, net)
-    m, c, g = moved.m, list(moved.c), list(moved.g)
+    m, c, g = moved.m, moved.c, moved.g
     if ev.kind in (EventKind.IMMEDIATE, EventKind.DETERMINISTIC, EventKind.GENERAL):
-        m, c, g = fire(model, moved, ev.target, net)
-    gs_cont: list[Optional[bool]] = [None] * len(model.guard_arcs)
-    for ai, _, _, _ in net.continuous_guards:
-        gs_cont[ai] = moved.gs[ai]
+        m, c, g = fire(moved, ev.target, net)
+    gs = list(moved.gs)
     if ev.kind is EventKind.GUARD_ARC:
-        gs_cont[ev.arc_index] = ev.new_truth
-    return finalize_state(m, moved.x, tuple(c), tuple(g), gs_cont, net)
+        gs[ev.arc_index] = ev.new_truth
+    return finalize_state(m, moved.x, tuple(c), tuple(g), gs, net)
 
 
 def build_plt(model: HPnGModel, tau_max: float) -> PLTree:
@@ -308,7 +305,7 @@ def build_plt(model: HPnGModel, tau_max: float) -> PLTree:
     net = compile_net(model)    # tables and drift memo for this build
     root = ParametricLocation(
         id=0, parent=None, source=None, source_kind=None, p=1.0,
-        entry=ZERO, earliest=0.0, state=initial_state(model, net), domain=[], rvs=[],
+        entry=ZERO, earliest=0.0, state=initial_state(net), domain=[], rvs=[],
     )
     locs = [root]
     queue: deque[int] = deque([0])
@@ -316,7 +313,7 @@ def build_plt(model: HPnGModel, tau_max: float) -> PLTree:
     while queue:
         lid = queue.popleft()
         loc = locs[lid]
-        events = next_events(model, loc.state, loc.domain, net)
+        events = next_events(loc.state, loc.domain, net)
         gens = [ev for ev in events if ev.kind is EventKind.GENERAL]
         det = min_det_events(events, loc.domain)
         groups = _group_coincident(det)
@@ -329,7 +326,7 @@ def build_plt(model: HPnGModel, tau_max: float) -> PLTree:
                 latest = extremal_value(loc.entry + delta, cuts, "max")
                 loc.det_exits.append(DetExit(delta, tuple(cuts), latest))
                 for ev, pw in resolve_conflict(model, grp):
-                    _spawn(model, locs, queue, loc, ev, ev.delta, list(cuts),
+                    _spawn(locs, queue, loc, ev, ev.delta, list(cuts),
                            pw, None, tau_max, net)
         if not groups:
             contexts.append((None, list(loc.domain)))
@@ -347,7 +344,7 @@ def build_plt(model: HPnGModel, tau_max: float) -> PLTree:
                         continue  # no room to preempt: the new cell has zero measure
                     interval = SymInterval(g_form, g_form + delta_ctx)
                 fire_delta = var(n) - g_form
-                _spawn(model, locs, queue, loc, gev, fire_delta,
+                _spawn(locs, queue, loc, gev, fire_delta,
                        list(cuts) + [interval], 1.0,
                        RvId(gev.target, count), tau_max, net)
 
@@ -355,7 +352,6 @@ def build_plt(model: HPnGModel, tau_max: float) -> PLTree:
 
 
 def _spawn(
-    model: HPnGModel,
     locs: list[ParametricLocation],
     queue: deque,
     parent: ParametricLocation,
@@ -373,7 +369,7 @@ def _spawn(
         return
     if len(locs) >= MAX_LOCATIONS:
         raise ResourceLimitError(f"location tree exceeds {MAX_LOCATIONS} nodes")
-    state = _child_state(model, parent.state, ev, delta, net)
+    state = _child_state(parent.state, ev, delta, net)
     child = ParametricLocation(
         id=len(locs), parent=parent.id, source=ev.describe(),
         source_kind=ev.kind, p=p, entry=entry, earliest=earliest, state=state,

@@ -44,11 +44,16 @@ def test_parse_rejects_fractional_token_count():
 
 
 def test_parse_rejects_an_infinite_token_count(battery_model):
-    # 1e400 reads as inf, which is no token count; a level may still be
-    # compared against it
+    # 1e400 reads as inf, which is no token count
     with pytest.raises(PropertyError, match="finite integer"):
         parse_property("m(grid_on) >= 1e400", battery_model)
-    assert parse_property("x(battery) < 1e400", battery_model)[0].value == float("inf")
+
+
+@pytest.mark.parametrize("atom", ["x(battery) < 1e400", "x(battery) >= -1e999"])
+def test_parse_rejects_an_infinite_level_threshold(battery_model, atom):
+    # every number in a model file is finite, and so is every threshold
+    with pytest.raises(PropertyError, match="must be finite"):
+        parse_property(atom, battery_model)
 
 
 def test_parse_rejects_unknown_place(reservoir_model):

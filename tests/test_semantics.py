@@ -70,7 +70,7 @@ def test_guard_key_is_readable(reservoir_model):
 
 def test_reservoir_initial_state(reservoir_model):
     net = compile_net(reservoir_model)
-    s = initial_state(reservoir_model, net)
+    s = initial_state(net)
     assert s.m == (1, 1)
     assert s.x == (ZERO,)
     assert s.d == (1.0,)  # inflow 2 minus outflow 1
@@ -82,14 +82,14 @@ def test_reservoir_initial_state(reservoir_model):
 
 def test_battery_initial_drift_is_zero(battery_model):
     net = compile_net(battery_model)
-    s = initial_state(battery_model, net)
+    s = initial_state(net)
     bat = battery_model.cp_index["battery"]
     assert s.d[bat] == pytest.approx(0.0)  # supply 700 == standard demand 700
 
 
 def test_enabled_checks_tokens_and_guards(reservoir_model):
     net = compile_net(reservoir_model)
-    s = initial_state(reservoir_model, net)
+    s = initial_state(net)
     assert enabled(reservoir_model, s, "pump_break")
     drained = SymState((0, 1), s.x, s.c, s.d, s.g, s.e, s.gs)
     assert not enabled(reservoir_model, drained, "pump_break")
@@ -130,7 +130,7 @@ def test_compiled_enabling_is_enabled_at_every_simulator_step(
         nonlocal steps
         steps += 1
         gs = list(run.gs)
-        set_marking_guards(reference, run.m, gs)
+        set_marking_guards(reference.discrete_guards, run.m, gs)
         assert run.gs == gs, (run.m, run.gs)
         e = enabling(reference, run.m, run.gs)
         assert run.enab == e == _enabled_per_transition(model, run.m, run.gs), run.m
@@ -256,7 +256,7 @@ def test_adaptation_dynamic_rate_tracks_statics(battery_model):
 
 def test_evolve_moves_levels_and_clocks(reservoir_model):
     net = compile_net(reservoir_model)
-    s = initial_state(reservoir_model, net)
+    s = initial_state(net)
     delta = const(2.0)
     nxt = evolve(s, delta, net)
     assert nxt.x[0].text([]) == "2"
@@ -266,7 +266,7 @@ def test_evolve_moves_levels_and_clocks(reservoir_model):
 
 def test_evolve_skips_disabled_clocks(reservoir_model):
     net = compile_net(reservoir_model)
-    s = initial_state(reservoir_model, net)
+    s = initial_state(net)
     stopped = SymState(s.m, s.x, s.c, s.d, s.g,
                        tuple(False for _ in s.e), s.gs)
     nxt = evolve(stopped, const(2.0), net)
@@ -276,31 +276,31 @@ def test_evolve_skips_disabled_clocks(reservoir_model):
 
 def test_evolve_symbolic_delta(reservoir_model):
     net = compile_net(reservoir_model)
-    s = initial_state(reservoir_model, net)
+    s = initial_state(net)
     nxt = evolve(s, var(0), net)
     assert nxt.x[0].text(["s0"]) == "s0"
 
 
 def test_fire_moves_tokens_and_resets_clock(reservoir_model):
     net = compile_net(reservoir_model)
-    s = evolve(initial_state(reservoir_model, net), const(3.0), net)
-    m, c, g = fire(reservoir_model, s, "demand_stop", net)
+    s = evolve(initial_state(net), const(3.0), net)
+    m, c, g = fire(s, "demand_stop", net)
     assert m == (1, 0)
     assert c[0] == ZERO
 
 
 def test_fire_disabled_raises(reservoir_model):
     net = compile_net(reservoir_model)
-    s = initial_state(reservoir_model, net)
+    s = initial_state(net)
     drained = SymState((0, 0), s.x, s.c, s.d, s.g, s.e, s.gs)
     with pytest.raises(RuntimeError):
-        fire(reservoir_model, drained, "demand_stop", net)
+        fire(drained, "demand_stop", net)
 
 
 def test_fire_general_resets_enabled_time(reservoir_model):
     net = compile_net(reservoir_model)
-    s = evolve(initial_state(reservoir_model, net), const(3.0), net)
-    _, _, g = fire(reservoir_model, s, "pump_break", net)
+    s = evolve(initial_state(net), const(3.0), net)
+    _, _, g = fire(s, "pump_break", net)
     assert g[0] == ZERO
 
 
@@ -309,8 +309,8 @@ def test_fire_general_resets_enabled_time(reservoir_model):
 
 def test_reservoir_root_events(reservoir_model):
     net = compile_net(reservoir_model)
-    s = initial_state(reservoir_model, net)
-    events = next_events(reservoir_model, s, [], net)
+    s = initial_state(net)
+    events = next_events(s, [], net)
     by_kind = {ev.kind: ev for ev in events}
     assert set(by_kind) == {EventKind.DETERMINISTIC, EventKind.GENERAL,
                             EventKind.BOUNDARY}
@@ -322,8 +322,8 @@ def test_reservoir_root_events(reservoir_model):
 
 def test_min_det_drops_dominated_boundary(reservoir_model):
     net = compile_net(reservoir_model)
-    s = initial_state(reservoir_model, net)
-    events = next_events(reservoir_model, s, [], net)
+    s = initial_state(net)
+    events = next_events(s, [], net)
     kept = min_det_events(events, [])
     assert [ev.kind for ev in kept] == [EventKind.DETERMINISTIC]
 
@@ -337,12 +337,12 @@ def test_guard_crossing_on_symbolic_level():
         arcs_guard=[{"from": "tank", "to": "stop", "op": ">=", "threshold": 2.0}],
     )
     net = compile_net(model)
-    s = initial_state(model, net)
+    s = initial_state(net)
     # Entry level s0 with domain [3, 4]: crossing of threshold 2 happens
     # after s0 - 2 more time units under drift -1.
     shifted = finalize_state(s.m, (var(0),), s.c, s.g, [True], net)
     domain = [SymInterval(const(3.0), const(4.0))]
-    events = next_events(model, shifted, domain, net)
+    events = next_events(shifted, domain, net)
     crossing = [ev for ev in events if ev.kind is EventKind.GUARD_ARC]
     assert len(crossing) == 1
     assert crossing[0].new_truth is False
@@ -356,9 +356,9 @@ def test_flat_level_reconciles_stale_guard():
         arcs_guard=[{"from": "tank", "to": "alarm", "op": "<=", "threshold": 0.0}],
     )
     net = compile_net(model)
-    s = initial_state(model, net)
+    s = initial_state(net)
     stale = SymState(s.m, s.x, s.c, s.d, s.g, s.e, (False,))
-    events = next_events(model, stale, [], net)
+    events = next_events(stale, [], net)
     fixes = [ev for ev in events if ev.kind is EventKind.GUARD_ARC]
     assert len(fixes) == 1
     assert fixes[0].new_truth is True
@@ -372,8 +372,8 @@ def test_flat_level_consistent_guard_silent():
         arcs_guard=[{"from": "tank", "to": "alarm", "op": "<=", "threshold": 0.0}],
     )
     net = compile_net(model)
-    s = initial_state(model, net)
-    events = next_events(model, s, [], net)
+    s = initial_state(net)
+    events = next_events(s, [], net)
     assert not [ev for ev in events if ev.kind is EventKind.GUARD_ARC]
 
 
@@ -388,8 +388,8 @@ def test_departing_threshold_emits_zero_delay_crossing():
         arcs_guard=[{"from": "tank", "to": "stop", "op": ">", "threshold": 2.0}],
     )
     net = compile_net(model)
-    s = initial_state(model, net)
-    crossing = [ev for ev in next_events(model, s, [], net)
+    s = initial_state(net)
+    crossing = [ev for ev in next_events(s, [], net)
                 if ev.kind is EventKind.GUARD_ARC]
     assert len(crossing) == 1
     assert crossing[0].new_truth is True
@@ -403,9 +403,9 @@ def test_pinned_place_suppresses_boundary_event():
         arcs_continuous=[{"from": "tank", "to": "out"}],
     )
     net = compile_net(model)
-    s = initial_state(model, net)
+    s = initial_state(net)
     assert s.d == (0.0,)  # adaptation already stalled the drain
-    assert next_events(model, s, [], net) == []
+    assert next_events(s, [], net) == []
 
 
 def test_moving_away_from_threshold_no_event():
@@ -417,8 +417,8 @@ def test_moving_away_from_threshold_no_event():
         arcs_guard=[{"from": "tank", "to": "stop", "op": ">=", "threshold": 2.0}],
     )
     net = compile_net(model)
-    s = initial_state(model, net)
-    assert not [ev for ev in next_events(model, s, [], net)
+    s = initial_state(net)
+    assert not [ev for ev in next_events(s, [], net)
                 if ev.kind is EventKind.GUARD_ARC]
 
 
@@ -432,8 +432,8 @@ def test_resolve_conflict_weights_split():
         arcs_discrete=[{"from": "p", "to": "a"}, {"from": "p", "to": "b"}],
     )
     net = compile_net(model)
-    s = initial_state(model, net)
-    events = next_events(model, s, [], net)
+    s = initial_state(net)
+    events = next_events(s, [], net)
     winners = resolve_conflict(model, events)
     probs = {ev.target: p for ev, p in winners}
     assert probs == {"a": pytest.approx(0.25), "b": pytest.approx(0.75)}
@@ -447,8 +447,8 @@ def test_resolve_conflict_priority_preempts_weight():
         arcs_discrete=[{"from": "p", "to": "a"}, {"from": "p", "to": "b"}],
     )
     net = compile_net(model)
-    s = initial_state(model, net)
-    winners = resolve_conflict(model, next_events(model, s, [], net))
+    s = initial_state(net)
+    winners = resolve_conflict(model, next_events(s, [], net))
     assert [(ev.target, p) for ev, p in winners] == [("a", 1.0)]
 
 
@@ -460,8 +460,8 @@ def test_resolve_conflict_state_change_beats_firing():
         arcs_continuous=[{"from": "feed", "to": "tank"}],
     )
     net = compile_net(model)
-    s = initial_state(model, net)
-    events = next_events(model, s, [], net)
+    s = initial_state(net)
+    events = next_events(s, [], net)
     assert len(events) == 2  # boundary and firing, both at delta 1
     winners = resolve_conflict(model, events)
     assert len(winners) == 1

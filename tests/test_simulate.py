@@ -7,7 +7,8 @@ import pytest
 from hpng.montecarlo import stream
 from hpng.props import parse_property
 import hpng.simulate
-from hpng.semantics import EventKind, ResourceLimitError, SymState, next_events
+from hpng.semantics import (EventKind, ResourceLimitError, SymState, compile_net, enabling,
+                            next_events, pinned)
 from hpng.simulate import estimate_probability, simulate_run
 from hpng.symbolic import EPS, ZERO, const
 
@@ -150,7 +151,7 @@ def _tree_events(run):
         c=tuple(map(const, run.clocks)) + (ZERO,) * len(model.immediate),
         d=run.drift, g=tuple(map(const, run.g)), e=run.enab, gs=tuple(run.gs))
     out = {}
-    for ev in next_events(model, state, [], run.net):
+    for ev in next_events(state, [], run.net):
         if ev.kind is not EventKind.GENERAL:
             target = f"g{ev.arc_index}" if ev.kind is EventKind.GUARD_ARC else ev.target
             assert ev.delta.is_constant()
@@ -187,6 +188,20 @@ def test_tree_and_simulator_list_the_same_events(monkeypatch, battery_model,
     for n in range(50):
         simulate_run(model, tau, rng=stream(0, n))
     assert steps > 100
+
+
+def test_firing_without_its_input_tokens_raises_as_in_the_tree(reservoir_model):
+    # semantics.fire refuses to fire demand_stop with demand_on empty; the
+    # simulator's firing moves tokens by the same rule, so it refuses too
+    # instead of leaving a marking of -1.
+    net = compile_net(reservoir_model)
+    run = hpng.simulate._Run(net=net, time=0.0, m=[0, 0], x=[0.0], clocks=[0.0],
+                             g=[0.0], counts=[0], gs=[False, False])
+    run.enab = enabling(net, run.m, run.gs)
+    hpng.simulate._enter(run, pinned(net, run.x))
+    demand_stop = (0.0, EventKind.DETERMINISTIC, "demand_stop", 0, 1.0, None)
+    with pytest.raises(RuntimeError, match="disabled transition demand_stop"):
+        hpng.simulate._apply(run, demand_stop, {}, [])
 
 
 def test_sampled_values_recorded(reservoir_model):
