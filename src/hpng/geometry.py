@@ -1,4 +1,5 @@
-"""Polytope helpers: H-representation, vertices, triangulation, sampling.
+"""Polytope helpers: H-representation, vertices, triangulation, sampling
+and an exact simplex rule.
 
 Regions here are intersections of affine half-spaces {x : A x <= b}.
 Vertices are enumerated exactly and without linear programs: an axis box
@@ -12,7 +13,9 @@ Simplex sampling reuses its buffers across iterations and sorts each
 uniform draw with a network of min/max compare-exchanges, which puts the
 values ``np.sort`` would in each place.  Both samplers only draw: the
 estimate, its sigma and the rule for non-finite values are
-``montecarlo._estimate``'s.
+``montecarlo._estimate``'s.  ``simplex_rule`` places a Grundmann-Moeller
+rule, exact to degree 2s + 1 and cached per (n, s) on the standard
+simplex, on each simplex through its vertex matrix; it draws nothing.
 ``chebyshev_center`` is the one LP left, for callers that want a
 region's largest inscribed ball.
 
@@ -376,6 +379,54 @@ def probability_over_simplex(
         return np.asarray(density(np.matmul(w, verts, out=pts)), dtype=float)
 
     return _estimate(step, cfg.iterations, vol, n)
+
+
+@lru_cache(maxsize=64)
+def _grundmann_moller(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric points (p, n + 1) and weights (p,) of the Grundmann-Moeller
+    rule of degree 2s + 1 on the n-simplex, p = C(n + s + 1, s).
+
+    Grundmann & Moeller, SIAM J. Numer. Anal. 15 (1978), Theorem 4.  With
+    d = 2s + 1, level i = 0..s puts the weight
+    (-1)^i n! (n + d - 2i)^d / (4^s i! (n + d - i)!) on every point whose
+    barycentric coordinates are (2 beta_j + 1) / (n + d - 2i) for a
+    composition beta of s - i into n + 1 parts.  The weights sum to 1, so
+    a simplex's integral is its volume times the weighted sum; every point
+    lies strictly inside.  The weights are exact integer ratios rounded
+    once, and the arrays are read-only.
+    """
+    d = 2 * s + 1
+    points, weights = [], []
+    for i in range(s + 1):
+        den = n + d - 2 * i
+        # compositions of s - i into n + 1 parts: the gaps between n bars
+        # placed among s - i + n slots
+        slots = s - i + n
+        beta = np.diff(_subsets(slots, n), axis=1, prepend=-1, append=slots) - 1
+        points.append((2 * beta + 1) / den)
+        w = (-1) ** i * math.factorial(n) * den ** d \
+            / (4 ** s * math.factorial(i) * math.factorial(n + d - i))
+        weights.append(np.full(len(beta), w))
+    lam, w = np.vstack(points), np.concatenate(weights)
+    lam.flags.writeable = False
+    w.flags.writeable = False
+    return lam, w
+
+
+def simplex_rule(simplices: list[np.ndarray], s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points (len(simplices) * p, n) and weights of the degree-2s+1
+    Grundmann-Moeller rule on each simplex (n + 1 vertex rows, n columns).
+
+    The cached barycentric points are mapped through each vertex matrix
+    and the weights scaled by each simplex's volume, so that
+    ``weights @ f(points)`` is the integral of f over the simplices,
+    exact when f is a polynomial of degree at most 2s + 1 on each.
+    """
+    verts = np.stack(simplices)
+    n = verts.shape[2]
+    lam, w = _grundmann_moller(n, s)
+    vol = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1])) / math.factorial(n)
+    return (lam @ verts).reshape(-1, n), (vol[:, None] * w).ravel()
 
 
 def probability_over_region_direct(

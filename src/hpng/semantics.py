@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .model import DISCRETE_KINDS, ZONE_TRUTH, HPnGModel, TKind, compare
+from .model import ZONE_TRUTH, HPnGModel, TKind, compare
 from .symbolic import (
     EPS,
     ComparisonKind,
@@ -264,19 +264,6 @@ def guard_crossing(op: str, zone: str, drift: float,
     return None
 
 
-def enabled(model: HPnGModel, state: SymState, tid: str) -> bool:
-    """Token and guard conditions for one transition in the given state."""
-    kind, _ = model.t_ref[tid]
-    for i, arc in enumerate(model.guard_arcs):
-        if arc.transition == tid and not state.gs[i]:
-            return False
-    if kind in DISCRETE_KINDS:
-        for arc in model.input_arcs(tid):
-            if state.m[model.dp_index[arc.place]] < arc.weight:
-                return False
-    return True
-
-
 def set_marking_guards(guards: Sequence[tuple], m: Sequence[int], gs: list) -> None:
     """Overwrite in ``gs`` the truths of ``guards`` (``discrete_guards`` rows) from marking m."""
     for ai, pi, op, threshold in guards:
@@ -304,7 +291,8 @@ def move_tokens(net: CompiledNet, fi: int, m: list[int]) -> None:
 
 
 def enabled_row(net: CompiledNet, fi: int, m: Sequence[int], gs: Sequence[bool]) -> bool:
-    """Token and guard conditions of flat transition fi: the rule of ``enabled``.
+    """Whether flat transition fi is enabled: every guard arc of fi holds in
+    ``gs``, and each input place holds at least the arc's weight in ``m``.
 
     Only discrete transitions have input arcs, so the token test is empty
     for continuous ones.

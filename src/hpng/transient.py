@@ -19,11 +19,15 @@ firings that are still pending.  Three routes compute that integral:
 ``simplex``
     One half-space region per location over its expired firings, exact
     vertex enumeration (bound propagation, then batched solves of the
-    rows that can be tight; no linear program), triangulation, and
-    per-simplex sampling of the density; pending firings enter the
-    density as survival factors, and a location with no expired firing is
-    a closed-form survival product.  An empty or measure-zero region
-    costs its enumeration and nothing else.
+    rows that can be tight; no linear program) and triangulation; pending
+    firings enter the density as survival factors, and a location with no
+    expired firing is a closed-form survival product.  When every firing
+    of the location is uniform, the region is cut at the supports and
+    survival kinks into pieces on which the density is a polynomial, and
+    a Grundmann-Moeller rule integrates each simplex of each piece
+    exactly.  Deterministic; its error estimate bounds the rounding of
+    the rule's sum.  Any other family keeps per-simplex sampling.  An
+    empty or measure-zero region costs its enumeration and nothing else.
 ``direct``
     The same region and density sampled through the region's bounding
     box, which is the box of its enumerated vertices.  Samples are tested
@@ -44,9 +48,11 @@ import numpy as np
 
 from .geometry import (
     EPS_GEOM,
+    HPolytope,
     make_polytope,
     probability_over_region_direct,
     probability_over_simplex,
+    simplex_rule,
     triangulate,
     vertex_enumeration,
 )
@@ -472,6 +478,93 @@ def _region_probability(
     return total, float(np.sqrt(var))
 
 
+def _uniform_cuts(verts: np.ndarray, dists, factors):
+    """(rows, splits, degree) on which a uniform region's density is a
+    polynomial, judged at its vertices; None where it is 0 throughout.
+
+    Rows and splits are pairs (g, c) for g x <= c.  ``rows`` cut off where
+    the density is 0: a variable outside its support [a, b], or a survival
+    factor's lower bound past b.  ``splits`` are lower <= a for each factor
+    whose start a lies inside the range: 1 below, affine above.  ``degree``
+    counts the factors affine on the whole region.  One within ``EPS_GEOM``
+    of its start is taken whole, an error of the order of EPS_GEOM squared.
+    """
+    n = verts.shape[1]
+    rows: list[tuple[np.ndarray, float]] = []
+    splits: list[tuple[np.ndarray, float]] = []
+    degree = 0
+    for i, dist in enumerate(dists):
+        a, b = dist.params
+        low, high = verts[:, i].min(), verts[:, i].max()
+        if high <= a or low >= b:
+            return None
+        unit = np.zeros(n)
+        unit[i] = 1.0
+        if low < a:
+            rows.append((-unit, -a))
+        if high > b:
+            rows.append((unit, b))
+    for dist, lf in factors:
+        a, b = dist.params
+        g = _vec(lf, n)
+        vals = verts @ g + lf.const
+        low, high = vals.min(), vals.max()
+        if low >= b:
+            return None
+        if high <= a + EPS_GEOM:
+            continue                                # the factor is 1
+        if high > b:
+            rows.append((g, b - lf.const))
+        if low < a - EPS_GEOM:
+            splits.append((g, a - lf.const))
+        else:
+            degree += 1
+    return rows, splits, degree
+
+
+def _exact_probability(terms, dists, factors) -> tuple[float, float]:
+    """(value, rounding bound) of uniform terms by a Grundmann-Moeller rule.
+
+    Each region is cut into one piece per choice of side of each split of
+    ``_uniform_cuts``.  A piece with k affine factors carries a polynomial
+    of degree k, so the rule of degree 2s + 1, s = ceil((k - 1) / 2) =
+    k // 2, is exact on each of its simplices.  The density is evaluated
+    once per region, at every piece's points.  The rule itself has no
+    error; the bound covers the rounding of the weighted sum of m terms, m
+    machine epsilons times the sum of their magnitudes.
+    """
+    total = bound = 0.0
+    for weight, poly, density in terms:
+        if poly is None:
+            total += weight
+            continue
+        verts = vertex_enumeration(poly)
+        cuts = _uniform_cuts(verts, dists, factors) if len(verts) else None
+        if cuts is None:
+            continue
+        rows, splits, degree = cuts
+        pieces = [(rows, degree)]
+        for g, c in splits:
+            pieces = [side for extra, k in pieces
+                      for side in ((extra + [(g, c)], k), (extra + [(-g, -c)], k + 1))]
+        points, weights = [], []
+        for extra, k in pieces:
+            if extra:
+                verts = vertex_enumeration(HPolytope(
+                    np.vstack([poly.a] + [g for g, _ in extra]),
+                    np.concatenate([poly.b, [c for _, c in extra]])))
+            simplices = triangulate(verts)
+            if simplices:
+                pts, wts = simplex_rule(simplices, k // 2)
+                points.append(pts)
+                weights.append(wts)
+        if points:
+            values = weight * np.concatenate(weights) * density(np.vstack(points))
+            total += float(values.sum())
+            bound += len(values) * np.finfo(float).eps * float(np.abs(values).sum())
+    return total, bound
+
+
 # ---------------------------------------------------------------------------
 # orchestration
 
@@ -537,6 +630,13 @@ def transient_probability(
                 var += r.sigma ** 2
             return loc.id, acc * value, acc * float(np.sqrt(var))
         terms = location_region_terms(model, tree, loc, t_prime, rows)
+        if method == "simplex":
+            # the firings behind the region's density, as it uses them
+            dists = [model.transition(rv.transition).distribution for rv in loc.rvs]
+            factors = pending_vars(model, loc, t_prime)
+            if all(d.family == "uniform" for d in dists + [d for d, _ in factors]):
+                value, bound = _exact_probability(terms, dists, factors)
+                return loc.id, acc * value, acc * bound
         value, sigma = _region_probability(terms, method, cfg, rng)
         return loc.id, acc * value, acc * sigma
 

@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps hpng names by hand; each must still exist."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ import hpng.tree
 from hpng.geometry import EPS_VOL, bounding_box, triangulate, vertex_enumeration
 from hpng.montecarlo import stream
 from hpng.transient import candidate_locations, location_region_terms, pending_vars
+
+from conftest import battery_variant
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -156,34 +159,66 @@ def test_traced_direct_queries_sample_through_the_kernel(monkeypatch, reservoir_
 def test_traced_simplex_queries_sample_through_the_kernel(monkeypatch, reservoir_tree,
                                                           battery_tree):
     # geometry.simplex_integrate_s and montecarlo.density_s must read the
-    # simplex route's sampling: every triangulated simplex reaches the
-    # wrapped probability_over_simplex once, its density reaches the
-    # wrapped pdf once per variable and cdf once per pending firing in
-    # each iteration (a location with no variable takes the cdf once per
-    # pending firing, outside the kernel), and each simplex spends samples // iterations points
-    # per iteration.
+    # simplex route's sampling on a location with a normal firing: every
+    # triangulated simplex reaches the wrapped probability_over_simplex
+    # once, its density reaches the wrapped pdf once per variable and cdf
+    # once per pending firing in each iteration, and each simplex spends
+    # samples // iterations points per iteration.  A location whose
+    # firings are all uniform takes the exact rule instead: on these
+    # queries no support or survival kink lies inside its region, so its
+    # simplices are those of the whole region, each carries
+    # C(n + s + 1, s) points with s = k // 2 for its k pending factors,
+    # and its density reaches pdf and cdf once, at every point.  A
+    # location with no variable takes the cdf once per pending firing,
+    # outside both.
     tracing = _tracing(monkeypatch)
-    queries = ((reservoir_tree, 8.0), (battery_tree, 6.0))
+    n72 = battery_variant(8.0, {"family": "normal", "mu": 7.0, "sigma": 2.0})
+    queries = ((reservoir_tree, 8.0), (battery_tree, 6.0), (hpng.build_plt(n72, 8.0), 6.0))
     cfg = hpng.McConfig(samples=3_001, iterations=2, seed=0)
-    simplices = pdfs = cdfs = 0
+    per_iteration = cfg.samples // cfg.iterations
+    sampled = pdfs = cdfs = exact = ruled = evals = 0
     for tree, t_prime in queries:
+        model = tree.model
         for loc in candidate_locations(tree, t_prime):
-            for _, poly, _ in location_region_terms(tree.model, tree, loc, t_prime):
-                pending = len(pending_vars(tree.model, loc, t_prime))
+            dists = [model.transition(rv.transition).distribution for rv in loc.rvs]
+            factors = pending_vars(model, loc, t_prime)
+            uniform = all(d.family == "uniform" for d in dists + [d for d, _ in factors])
+            for _, poly, _ in location_region_terms(model, tree, loc, t_prime):
                 if poly is None:            # a closed-form survival product
-                    cdfs += pending
+                    cdfs += len(factors)
+                    evals += len(factors)
                     continue
-                k = len(triangulate(vertex_enumeration(poly)))
-                simplices += k
-                pdfs += k * poly.dim * cfg.iterations
-                cdfs += k * pending * cfg.iterations
-    assert simplices > 0 and cdfs > 0
+                verts = vertex_enumeration(poly)
+                k = len(triangulate(verts))
+                if not uniform:
+                    sampled += k
+                    pdfs += k * poly.dim * cfg.iterations
+                    cdfs += k * len(factors) * cfg.iterations
+                    evals += k * cfg.iterations * per_iteration * (poly.dim + len(factors))
+                    continue
+                if k == 0:
+                    continue
+                for i, dist in enumerate(dists):
+                    a, b = dist.params
+                    assert a <= verts[:, i].min() and verts[:, i].max() <= b
+                for dist, lf in factors:
+                    lower = verts @ [lf.coeff(i) for i in range(poly.dim)] + lf.const
+                    assert dist.params[0] <= lower.min() and lower.max() <= dist.params[1]
+                s = len(factors) // 2
+                exact += 1
+                ruled += k
+                pdfs += poly.dim
+                cdfs += len(factors)
+                evals += k * math.comb(poly.dim + s + 1, s) * (poly.dim + len(factors))
+    assert sampled > 0 and exact > 0 and cdfs > 0
     with tracing.install(tracing.Tracer()) as tracer:
         for tree, t_prime in queries:
             hpng.transient.transient_probability(tree, t_prime, method="simplex", cfg=cfg)
     aggs, counts = tracer.aggs, tracer.counts
-    assert aggs["geometry.probability_over_simplex"].calls == counts["simplices"] == simplices
+    assert aggs["geometry.probability_over_simplex"].calls == sampled
+    assert counts["simplices"] == sampled + ruled
     assert aggs["montecarlo.pdf"].calls == pdfs
     assert aggs["montecarlo.cdf"].calls == cdfs
     assert counts["samples_used"] + counts["samples_skipped"] == \
-        simplices * (cfg.samples // cfg.iterations) * cfg.iterations
+        sampled * per_iteration * cfg.iterations
+    assert counts["density_evals"] == evals

@@ -1,6 +1,7 @@
 """Polytope machinery: vertices, triangulation, volumes, simplex sampling."""
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hpng.geometry import (
     probability_over_region_direct,
     probability_over_simplex,
     sample_unit_simplex,
+    simplex_rule,
     simplex_volume,
     triangulate,
     vertex_enumeration,
@@ -637,3 +639,63 @@ def test_sorting_network_is_np_sort(dim):
     u = np.sort(stream(dim, 0).random((1_001, dim)), axis=1)
     want = np.diff(np.hstack([np.zeros((1_001, 1)), u, np.ones((1_001, 1))]), axis=1)
     assert sample_unit_simplex(stream(dim, 0), dim, 1_001).tobytes() == want.tobytes()
+
+
+def _dirichlet_moment(alpha, vol):
+    """The integral of the barycentric monomial lambda^alpha over an
+    n-simplex of volume vol: n! vol alpha! / (n + |alpha|)!."""
+    n = len(alpha) - 1
+    return (math.factorial(n) * vol * math.prod(math.factorial(a) for a in alpha)
+            / math.factorial(n + sum(alpha)))
+
+
+def _random_simplex(rng, n):
+    """The standard n-simplex under a random rotation, axis scales in
+    [0.5, 2] and shift: random, and conditioned well enough that solving
+    for barycentric coordinates keeps the moments to 1e-12."""
+    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    scaled = np.vstack([np.zeros(n), np.diag(rng.uniform(0.5, 2.0, n))])
+    return scaled @ rotation + rng.uniform(-1.0, 1.0, n)
+
+
+def _barycentric(verts, pts):
+    lam = np.linalg.solve((verts[1:] - verts[0]).T, (pts - verts[0]).T).T
+    return np.hstack([1.0 - lam.sum(axis=1, keepdims=True), lam])
+
+
+def _rule_moment(verts, s, alpha):
+    pts, weights = simplex_rule([verts], s)
+    return weights @ np.prod(_barycentric(verts, pts) ** np.asarray(alpha), axis=1)
+
+
+@pytest.mark.parametrize("s", range(4))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_simplex_rule_integrates_every_monomial_up_to_its_degree(n, s):
+    # Grundmann-Moeller of degree 2s + 1 on a random n-simplex: exact on
+    # every barycentric monomial of degree <= 2s + 1, with C(n + s + 1, s)
+    # points, and not on lambda_0^(2s + 2).
+    verts = _random_simplex(np.random.default_rng(100 * n + s), n)
+    vol = simplex_volume(verts) if n > 1 else abs(float(verts[1, 0] - verts[0, 0]))
+    pts, weights = simplex_rule([verts], s)
+    assert pts.shape == (math.comb(n + s + 1, s), n)
+    for degree in range(2 * s + 2):
+        for parts in combinations_with_replacement(range(n + 1), degree):
+            alpha = np.bincount(np.asarray(parts, dtype=int), minlength=n + 1)
+            want = _dirichlet_moment(alpha, vol)
+            assert _rule_moment(verts, s, alpha) == pytest.approx(want, rel=1e-12, abs=0.0)
+    alpha = [2 * s + 2] + [0] * n
+    want = _dirichlet_moment(alpha, vol)
+    assert abs(_rule_moment(verts, s, alpha) - want) > 1e-6 * want
+
+
+def test_simplex_rule_maps_every_simplex():
+    # Several simplices at once: the points of each lie inside it and the
+    # weights of each sum to its volume.
+    rng = np.random.default_rng(7)
+    simplices = [_random_simplex(rng, 3) for _ in range(5)]
+    pts, weights = simplex_rule(simplices, 2)
+    per = math.comb(3 + 2 + 1, 2)
+    for k, verts in enumerate(simplices):
+        assert (_barycentric(verts, pts[k * per:(k + 1) * per]) > 0.0).all()
+        assert weights[k * per:(k + 1) * per].sum() == pytest.approx(simplex_volume(verts),
+                                                                      rel=1e-12)

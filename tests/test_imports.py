@@ -61,6 +61,19 @@ def test_intervals_route_loads_scipy_special_alone():
     assert not any(m.startswith(("scipy.optimize", "scipy.spatial")) for m in loaded)
 
 
+def test_exact_simplex_route_loads_qhull_alone():
+    # Battery regions at tau = 8 reach three dimensions, so the route
+    # triangulates through qhull, and scipy.spatial's own imports
+    # (scipy.special among them) come with it.  The Grundmann-Moeller rule
+    # adds nothing to them: no scipy module beyond what importing qhull
+    # loads, and no scipy.optimize.
+    loaded = scipy_modules_after(cli_calls(
+        ["transient", BATTERY, "--tau-max", "8", "--time", "8", "--method", "simplex"]))
+    assert "scipy.spatial" in loaded
+    assert not any(m.startswith("scipy.optimize") for m in loaded)
+    assert loaded == scipy_modules_after("from scipy.spatial import Delaunay, QhullError")
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-m", "hpng", "validate", BATTERY], env=env,

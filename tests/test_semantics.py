@@ -5,13 +5,12 @@ import json
 import pytest
 
 import hpng.simulate
-from hpng.model import TKind, parse_model
+from hpng.model import DISCRETE_KINDS, TKind, parse_model
 from hpng.montecarlo import stream
 from hpng.semantics import (
     EventKind,
     SymState,
     compile_net,
-    enabled,
     enabling,
     evolve,
     finalize_state,
@@ -85,6 +84,24 @@ def test_battery_initial_drift_is_zero(battery_model):
     s = initial_state(net)
     bat = battery_model.cp_index["battery"]
     assert s.d[bat] == pytest.approx(0.0)  # supply 700 == standard demand 700
+
+
+def enabled(model, state, tid):
+    """Token and guard conditions for one transition in the given state.
+
+    The enabling rule written on the model itself, one transition at a
+    time: the reference that ``enabled_row`` on the compiled net is
+    checked against.
+    """
+    kind, _ = model.t_ref[tid]
+    for i, arc in enumerate(model.guard_arcs):
+        if arc.transition == tid and not state.gs[i]:
+            return False
+    if kind in DISCRETE_KINDS:
+        for arc in model.input_arcs(tid):
+            if state.m[model.dp_index[arc.place]] < arc.weight:
+                return False
+    return True
 
 
 def test_enabled_checks_tokens_and_guards(reservoir_model):

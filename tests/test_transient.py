@@ -9,6 +9,7 @@ import pytest
 from scipy.special import ndtr
 
 import hpng.transient
+from hpng.geometry import vertex_enumeration
 from hpng.model import DistributionSpec, load_model, parse_model
 from hpng.montecarlo import McConfig, stream, vegas_integrate
 from hpng.props import parse_property
@@ -27,7 +28,7 @@ from hpng.transient import (
 )
 from hpng.tree import _nonempty, build_plt
 
-from conftest import MODELS
+from conftest import MODELS, battery_doc, battery_variant
 
 
 # Occupation probabilities of the reservoir tree, straightforward to check
@@ -489,3 +490,95 @@ def test_cubature_agrees_with_vegas_on_every_battery_cell(battery_model, battery
             assert abs(gl.value - mc.value) <= 3 * mc.sigma + 1e-12
             checked += 1
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# exact simplex rule on uniform regions
+
+U010 = {"family": "uniform", "a": 0.0, "b": 10.0}
+U610 = {"family": "uniform", "a": 6.0, "b": 10.0}
+
+
+def _late_failure_battery():
+    """The battery with grid_fail ~ U(2, 10) and a repair of 4: at t' = 10
+    the second failure's survival starts (lower bound 2) inside regions
+    where the first failure's density is positive."""
+    doc = battery_doc()
+    for t in doc["transitions"]["general"]:
+        if t["id"] == "grid_fail":
+            t["distribution"] = {"family": "uniform", "a": 2.0, "b": 10.0}
+    for t in doc["transitions"]["deterministic"]:
+        if t["id"] == "grid_repair":
+            t["firingTime"] = 4.0
+    return parse_model(json.dumps(doc))
+
+
+#: (model variant, tau, t', property): the benchmark's uniform queries, then
+#: a later t' whose regions cross the U(0, 10) supports and a survival
+#: that starts inside its regions.
+UNIFORM_QUERIES = (
+    ("repair 8", 8.0, 8.0, "m(grid_on) >= 1"),
+    ("repair 5", 8.0, 8.0, "m(grid_on) >= 1"),
+    ("switch U(0,10)", 8.0, 8.0, "m(demand_std) = 1"),
+    ("switch U(6,10)", 8.0, 8.0, "m(demand_std) = 1"),
+    ("bundled", 20.0, 4.0, ""),
+    ("bundled", 20.0, 4.0, "m(grid_on) >= 1"),
+    ("bundled", 20.0, 8.0, ""),
+    ("bundled", 20.0, 8.0, "m(grid_on) >= 1"),
+    ("bundled", 20.0, 12.0, ""),
+    ("late failure", 10.0, 10.0, ""),
+)
+UNIFORM_VARIANTS = {
+    "repair 8": lambda: battery_variant(8.0),
+    "repair 5": lambda: battery_variant(5.0),
+    "switch U(0,10)": lambda: battery_variant(11.0, U010),
+    "switch U(6,10)": lambda: battery_variant(11.0, U610),
+    "late failure": _late_failure_battery,
+}
+
+
+def _kinks_inside(model, tree, loc, t_prime, rows):
+    """(support kinks, survival kinks) strictly inside the location's region."""
+    supports = survivals = 0
+    dists = [model.transition(rv.transition).distribution for rv in loc.rvs]
+    factors = pending_vars(model, loc, t_prime)
+    for _, poly, _ in location_region_terms(model, tree, loc, t_prime, rows):
+        verts = np.zeros((0, 0)) if poly is None else vertex_enumeration(poly)
+        if len(verts) == 0:
+            continue
+        for i, dist in enumerate(dists):
+            supports += sum(verts[:, i].min() < p < verts[:, i].max() for p in dist.params)
+        for dist, lf in factors:
+            lower = verts @ [lf.coeff(i) for i in range(poly.dim)] + lf.const
+            survivals += sum(lower.min() < p < lower.max() for p in dist.params)
+    return supports, survivals
+
+
+def test_exact_simplex_matches_intervals_per_location(battery_trees):
+    # On regions whose firings are all uniform the simplex route is a
+    # second deterministic route: every location's value within 1e-12 of
+    # the intervals route, the same locations, and an error estimate that
+    # is a rounding bound.  Some regions must be cut at a support and at a
+    # survival kink, or a route that skipped the cut could pass.
+    trees = {("bundled", 20.0): battery_trees[20.0]}
+    supports = survivals = 0
+    for variant, tau, t_prime, prop in UNIFORM_QUERIES:
+        if (variant, tau) not in trees:
+            trees[variant, tau] = build_plt(UNIFORM_VARIANTS[variant](), tau)
+        tree = trees[variant, tau]
+        model = tree.model
+        atoms = parse_property(prop, model) if prop else None
+        want = transient_probability(tree, t_prime, atoms, method="intervals")
+        got = transient_probability(tree, t_prime, atoms, method="simplex",
+                                    cfg=McConfig(40_000, 5))
+        assert got.per_location.keys() == want.per_location.keys()
+        for lid, (value, bound) in got.per_location.items():
+            assert abs(value - want.per_location[lid][0]) <= 1e-12, (tau, t_prime, prop, lid)
+            assert 0.0 <= bound <= 1e-12
+        for loc in candidate_locations(tree, t_prime):
+            rows = _fluid_rows(model, loc, t_prime, atoms or [])
+            if rows is not None:
+                s, v = _kinks_inside(model, tree, loc, t_prime, rows)
+                supports += s
+                survivals += v
+    assert supports > 0 and survivals > 0

@@ -366,10 +366,11 @@ def test_direct_answers_are_pinned(battery_trees):
 
 
 def test_simplex_answers_are_pinned(battery_trees):
-    # The simplex route's sampling kernel, bit for bit: the benchmark's
-    # repair-5 sweep query and its N(7,2)-switch query at the gate's budget
-    # (normal densities and survival factors), and a deeper tree whose
-    # regions triangulate into 2-D simplices.
+    # The simplex route, bit for bit: the benchmark's repair-5 sweep query
+    # and a deeper tree whose regions triangulate into 2-D simplices, both
+    # all uniform and so integrated by the exact rule, and the N(7,2)-switch
+    # query at the gate's budget, whose normal densities and survival
+    # factors keep the sampling kernel.
     repair5 = battery_variant(repair_time=5.0)
     atoms = parse_property("m(grid_on) >= 1", repair5)
     res = transient_probability(build_plt(repair5, 8.0), 8.0, atoms, method="simplex",
@@ -389,9 +390,9 @@ def test_simplex_answers_are_pinned(battery_trees):
 
 
 INTERVALS_T20_AT16_DIGEST = "b2d931aebb63d05059f51248acae4e46cd23ca8de56e965c3a8711c89ec7d6a2"
-SIMPLEX_T8_R5_DIGEST = "d3818d4b19e4659b191f28dcb8db870b3425021a99dce6489f17e50eb1406aaf"
+SIMPLEX_T8_R5_DIGEST = "20106104c8d75e963d89695c39c8825559212ee2d1f1e2de0f20feec97b1af69"
 SIMPLEX_T8_N72_DIGEST = "b7c9d554d087807bfa3f9865682f9ff5613275eb6a7dddcb0872a0a59988f842"
-SIMPLEX_T20_AT8_DIGEST = "c13fbc9c9f82b54ed93a87375281443e58dbc1e8145dad16de57bee16ece385a"
+SIMPLEX_T20_AT8_DIGEST = "56101c4ffd0541ba16e84743c3f056b54905508cb46c96193740f4b3fc0b093a"
 DIRECT_T8_R5_DIGEST = "196402ad5bb9575716df9b7709a693e6aebd36ba9be482b634e2536e4b40fed0"
 DIRECT_T20_AT8_DIGEST = "9f196801fdf33640f896412d13cba67fb3f6e3524cb66d35a95b110278cdeb67"
 
