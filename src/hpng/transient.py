@@ -1,10 +1,15 @@
 """Transient probabilities of state properties over the location tree.
 
-A location can hold probability mass at time t' when its entry time can lie
-before t' and, where deterministic exits exist, at least one of them can
-lie after t'.  The mass is an integral of the joint density of the expired
-random firings over the restricted domain, times survival factors for
-firings that are still pending.  Three routes compute that integral:
+A location is occupied on the half-open interval [entry, exit): the state
+at t' is the state after every event at t', which is the simulator's
+observation rule.  So a location can hold probability mass at t' when its
+entry time can lie at or before t' and, where deterministic exits exist,
+at least one of them is open at t' (``exit_open``): it can lie after t',
+and its delay is not the constant 0.  The mass is an integral of the joint
+density of the expired random firings over the restricted domain, times
+survival factors for firings that are still pending.  Three routes compute
+that integral; none of them spends anything on a candidate whose
+deterministic exits are all closed at t', which reports (0, 0):
 
 ``intervals``
     Triangular cells cut from the domain one bound at a time by the tree's
@@ -22,17 +27,21 @@ firings that are still pending.  Three routes compute that integral:
     rows that can be tight; no linear program) and triangulation; pending
     firings enter the density as survival factors, and a location with no
     expired firing is a closed-form survival product.  When every firing
-    of the location is uniform, the region is cut at the supports and
-    survival kinks into pieces on which the density is a polynomial, and
-    a Grundmann-Moeller rule integrates each simplex of each piece
-    exactly.  Deterministic; its error estimate bounds the rounding of
-    the rule's sum.  Any other family keeps per-simplex sampling.  An
-    empty or measure-zero region costs its enumeration and nothing else.
+    of the location is uniform, the region is cut at the supports, and
+    the cut region at its survival kinks, into pieces on which the density
+    is a polynomial; a Grundmann-Moeller rule integrates each simplex of
+    each piece exactly.  Deterministic; its error estimate bounds the
+    rounding of the rule's sum.  Any other family keeps per-simplex
+    sampling.  An empty or measure-zero region costs its enumeration and
+    nothing else.
 ``direct``
     The same region and density sampled through the region's bounding
     box, which is the box of its enumerated vertices.  Samples are tested
     only against the rows that cut the box; a region that fills its box
     is the density integrated over the box.
+
+Each location samples from its own stream, ``stream(cfg.seed, loc.id)``,
+made when a sampler first draws: the deterministic rules never pay for it.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ from .montecarlo import pdf as dist_pdf
 from .props import Atom
 from .semantics import UnsupportedModelError, check_observation
 from .symbolic import EPS, LinearForm, SymInterval, const, extremal_value, var
-from .tree import ParametricLocation, PLTree, _nonempty, pending_rvs, restrict
+from .tree import DetExit, ParametricLocation, PLTree, _nonempty, pending_rvs, restrict
 
 METHODS = ("intervals", "simplex", "direct")
 
@@ -110,6 +119,12 @@ def candidate_locations(tree: PLTree, t_prime: float) -> list[ParametricLocation
     happen at t_prime or later (``DetExit.latest``).  Both bounds do not
     depend on t_prime; ``build_plt`` computes them once per tree, so a
     query only compares floats.
+
+    The test is closed at both ends.  Besides the locations occupied at
+    t_prime on their half-open residence [entry, exit), which is what the
+    simulator observes, it keeps those whose exits are all closed at
+    t_prime (``exit_open``); the routes report them as (0, 0) without
+    integrating.
     """
     return [
         loc for loc in tree.locations
@@ -117,6 +132,17 @@ def candidate_locations(tree: PLTree, t_prime: float) -> list[ParametricLocation
         and (not loc.det_exits
              or any(ex.latest >= t_prime - EPS for ex in loc.det_exits))
     ]
+
+
+def exit_open(ex: DetExit, t_prime: float) -> bool:
+    """Whether the location can still be left through ``ex`` after t_prime.
+
+    Residence is half-open, [entry, exit): an exit at or before t_prime
+    (``ex.latest <= t_prime + EPS``) has left the location by t_prime, and
+    an exit whose delay is the constant 0 leaves it as it is entered.
+    """
+    return ex.latest > t_prime + EPS and not (ex.delta.is_constant()
+                                              and ex.delta.const <= EPS)
 
 
 def pending_vars(
@@ -166,13 +192,17 @@ def location_pieces(
     t_prime: float,
     extra_rows: tuple[LinearForm, ...] = (),
 ) -> list[Piece]:
-    """Triangular cells of the restricted domain of one location at t_prime."""
+    """Triangular cells of the restricted domain of one location at t_prime.
+
+    Each exit open at t_prime (``exit_open``) gives its cuts; a location
+    whose exits are all closed has no cell.
+    """
     dists = tuple(model.transition(rv.transition).distribution for rv in loc.rvs)
     factors = tuple(pending_vars(model, loc, t_prime))
     entry = loc.entry - const(t_prime)
     if loc.det_exits:
         contexts = [(ex.cuts, [entry, const(t_prime) - loc.entry - ex.delta])
-                    for ex in loc.det_exits]
+                    for ex in loc.det_exits if exit_open(ex, t_prime)]
     else:
         contexts = [(loc.domain, [entry])]
     return [Piece(tuple(cell), dists, factors)
@@ -420,11 +450,13 @@ def location_region_terms(
     (``form <= 0``) are the domain bounds, 0 <= s_i <= tau, entry <= t',
     t' <= each deterministic exit and ``extra_rows``; rows with no
     variable are dropped when they hold, and when one fails the location
-    has no term.  The density is the product of the expired firings'
-    densities and the survival 1 - F(lower) of each pending firing, whose
-    lower bound never exceeds tau, so no tail beyond the horizon needs a
-    term of its own.  A location with no expired firing has no polytope:
-    its weight is the closed-form survival product.
+    has no term.  An exit row with no variable fails unless the exit is
+    open at t' (``exit_open``): residence is half-open, so an exit at t'
+    has left the location.  The density is the product of the expired
+    firings' densities and the survival 1 - F(lower) of each pending
+    firing, whose lower bound never exceeds tau, so no tail beyond the
+    horizon needs a term of its own.  A location with no expired firing
+    has no polytope: its weight is the closed-form survival product.
     """
     tau = tree.tau_max
     n = len(loc.domain)
@@ -436,7 +468,12 @@ def location_region_terms(
             forms.append(var(i) - iv.upper)
         forms += [var(i, -1.0), var(i) - tau]                       # 0 <= s_i <= tau
     forms.append(loc.entry - const(t_prime))                        # entry <= t'
-    forms += [const(t_prime) - loc.entry - ex.delta for ex in loc.det_exits]
+    for ex in loc.det_exits:                                        # t' < exit
+        form = const(t_prime) - loc.entry - ex.delta
+        if not form.is_constant():
+            forms.append(form)
+        elif not exit_open(ex, t_prime):
+            return []
     forms += extra_rows
 
     rows: list[tuple[np.ndarray, float]] = []
@@ -478,21 +515,32 @@ def _region_probability(
     return total, float(np.sqrt(var))
 
 
-def _uniform_cuts(verts: np.ndarray, dists, factors):
-    """(rows, splits, degree) on which a uniform region's density is a
-    polynomial, judged at its vertices; None where it is 0 throughout.
+def _cut(poly: HPolytope, rows: list[tuple[np.ndarray, float]]) -> HPolytope:
+    """The polytope with the rows (g, c), g x <= c, added after its own."""
+    return HPolytope(np.vstack([poly.a] + [g for g, _ in rows]),
+                     np.concatenate([poly.b, [c for _, c in rows]]))
 
-    Rows and splits are pairs (g, c) for g x <= c.  ``rows`` cut off where
-    the density is 0: a variable outside its support [a, b], or a survival
-    factor's lower bound past b.  ``splits`` are lower <= a for each factor
-    whose start a lies inside the range: 1 below, affine above.  ``degree``
-    counts the factors affine on the whole region.  One within ``EPS_GEOM``
-    of its start is taken whole, an error of the order of EPS_GEOM squared.
+
+def _uniform_cuts(poly: HPolytope, dists, factors):
+    """(region, vertices, splits, degree) on which a uniform region's
+    density is a polynomial; None where it is 0 throughout.
+
+    First the region is cut to where the density can be positive, judged
+    at its vertices: a row a <= s_i or s_i <= b where a variable crosses
+    an end of its support [a, b], and lower <= b where a survival factor's
+    lower bound crosses its end b.  The survival kinks are judged at the
+    vertices of the cut region, so a kink that only the part cut off
+    crosses splits nothing.  ``splits`` are pairs (g, c) for lower <= a,
+    g x <= c, of each factor whose start a lies inside its range: 1 below,
+    affine above.  ``degree`` counts the factors affine on the whole cut
+    region.  One within ``EPS_GEOM`` of its start is taken whole, an error
+    of the order of EPS_GEOM squared.
     """
-    n = verts.shape[1]
+    verts = vertex_enumeration(poly)
+    if not len(verts):
+        return None
+    n = poly.dim
     rows: list[tuple[np.ndarray, float]] = []
-    splits: list[tuple[np.ndarray, float]] = []
-    degree = 0
     for i, dist in enumerate(dists):
         a, b = dist.params
         low, high = verts[:, i].min(), verts[:, i].max()
@@ -504,22 +552,29 @@ def _uniform_cuts(verts: np.ndarray, dists, factors):
             rows.append((-unit, -a))
         if high > b:
             rows.append((unit, b))
-    for dist, lf in factors:
-        a, b = dist.params
-        g = _vec(lf, n)
-        vals = verts @ g + lf.const
-        low, high = vals.min(), vals.max()
-        if low >= b:
+    lowers = [(_vec(lf, n), lf.const, dist.params) for dist, lf in factors]
+    for g, c0, (_, b) in lowers:
+        vals = verts @ g + c0
+        if vals.min() >= b:
             return None
-        if high <= a + EPS_GEOM:
+        if vals.max() > b:
+            rows.append((g, b - c0))
+    if rows:
+        poly = _cut(poly, rows)
+        verts = vertex_enumeration(poly)
+        if not len(verts):
+            return None
+    splits: list[tuple[np.ndarray, float]] = []
+    degree = 0
+    for g, c0, (a, _) in lowers:
+        vals = verts @ g + c0
+        if vals.max() <= a + EPS_GEOM:
             continue                                # the factor is 1
-        if high > b:
-            rows.append((g, b - lf.const))
-        if low < a - EPS_GEOM:
-            splits.append((g, a - lf.const))
+        if vals.min() < a - EPS_GEOM:
+            splits.append((g, a - c0))
         else:
             degree += 1
-    return rows, splits, degree
+    return poly, verts, splits, degree
 
 
 def _exact_probability(terms, dists, factors) -> tuple[float, float]:
@@ -538,22 +593,17 @@ def _exact_probability(terms, dists, factors) -> tuple[float, float]:
         if poly is None:
             total += weight
             continue
-        verts = vertex_enumeration(poly)
-        cuts = _uniform_cuts(verts, dists, factors) if len(verts) else None
+        cuts = _uniform_cuts(poly, dists, factors)
         if cuts is None:
             continue
-        rows, splits, degree = cuts
-        pieces = [(rows, degree)]
+        poly, verts, splits, degree = cuts
+        pieces: list[tuple[list, int]] = [([], degree)]
         for g, c in splits:
             pieces = [side for extra, k in pieces
                       for side in ((extra + [(g, c)], k), (extra + [(-g, -c)], k + 1))]
         points, weights = [], []
         for extra, k in pieces:
-            if extra:
-                verts = vertex_enumeration(HPolytope(
-                    np.vstack([poly.a] + [g for g, _ in extra]),
-                    np.concatenate([poly.b, [c for _, c in extra]])))
-            simplices = triangulate(verts)
+            simplices = triangulate(vertex_enumeration(_cut(poly, extra)) if extra else verts)
             if simplices:
                 pts, wts = simplex_rule(simplices, k // 2)
                 points.append(pts)
@@ -567,6 +617,27 @@ def _exact_probability(terms, dists, factors) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # orchestration
+
+class _LazyStream:
+    """``stream(seed, task)``, made when a sampler first draws from it.
+
+    Making the generator sets up a ``SeedSequence`` and a ``Philox``, and
+    the deterministic rules never draw.  Every attribute is the
+    generator's, so the draws are the same as from ``stream(seed, task)``
+    itself.
+    """
+
+    __slots__ = ("_key", "_rng")
+
+    def __init__(self, seed: int, task: int):
+        self._key = (seed, task)
+        self._rng: Optional[np.random.Generator] = None
+
+    def __getattr__(self, name: str):
+        if self._rng is None:
+            self._rng = stream(*self._key)
+        return getattr(self._rng, name)
+
 
 def _fluid_rows(
     model: HPnGModel, loc: ParametricLocation, t_prime: float, atoms: list[Atom]
@@ -601,7 +672,9 @@ def transient_probability(
     """Probability that the property holds at time t_prime.
 
     With ``atoms=None`` this sums the occupation probabilities of every
-    candidate location, which must come to one.
+    candidate location, which must come to one.  A candidate whose
+    deterministic exits are all closed at t_prime (``exit_open``) is
+    reported as (0, 0) and costs nothing more.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -619,7 +692,9 @@ def transient_probability(
 
     def compute(item) -> tuple[int, float, float]:
         loc, rows = item
-        rng = stream(cfg.seed, loc.id)
+        if loc.det_exits and not any(exit_open(ex, t_prime) for ex in loc.det_exits):
+            return loc.id, 0.0, 0.0
+        rng = _LazyStream(cfg.seed, loc.id)
         acc = tree.accumulated_p(loc.id)
         if method == "intervals":
             value = 0.0

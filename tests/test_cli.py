@@ -186,6 +186,17 @@ def test_compare_simulation_error_is_open_when_no_run_hits(capsys):
     assert float(sim[2]) > 0.0
 
 
+def test_compare_observes_the_state_after_an_event_at_t_prime(capsys):
+    # demand_stop fires at exactly 5; every route, like the simulator,
+    # sees the state after it.
+    code, out, _ = run(capsys, "compare", RESERVOIR, "--tau-max", "10", "--time", "5",
+                       "--property", "m(demand_on) >= 1")
+    assert code == 0
+    rows = [ln.split() for ln in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["intervals", "simplex", "direct", "simulation"]
+    assert all(float(r[1]) == 0.0 for r in rows)
+
+
 def test_compare_table(capsys):
     code, out, _ = run(capsys, "compare", RESERVOIR, "--tau-max", "10",
                        "--time", "4", "--property", "x(tank) >= 4",

@@ -13,6 +13,7 @@ from hpng.geometry import vertex_enumeration
 from hpng.model import DistributionSpec, load_model, parse_model
 from hpng.montecarlo import McConfig, stream, vegas_integrate
 from hpng.props import parse_property
+from hpng.simulate import estimate_probability
 from hpng.symbolic import EPS, SymInterval, const, extremal_value, var
 from hpng.transient import (
     METHODS,
@@ -582,3 +583,132 @@ def test_exact_simplex_matches_intervals_per_location(battery_trees):
                 supports += s
                 survivals += v
     assert supports > 0 and survivals > 0
+
+
+def test_cuts_judge_survival_kinks_on_the_supported_region(monkeypatch):
+    # With U(6, 10) switches at tau = 12, t' = 8, no survival kink lies
+    # inside a region once it is cut to the supports, so nothing splits;
+    # judged at the uncut region's vertices, nine regions split.  The
+    # values stay those of the intervals route.
+    tree = build_plt(battery_variant(switch_family=U610), 12.0)
+    cuts = hpng.transient._uniform_cuts
+    splits = []
+
+    def counted(*args):
+        out = cuts(*args)
+        if out is not None:
+            splits.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(hpng.transient, "_uniform_cuts", counted)
+    got = transient_probability(tree, 8.0, method="simplex", cfg=McConfig(4_000, 2))
+    want = transient_probability(tree, 8.0, method="intervals")
+    assert splits and sum(splits) == 0
+    assert got.per_location.keys() == want.per_location.keys()
+    for lid, (value, _) in got.per_location.items():
+        assert abs(value - want.per_location[lid][0]) <= 1e-16, lid
+
+
+# ---------------------------------------------------------------------------
+# half-open residence [entry, exit)
+
+def _chain_model():
+    """``d`` fires at 5 and moves a token from ``a`` to ``b``, from where the
+    immediate ``i`` moves it on to ``c`` at once; beside them a U(0, 10)
+    general transition takes the token of ``g``."""
+    return parse_model(json.dumps({
+        "places": {"discrete": [{"id": "a", "tokens": 1}, {"id": "b", "tokens": 0},
+                                {"id": "c", "tokens": 0}, {"id": "g", "tokens": 1}]},
+        "transitions": {"deterministic": [{"id": "d", "firingTime": 5.0}],
+                        "immediate": [{"id": "i"}],
+                        "general": [{"id": "u", "distribution": U010}]},
+        "arcs": {"discrete": [{"from": "a", "to": "d"}, {"from": "d", "to": "b"},
+                              {"from": "b", "to": "i"}, {"from": "i", "to": "c"},
+                              {"from": "g", "to": "u"}]},
+    }))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_event_at_t_prime_is_observed_after_it(reservoir_model, reservoir_tree, method):
+    # demand_stop fires at exactly 5: the state at t' = 5 is the one after
+    # it, as the simulator observes it, and no location is counted twice.
+    cfg = McConfig(samples=2_000, iterations=2, seed=0)
+    res = transient_probability(reservoir_tree, 5.0, method=method, cfg=cfg)
+    assert res.total == pytest.approx(1.0, abs=1e-12)
+    atoms = parse_property("m(demand_on) >= 1", reservoir_model)
+    res = transient_probability(reservoir_tree, 5.0, atoms, method=method, cfg=cfg)
+    sim = estimate_probability(reservoir_model, 10.0, 5.0, atoms, seed=0, runs=500)
+    assert res.total == sim.p == 0.0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_zero_delay_location_holds_no_mass(method):
+    # At t' = 5 the token has passed through b into c: neither a, left at
+    # 5, nor b, left as it is entered, is occupied, whichever route asks.
+    model = _chain_model()
+    tree = build_plt(model, 10.0)
+    cfg = McConfig(samples=2_000, iterations=2, seed=0)
+    res = transient_probability(tree, 5.0, method=method, cfg=cfg)
+    assert res.total == pytest.approx(1.0, abs=1e-12)
+    for place, want in (("a", 0.0), ("b", 0.0), ("c", 1.0)):
+        atoms = parse_property(f"m({place}) >= 1", model)
+        res = transient_probability(tree, 5.0, atoms, method=method, cfg=cfg)
+        sim = estimate_probability(model, 10.0, 5.0, atoms, seed=0, runs=200)
+        assert res.total == pytest.approx(want, abs=1e-12), place
+        assert sim.p == want, place
+
+
+def _zero_residence(loc):
+    return bool(loc.det_exits) and all(
+        ex.delta.is_constant() and abs(ex.delta.const) <= EPS for ex in loc.det_exits)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_zero_residence_candidates_cost_nothing(monkeypatch, battery_trees, method):
+    # Battery tau = 20: a location whose every exit is the constant 0 is
+    # reported as (0, 0), and neither cells, nor a region, nor a stream
+    # is made for it.
+    tree = battery_trees[20.0]
+    reached = []
+
+    def recorded(fn, lid):
+        def wrapper(*args, **kwargs):
+            reached.append(lid(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, lid in (("location_pieces", lambda model, loc, *rest: loc.id),
+                      ("location_region_terms", lambda model, tree, loc, *rest: loc.id),
+                      ("stream", lambda seed, task: task)):
+        monkeypatch.setattr(hpng.transient, name,
+                            recorded(getattr(hpng.transient, name), lid))
+    cfg = McConfig(samples=200, iterations=2, seed=0)
+    for t_prime in (4.0, 8.0, 12.0, 16.0):
+        zero = {loc.id for loc in candidate_locations(tree, t_prime) if _zero_residence(loc)}
+        assert zero, t_prime
+        reached.clear()
+        res = transient_probability(tree, t_prime, method=method, cfg=cfg)
+        assert reached and not zero & set(reached), t_prime
+        for lid in zero:
+            assert res.per_location[lid] == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("method", ["simplex", "intervals"])
+def test_deterministic_rules_make_no_stream(monkeypatch, battery_tree, method):
+    # An all-uniform simplex query and an intervals query without a VEGAS
+    # cell never draw, so no location makes its generator.
+    calls = {"stream": 0, "vegas_integrate": 0}
+
+    def counted(name):
+        fn = getattr(hpng.transient, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hpng.transient, name, counted(name))
+    res = transient_probability(battery_tree, 8.0, method=method, cfg=GATE_CFG)
+    assert res.total == pytest.approx(1.0, abs=1e-12)
+    assert calls == {"stream": 0, "vegas_integrate": 0}
