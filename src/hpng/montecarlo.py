@@ -270,6 +270,19 @@ def _estimate(step: Callable[[], np.ndarray], iterations: int, vol: float,
 MC_BLOCK = 8192
 
 
+def _scale_columns(x: np.ndarray, width: np.ndarray, lo: np.ndarray) -> None:
+    """``x * width + lo`` in place, one column at a time.
+
+    Broadcasting over the rows would run numpy's inner loop over only the
+    few columns of each row; a column loop runs it over every row.  The
+    floats are the same.
+    """
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        col *= width[j]
+        col += lo[j]
+
+
 def mc_integrate(
     f: Callable[[np.ndarray], np.ndarray],
     box: Sequence[tuple[float, float]],
@@ -286,7 +299,8 @@ def mc_integrate(
     """
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
-    vol = float(np.prod(hi - lo)) if len(box) else 1.0
+    width = hi - lo
+    vol = float(np.prod(width)) if len(box) else 1.0
     if vol <= 0.0:
         return McResult(0.0, 0.0, 0)
     rng = rng if rng is not None else stream(cfg.seed)
@@ -301,8 +315,7 @@ def mc_integrate(
     def step() -> np.ndarray:
         # the same stream and arithmetic as uniform(size=...) * (hi - lo) + lo
         rng.random(out=x)
-        np.multiply(x, hi - lo, out=x)
-        np.add(x, lo, out=x)
+        _scale_columns(x, width, lo)
         for start, stop in zip(edges, edges[1:]):
             fx[start:stop] = f(x[start:stop])
         return fx
@@ -400,8 +413,7 @@ def vegas_integrate(
         while True:
             rng.random(out=u)               # the same stream as uniform(size=(n, dim))
             grid.transform(u, x, jac, idx, scratch)
-            np.multiply(x, span, out=x)
-            np.add(x, lo, out=x)
+            _scale_columns(x, span, lo)
             # importance-weighted integrand on [0,1)^dim
             yield np.multiply(np.asarray(f(x), dtype=float), jac, out=contrib)
             # Resumed by the next iteration, after ``_estimate`` zeroed the

@@ -3,13 +3,16 @@
 A location is occupied on the half-open interval [entry, exit): the state
 at t' is the state after every event at t', which is the simulator's
 observation rule.  So a location can hold probability mass at t' when its
-entry time can lie at or before t' and, where deterministic exits exist,
-at least one of them is open at t' (``exit_open``): it can lie after t',
+entry is open at t' (``entry_open``) and, where deterministic exits exist,
+at least one of them is open at t' (``exit_open``).  The entry is open
+when it is a constant at or before t', or when it is not constant and can
+lie before t'; a non-constant entry whose earliest value is t' reaches t'
+only on a set of measure zero.  An exit is open when it can lie after t'
 and its delay is not the constant 0.  The mass is an integral of the joint
 density of the expired random firings over the restricted domain, times
 survival factors for firings that are still pending.  Three routes compute
-that integral; none of them spends anything on a candidate whose
-deterministic exits are all closed at t', which reports (0, 0):
+that integral; none of them spends anything on a candidate whose entry is
+closed at t', or whose deterministic exits all are, which reports (0, 0):
 
 ``intervals``
     Triangular cells cut from the domain one bound at a time by the tree's
@@ -122,9 +125,10 @@ def candidate_locations(tree: PLTree, t_prime: float) -> list[ParametricLocation
 
     The test is closed at both ends.  Besides the locations occupied at
     t_prime on their half-open residence [entry, exit), which is what the
-    simulator observes, it keeps those whose exits are all closed at
-    t_prime (``exit_open``); the routes report them as (0, 0) without
-    integrating.
+    simulator observes, it keeps those whose entry is closed at t_prime
+    (``entry_open``: not constant, with its earliest value at t_prime) and
+    those whose exits are all closed at t_prime (``exit_open``); the
+    routes report them as (0, 0) without integrating.
     """
     return [
         loc for loc in tree.locations
@@ -132,6 +136,19 @@ def candidate_locations(tree: PLTree, t_prime: float) -> list[ParametricLocation
         and (not loc.det_exits
              or any(ex.latest >= t_prime - EPS for ex in loc.det_exits))
     ]
+
+
+def entry_open(loc: ParametricLocation, t_prime: float) -> bool:
+    """Whether the location is entered by t_prime on a set of positive measure.
+
+    A constant entry at or before t_prime is open; an entry at t_prime is
+    observed after it.  A non-constant entry must be able to lie before
+    t_prime: where its earliest value is t_prime, ``entry <= t_prime``
+    holds only on the hyperplane ``entry = t_prime``.
+    """
+    if loc.entry.is_constant():
+        return loc.earliest <= t_prime + EPS
+    return loc.earliest < t_prime - EPS
 
 
 def exit_open(ex: DetExit, t_prime: float) -> bool:
@@ -672,9 +689,10 @@ def transient_probability(
     """Probability that the property holds at time t_prime.
 
     With ``atoms=None`` this sums the occupation probabilities of every
-    candidate location, which must come to one.  A candidate whose
-    deterministic exits are all closed at t_prime (``exit_open``) is
-    reported as (0, 0) and costs nothing more.
+    candidate location, which must come to one.  A candidate whose entry
+    is closed at t_prime (``entry_open``), or whose deterministic exits are
+    all closed (``exit_open``), is reported as (0, 0) and costs nothing
+    more.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -692,7 +710,8 @@ def transient_probability(
 
     def compute(item) -> tuple[int, float, float]:
         loc, rows = item
-        if loc.det_exits and not any(exit_open(ex, t_prime) for ex in loc.det_exits):
+        if not entry_open(loc, t_prime) or (
+                loc.det_exits and not any(exit_open(ex, t_prime) for ex in loc.det_exits)):
             return loc.id, 0.0, 0.0
         rng = _LazyStream(cfg.seed, loc.id)
         acc = tree.accumulated_p(loc.id)

@@ -71,15 +71,15 @@ def test_traced_intervals_query_kernel_traffic(monkeypatch, battery_trees):
     # The intervals route's traffic through the kernel, pinned exactly like
     # the build's: restrict checks room only where a bound is written, and
     # a change that adds or prunes walks re-pins these counts on purpose.
-    # Candidates whose exits are all closed at t' are counted but never
-    # cut, and closed exits give no cells.
+    # Candidates whose entry or whose exits are all closed at t' are
+    # counted but never cut, and closed exits give no cells.
     tracing = _tracing(monkeypatch)
     tree = battery_trees[12.0]
     with tracing.install(tracing.Tracer()) as tracer:
         hpng.transient.transient_probability(tree, 12.0, method="intervals")
     assert tracer.counts["candidates"] == 363
     assert tracer.counts["cells"] == 495
-    assert tracer.aggs["symbolic.extremal_value"].calls == 11996
+    assert tracer.aggs["symbolic.extremal_value"].calls == 11964
 
 
 def test_traced_estimate_goes_through_the_wrapped_names(monkeypatch, reservoir_model):
@@ -118,12 +118,13 @@ def test_traced_steps_are_the_applied_events(monkeypatch, battery_model):
 def test_traced_region_routes_solve_no_lp(monkeypatch, battery_tree):
     # The simplex and direct routes take vertices and boxes from exact
     # enumeration, so no region, empty or not, reaches the LP solver.  At
-    # the benchmark's t' = 8 some regions of locations with an open exit
-    # still enumerate empty; a location whose exits are all closed builds
-    # no region at all.
+    # t' = 8 with a fluid row, some regions of locations whose entry and
+    # an exit are open still enumerate empty, cut away by the row; a
+    # location whose entry or whose exits are all closed builds no region
+    # at all.
     tracing = _tracing(monkeypatch)
     cfg = hpng.McConfig(samples=2_000, iterations=2, seed=0)
-    atoms = hpng.parse_property("m(grid_on) >= 1", battery_tree.model)
+    atoms = hpng.parse_property("x(battery) >= 1400", battery_tree.model)
     with tracing.install(tracing.Tracer()) as tracer:
         for method in ("simplex", "direct"):
             hpng.transient.transient_probability(battery_tree, 8.0, atoms, method=method,

@@ -228,6 +228,24 @@ def test_mc_integrate_triangle_area():
     assert 0 < res.sigma < 0.01
 
 
+def test_mc_integrate_draws_the_uniform_points():
+    # The box sampler scales its draws in place, one column at a time; the
+    # points are exactly those of uniform(size=...) * (hi - lo) + lo on the
+    # same stream, iteration after iteration.
+    cfg = McConfig(samples=10_000, iterations=2, seed=0)
+    box = [(1.0, 4.0), (-2.5, 0.7), (0.3, 0.31)]
+    seen = []
+
+    def f(pts):
+        seen.append(pts.copy())
+        return np.ones(len(pts))
+
+    mc_integrate(f, box, cfg, stream(4, 2))
+    lo, hi = np.array(box).T
+    want = stream(4, 2).uniform(size=(cfg.iterations * cfg.samples, len(box)))
+    assert np.array_equal(np.vstack(seen), want * (hi - lo) + lo)
+
+
 def test_vegas_beats_plain_mc_on_peaked_integrand():
     cfg = McConfig(samples=20_000, iterations=5, seed=3)
     box = [(0.0, 1.0), (0.0, 1.0)]

@@ -1,5 +1,6 @@
 """Transient probability computation across the three integration routes."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -663,12 +664,9 @@ def _zero_residence(loc):
         ex.delta.is_constant() and abs(ex.delta.const) <= EPS for ex in loc.det_exits)
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_zero_residence_candidates_cost_nothing(monkeypatch, battery_trees, method):
-    # Battery tau = 20: a location whose every exit is the constant 0 is
-    # reported as (0, 0), and neither cells, nor a region, nor a stream
-    # is made for it.
-    tree = battery_trees[20.0]
+def _record_reach(monkeypatch) -> list:
+    """The ids of the locations that reach cells, a region or a stream,
+    in the order they reach them."""
     reached = []
 
     def recorded(fn, lid):
@@ -682,6 +680,16 @@ def test_zero_residence_candidates_cost_nothing(monkeypatch, battery_trees, meth
                       ("stream", lambda seed, task: task)):
         monkeypatch.setattr(hpng.transient, name,
                             recorded(getattr(hpng.transient, name), lid))
+    return reached
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_zero_residence_candidates_cost_nothing(monkeypatch, battery_trees, method):
+    # Battery tau = 20: a location whose every exit is the constant 0 is
+    # reported as (0, 0), and neither cells, nor a region, nor a stream
+    # is made for it.
+    tree = battery_trees[20.0]
+    reached = _record_reach(monkeypatch)
     cfg = McConfig(samples=200, iterations=2, seed=0)
     for t_prime in (4.0, 8.0, 12.0, 16.0):
         zero = {loc.id for loc in candidate_locations(tree, t_prime) if _zero_residence(loc)}
@@ -691,6 +699,53 @@ def test_zero_residence_candidates_cost_nothing(monkeypatch, battery_trees, meth
         assert reached and not zero & set(reached), t_prime
         for lid in zero:
             assert res.per_location[lid] == (0.0, 0.0)
+
+
+def test_entry_rule_opens_only_on_positive_measure(battery_tree):
+    # A constant entry at t' is observed after it; a non-constant entry
+    # whose earliest value is t' reaches t' only on a hyperplane.
+    loc = next(loc for loc in battery_tree.locations if loc.rvs)
+    entry_open = hpng.transient.entry_open
+    for entry, earliest, want in ((const(8.0), 8.0, True),
+                                  (const(8.0 + 1e-3), 8.0 + 1e-3, False),
+                                  (var(0) + const(6.0), 8.0, False),
+                                  (var(0) + const(6.0), 8.0 - 1e-3, True)):
+        probe = dataclasses.replace(loc, entry=entry, earliest=earliest)
+        assert entry_open(probe, 8.0) is want, (entry, earliest)
+
+
+#: Battery tau = 20 totals at each t', per route, with ``McConfig(200, 2)``.
+#: The candidates entered at t' on a set of measure zero hold no mass, so
+#: these are the same, bit for bit, whether or not a route integrates them.
+MEASURE_ZERO_ENTRY_TOTALS = {
+    "intervals": {8.0: "0x1.0000000000000p+0", 11.0: "0x1.0000000000000p+0",
+                  16.0: "0x1.0000000000001p+0", 19.0: "0x1.ffffffffffffap-1"},
+    "simplex": {8.0: "0x1.0000000000000p+0", 11.0: "0x1.0000000000001p+0",
+                16.0: "0x1.0000000000001p+0", 19.0: "0x1.ffffffffffffbp-1"},
+    "direct": {8.0: "0x1.ff394bf2d8309p-1", 11.0: "0x1.f539ec83ae5d9p-1",
+               16.0: "0x1.e30fff42c2f22p-1", 19.0: "0x1.d2b1eb82bd90fp-1"},
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_measure_zero_entry_candidates_cost_nothing(monkeypatch, battery_trees, method):
+    # Battery tau = 20: a candidate whose entry is not constant and whose
+    # earliest entry is t' is entered by t' only on a set of measure zero.
+    # It is reported as (0, 0), neither cells, nor a region, nor a stream
+    # is made for it, and the total is what it was when each cost work.
+    tree = battery_trees[20.0]
+    reached = _record_reach(monkeypatch)
+    cfg = McConfig(samples=200, iterations=2, seed=0)
+    for t_prime, want in MEASURE_ZERO_ENTRY_TOTALS[method].items():
+        closed = {loc.id for loc in candidate_locations(tree, t_prime)
+                  if not loc.entry.is_constant() and loc.earliest >= t_prime - EPS}
+        assert closed, t_prime
+        reached.clear()
+        res = transient_probability(tree, t_prime, method=method, cfg=cfg)
+        assert reached and not closed & set(reached), t_prime
+        for lid in closed:
+            assert res.per_location[lid] == (0.0, 0.0)
+        assert res.total.hex() == want, t_prime
 
 
 @pytest.mark.parametrize("method", ["simplex", "intervals"])
