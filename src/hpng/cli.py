@@ -148,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "cell; simplex: samples // iterations points per simplex "
                             "per iteration")
         p.add_argument("--iterations", type=int, default=5,
-                       help="sampling iterations, combined by inverse variance")
+                       help="sampling iterations: their plain mean for direct and "
+                            "simplex, inverse-variance weighted for VEGAS")
 
     p = sub.add_parser("validate", help="check a model file")
     p.add_argument("model")

@@ -1,13 +1,13 @@
 """Monte Carlo integration and firing-time distributions.
 
-One Monte Carlo estimator, ``_estimate``, behind three samplers: a plain
-one and a VEGAS-style one over an axis-aligned box here, and one over a
-simplex in ``geometry``.  A sampler only draws an iteration's values; the
-estimator counts a non-finite value as skipped and as 0 in the mean, takes
-the naive error estimate sigma^2 = V^2/N^2 * sum (f_i - <f>)^2 per
-iteration, and combines iterations by inverse variance with their
-chi^2 / dof.  The samplers draw into buffers that every iteration of a call
-reuses, and the plain one calls the integrand on row blocks of at most
+One Monte Carlo estimator, ``_iterations``, behind three samplers: a
+plain one and a VEGAS-style one over an axis-aligned box here, and one
+over a simplex in ``geometry``.  A sampler only draws an iteration's
+values; the estimator counts a non-finite value as skipped and as 0 in the
+mean, and takes sigma^2 = V^2/N^2 * sum (f_i - <f>)^2 per iteration.  The
+i.i.d. samplers take their iterations' plain mean, VEGAS an inverse-variance
+one; each reports their chi^2 / dof.  The samplers draw into buffers that
+every iteration of a call reuses, and the plain one calls the integrand on row blocks of at most
 ``MC_BLOCK``.  Streams are counter-based (numpy Philox keyed through
 SeedSequence), so task k of seed s always sees the same numbers no matter
 how many workers run.
@@ -200,7 +200,7 @@ class McResult:
 
 
 def _combine(values: list[float], sigmas: list[float]) -> tuple[float, float]:
-    """Inverse-variance combination of per-iteration estimates.
+    """Inverse-variance combination of per-iteration estimates (VEGAS).
 
     Iterations count as exact only when every one has sigma 0.  A zero
     sigma next to non-zero ones (an iteration whose samples all missed the
@@ -231,17 +231,16 @@ def _chi2_dof(values: list[float], sigmas: list[float], mean: float) -> Optional
     return float(chi2 / (len(values) - 1))
 
 
-def _estimate(step: Callable[[], np.ndarray], iterations: int, vol: float,
-              size: int) -> McResult:
-    """The Monte Carlo estimate over a domain of volume ``vol``.
+def _iterations(step: Callable[[], np.ndarray], iterations: int, vol: float,
+                size: int) -> tuple[list[float], list[float], int]:
+    """Per-iteration estimates, sigmas and skipped count over volume ``vol``.
 
     Each of the iterations calls ``step`` for ``size`` values whose mean,
     times ``vol``, estimates the integral.  A non-finite value counts as
     skipped and as 0 in the mean; it is zeroed in ``step``'s array in
     place, so ``step`` returns an array the estimator may overwrite.  An
     iteration estimates vol * mean with sigma^2 = vol^2/N^2 * sum
-    (f_i - mean)^2, and the iterations combine by ``_combine`` with their
-    ``_chi2_dof``.
+    (f_i - mean)^2.
     """
     dev, ok = np.empty(size), np.empty(size, dtype=bool)
     scale = vol * vol / (size * size)
@@ -256,7 +255,20 @@ def _estimate(step: Callable[[], np.ndarray], iterations: int, vol: float,
         vals.append(vol * mean)
         np.subtract(fx, mean, out=dev)
         sigmas.append(math.sqrt(scale * float(np.square(dev, out=dev).sum())))
-    value, sigma = _combine(vals, sigmas)
+    return vals, sigmas, skipped
+
+
+def _estimate(step: Callable[[], np.ndarray], iterations: int, vol: float,
+              size: int) -> McResult:
+    """The plain mean of i.i.d. ``_iterations`` of equal size, with
+    sigma = sqrt(sum sigma_i^2) / m and their ``_chi2_dof``.
+
+    Weighting them by 1 / sigma_i^2 is biased where few samples hit the
+    mass: an iteration that reads low also reads a small sigma.
+    """
+    vals, sigmas, skipped = _iterations(step, iterations, vol, size)
+    value = float(np.mean(vals))
+    sigma = math.sqrt(sum(s * s for s in sigmas)) / iterations
     return McResult(value, sigma, iterations * size - skipped, skipped,
                     _chi2_dof(vals, sigmas, value))
 
@@ -389,9 +401,9 @@ def vegas_integrate(
     """VEGAS-style importance sampling over the box.
 
     Separable per-axis grids of ``GRID_BINS`` bins are refined between
-    iterations toward equal |f| mass per bin; the importance-weighted values
-    go through ``_estimate``, whose inverse-variance combination keeps early
-    badly-adapted iterations from dominating.
+    iterations toward equal |f| mass per bin; the iterations adapt, and
+    ``_combine``'s inverse-variance weighting keeps early badly-adapted
+    ones from dominating.
     """
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
@@ -416,7 +428,7 @@ def vegas_integrate(
             _scale_columns(x, span, lo)
             # importance-weighted integrand on [0,1)^dim
             yield np.multiply(np.asarray(f(x), dtype=float), jac, out=contrib)
-            # Resumed by the next iteration, after ``_estimate`` zeroed the
+            # Resumed by the next iteration, after ``_iterations`` zeroed the
             # non-finite values: mean |f|*jac per bin and axis drives
             # refinement.  A mean, not a sum, so the random number of
             # samples landing in a bin does not bend the grid: a constant
@@ -428,4 +440,7 @@ def vegas_integrate(
                 imp[d] = sums / np.maximum(counts, 1)
             grid.refine(imp)
 
-    return _estimate(draws().__next__, cfg.iterations, vol, n)
+    vals, sigmas, skipped = _iterations(draws().__next__, cfg.iterations, vol, n)
+    value, sigma = _combine(vals, sigmas)
+    return McResult(value, sigma, cfg.iterations * n - skipped, skipped,
+                    _chi2_dof(vals, sigmas, value))

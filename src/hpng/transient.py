@@ -25,18 +25,18 @@ closed at t', or whose deterministic exits all are, which reports (0, 0):
     of more than five dimensions, or one whose orders do not agree within
     ``GL_MAX_POINTS`` points, goes to VEGAS.
 ``simplex``
-    One half-space region per location over its expired firings, exact
-    vertex enumeration (bound propagation, then batched solves of the
-    rows that can be tight; no linear program) and triangulation; pending
-    firings enter the density as survival factors, and a location with no
-    expired firing is a closed-form survival product.  When every firing
-    of the location is uniform, the region is cut at the supports, and
-    the cut region at its survival kinks, into pieces on which the density
-    is a polynomial; a Grundmann-Moeller rule integrates each simplex of
-    each piece exactly.  Deterministic; its error estimate bounds the
-    rounding of the rule's sum.  Any other family keeps per-simplex
-    sampling.  An empty or measure-zero region costs its enumeration and
-    nothing else.
+    One half-space region per location over its expired firings, clipped
+    to where the density can be positive (``location_region_terms``),
+    exact vertex enumeration (bound propagation, then batched solves of
+    the rows that can be tight; no linear program) and triangulation;
+    pending firings enter the density as survival factors, and a location
+    with no expired firing is a closed-form survival product.  When every
+    firing of the location is uniform, the region is split at its
+    survival kinks into pieces on which the density is a polynomial; a
+    Grundmann-Moeller rule integrates each simplex of each piece exactly.
+    Deterministic; its error estimate bounds the rounding of the rule's
+    sum.  Any other family keeps per-simplex sampling.  An empty or
+    measure-zero region costs its enumeration and nothing else.
 ``direct``
     The same region and density sampled through the region's bounding
     box, which is the box of its enumerated vertices.  Samples are tested
@@ -464,26 +464,35 @@ def location_region_terms(
     """Region terms (weight, polytope-or-None, density) of one location: at most one.
 
     The polytope's dimensions are the expired firings s_i.  Its rows
-    (``form <= 0``) are the domain bounds, 0 <= s_i <= tau, entry <= t',
-    t' <= each deterministic exit and ``extra_rows``; rows with no
-    variable are dropped when they hold, and when one fails the location
-    has no term.  An exit row with no variable fails unless the exit is
-    open at t' (``exit_open``): residence is half-open, so an exit at t'
-    has left the location.  The density is the product of the expired
-    firings' densities and the survival 1 - F(lower) of each pending
-    firing, whose lower bound never exceeds tau, so no tail beyond the
-    horizon needs a term of its own.  A location with no expired firing
-    has no polytope: its weight is the closed-form survival product.
+    (``form <= 0``) are the domain bounds, lo <= s_i <= min(tau, hi) over
+    each expired firing's support [lo, hi], lower <= hi of each pending
+    firing with a finite hi, entry <= t', t' <= each deterministic exit
+    and ``extra_rows``: it is where the density can be positive, for every
+    route.  Rows with no variable are dropped when they hold, and when one
+    fails the location has no term.  An exit row with no variable fails
+    unless the exit is open at t' (``exit_open``): residence is half-open.
+    The density is the product of the expired firings' densities and the
+    survival 1 - F(lower) of each pending firing, whose lower bound never
+    exceeds tau, so no tail beyond the horizon needs a term of its own.  A
+    location with no expired firing has no polytope: its weight is the
+    closed-form survival product.
     """
     tau = tree.tau_max
     n = len(loc.domain)
+    dists = [model.transition(rv.transition).distribution for rv in loc.rvs]
     factors = pending_vars(model, loc, t_prime)
     forms: list[LinearForm] = []
     for i, iv in enumerate(loc.domain):
         forms.append(iv.lower - var(i))
         if iv.upper is not None:
             forms.append(var(i) - iv.upper)
-        forms += [var(i, -1.0), var(i) - tau]                       # 0 <= s_i <= tau
+        lo, hi = FAMILIES[dists[i].family].support(*dists[i].params)
+        forms += [const(lo) - var(i),                               # lo <= s_i
+                  var(i) - (tau if hi is None else min(tau, hi))]   # s_i <= min(tau, hi)
+    for dist, lower in factors:                                     # lower <= hi
+        hi = FAMILIES[dist.family].support(*dist.params)[1]
+        if hi is not None:
+            forms.append(lower - hi)
     forms.append(loc.entry - const(t_prime))                        # entry <= t'
     for ex in loc.det_exits:                                        # t' < exit
         form = const(t_prime) - loc.entry - ex.delta
@@ -501,7 +510,6 @@ def location_region_terms(
             return []
     if n == 0:
         return [(float(_survival(factors, np.zeros((1, 0)), np.ones(1))[0]), None, None)]
-    dists = [model.transition(rv.transition).distribution for rv in loc.rvs]
 
     def density(pts: np.ndarray) -> np.ndarray:
         out = np.ones(len(pts))
@@ -538,82 +546,52 @@ def _cut(poly: HPolytope, rows: list[tuple[np.ndarray, float]]) -> HPolytope:
                      np.concatenate([poly.b, [c for _, c in rows]]))
 
 
-def _uniform_cuts(poly: HPolytope, dists, factors):
-    """(region, vertices, splits, degree) on which a uniform region's
-    density is a polynomial; None where it is 0 throughout.
+def _kink_splits(verts: np.ndarray, factors):
+    """(splits, degree) on which a uniform region's density is a polynomial.
 
-    First the region is cut to where the density can be positive, judged
-    at its vertices: a row a <= s_i or s_i <= b where a variable crosses
-    an end of its support [a, b], and lower <= b where a survival factor's
-    lower bound crosses its end b.  The survival kinks are judged at the
-    vertices of the cut region, so a kink that only the part cut off
-    crosses splits nothing.  ``splits`` are pairs (g, c) for lower <= a,
-    g x <= c, of each factor whose start a lies inside its range: 1 below,
-    affine above.  ``degree`` counts the factors affine on the whole cut
-    region.  One within ``EPS_GEOM`` of its start is taken whole, an error
-    of the order of EPS_GEOM squared.
+    The survival kinks are judged at the region's vertices ``verts``.
+    ``splits`` are pairs (g, c) for lower <= a, g x <= c, of each factor
+    whose start a lies inside its range: 1 below, affine above, and 0
+    nowhere, since the region keeps lower <= b.  ``degree`` counts the
+    factors affine on the whole region.  One within ``EPS_GEOM`` of its
+    start is taken whole, an error of the order of EPS_GEOM squared.
     """
-    verts = vertex_enumeration(poly)
-    if not len(verts):
-        return None
-    n = poly.dim
-    rows: list[tuple[np.ndarray, float]] = []
-    for i, dist in enumerate(dists):
-        a, b = dist.params
-        low, high = verts[:, i].min(), verts[:, i].max()
-        if high <= a or low >= b:
-            return None
-        unit = np.zeros(n)
-        unit[i] = 1.0
-        if low < a:
-            rows.append((-unit, -a))
-        if high > b:
-            rows.append((unit, b))
-    lowers = [(_vec(lf, n), lf.const, dist.params) for dist, lf in factors]
-    for g, c0, (_, b) in lowers:
-        vals = verts @ g + c0
-        if vals.min() >= b:
-            return None
-        if vals.max() > b:
-            rows.append((g, b - c0))
-    if rows:
-        poly = _cut(poly, rows)
-        verts = vertex_enumeration(poly)
-        if not len(verts):
-            return None
     splits: list[tuple[np.ndarray, float]] = []
     degree = 0
-    for g, c0, (a, _) in lowers:
-        vals = verts @ g + c0
+    for dist, lf in factors:
+        g, a = _vec(lf, verts.shape[1]), dist.params[0]
+        vals = verts @ g + lf.const
         if vals.max() <= a + EPS_GEOM:
             continue                                # the factor is 1
         if vals.min() < a - EPS_GEOM:
-            splits.append((g, a - c0))
+            splits.append((g, a - lf.const))
         else:
             degree += 1
-    return poly, verts, splits, degree
+    return splits, degree
 
 
-def _exact_probability(terms, dists, factors) -> tuple[float, float]:
+def _exact_probability(terms, factors) -> tuple[float, float]:
     """(value, rounding bound) of uniform terms by a Grundmann-Moeller rule.
 
-    Each region is cut into one piece per choice of side of each split of
-    ``_uniform_cuts``.  A piece with k affine factors carries a polynomial
-    of degree k, so the rule of degree 2s + 1, s = ceil((k - 1) / 2) =
-    k // 2, is exact on each of its simplices.  The density is evaluated
-    once per region, at every piece's points.  The rule itself has no
-    error; the bound covers the rounding of the weighted sum of m terms, m
-    machine epsilons times the sum of their magnitudes.
+    Each region is enumerated once and cut into one piece per choice of
+    side of each survival split of ``_kink_splits``; the region already
+    lies inside the density supports (``location_region_terms``).  A
+    piece with k affine factors carries a polynomial of degree k, so the
+    rule of degree 2s + 1, s = ceil((k - 1) / 2) = k // 2, is exact on
+    each of its simplices.  The density is evaluated once per region, at
+    every piece's points.  The rule itself has no error; the bound covers
+    the rounding of the weighted sum of m terms, m machine epsilons times
+    the sum of their magnitudes.
     """
     total = bound = 0.0
     for weight, poly, density in terms:
         if poly is None:
             total += weight
             continue
-        cuts = _uniform_cuts(poly, dists, factors)
-        if cuts is None:
+        verts = vertex_enumeration(poly)
+        if not len(verts):
             continue
-        poly, verts, splits, degree = cuts
+        splits, degree = _kink_splits(verts, factors)
         pieces: list[tuple[list, int]] = [([], degree)]
         for g, c in splits:
             pieces = [side for extra, k in pieces
@@ -729,7 +707,7 @@ def transient_probability(
             dists = [model.transition(rv.transition).distribution for rv in loc.rvs]
             factors = pending_vars(model, loc, t_prime)
             if all(d.family == "uniform" for d in dists + [d for d, _ in factors]):
-                value, bound = _exact_probability(terms, dists, factors)
+                value, bound = _exact_probability(terms, factors)
                 return loc.id, acc * value, acc * bound
         value, sigma = _region_probability(terms, method, cfg, rng)
         return loc.id, acc * value, acc * sigma

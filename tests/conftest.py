@@ -1,12 +1,18 @@
-"""Shared fixtures: bundled models, prebuilt trees, and a path oracle.
+"""Shared fixtures: bundled models, prebuilt trees, closed-form nets and a
+path oracle.
 
 The path oracle walks the location tree for one concrete assignment of
 random firing values, which lets tests replay the same scenario through
-the discrete-event simulator and compare histories event by event.
+the discrete-event simulator and compare histories event by event.  The
+closed-form nets are built in code and scale in dimension: chain(k) and
+race(k) put k general firings in one region.
 """
 
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -89,6 +95,59 @@ def battery_variant(repair_time=None, switch_family=None):
             if t["id"] in ("to_low", "to_high"):
                 t["distribution"] = dict(switch_family)
     return parse_model(json.dumps(doc))
+
+
+class ClosedFormNet(NamedTuple):
+    """A net, the query asked of it, and its exact answer."""
+
+    model: object
+    tau: float
+    t_prime: float
+    prop: str
+    exact: float
+
+
+def _net(places: dict, general: list[tuple[str, str, str, dict]]) -> object:
+    """A net of discrete places (id -> tokens) and general transitions
+    (id, input place, output place, model-file distribution)."""
+    return parse_model(json.dumps({
+        "places": {"discrete": [{"id": p, "tokens": n} for p, n in places.items()]},
+        "transitions": {"general": [{"id": t, "distribution": dist}
+                                    for t, _, _, dist in general]},
+        "arcs": {"discrete": [arc for t, src, dst, _ in general
+                              for arc in ({"from": src, "to": t}, {"from": t, "to": dst})]},
+    }))
+
+
+def irwin_hall_cdf(k: int, x: Fraction) -> float:
+    """P(sum of k U(0, 1) <= x), summed exactly in rationals."""
+    return float(sum((-1) ** j * math.comb(k, j) * (x - j) ** k
+                     for j in range(math.floor(x) + 1)) / math.factorial(k))
+
+
+def chain_net(k: int) -> ClosedFormNet:
+    """k sequential U(0, 2) firings, g_i moving the token from p_{i-1} to p_i.
+
+    The token reaches p_k by t' = 0.8k when the k delays sum to at most
+    t', so P(m(p_k) >= 1) is the Irwin-Hall CDF of k at t' / 2 = 0.4k.
+    """
+    u02 = {"family": "uniform", "a": 0.0, "b": 2.0}
+    model = _net({f"p{i}": int(i == 0) for i in range(k + 1)},
+                 [(f"g{i}", f"p{i - 1}", f"p{i}", u02) for i in range(1, k + 1)])
+    t_prime = 0.8 * k
+    return ClosedFormNet(model, t_prime + 0.5, t_prime, f"m(p{k}) >= 1",
+                         irwin_hall_cdf(k, Fraction(2 * k, 5)))
+
+
+def race_net(k: int) -> ClosedFormNet:
+    """k concurrent U(0, 10) firings, g_i moving a_i's token to ``done``.
+
+    All k have fired by t' = 6 with probability 0.6^k.
+    """
+    u010 = {"family": "uniform", "a": 0.0, "b": 10.0}
+    model = _net({**{f"a{i}": 1 for i in range(1, k + 1)}, "done": 0},
+                 [(f"g{i}", f"a{i}", "done", u010) for i in range(1, k + 1)])
+    return ClosedFormNet(model, 7.0, 6.0, f"m(done) >= {k}", 0.6 ** k)
 
 
 def assignment_values(loc: ParametricLocation, assignment: dict) -> list[float]:

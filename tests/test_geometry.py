@@ -30,7 +30,7 @@ from hpng.geometry import (
     triangulate,
     vertex_enumeration,
 )
-from hpng.montecarlo import MC_BLOCK, McConfig, McResult, _combine, mc_integrate, stream
+from hpng.montecarlo import MC_BLOCK, McConfig, McResult, mc_integrate, stream
 from hpng.transient import candidate_locations, location_region_terms
 
 
@@ -468,8 +468,9 @@ def test_interval_vertices_are_the_general_paths(region_sample, monkeypatch):
 
 def _reference_estimate(draws, vol):
     """The estimator over each iteration's values, allocating every array
-    afresh: a non-finite value counts as skipped and as 0 in the mean, and
-    sigma^2 = vol^2/n^2 * sum (f - mean)^2."""
+    afresh: a non-finite value counts as skipped and as 0 in the mean,
+    sigma^2 = vol^2/n^2 * sum (f - mean)^2, and the i.i.d. iterations
+    combine by their plain mean with sigma = sqrt(sum sigma_i^2) / m."""
     vals, sigmas, used, skipped = [], [], 0, 0
     for fx in draws:
         ok = np.isfinite(fx)
@@ -480,7 +481,8 @@ def _reference_estimate(draws, vol):
         mean = fx.mean()
         vals.append(vol * mean)
         sigmas.append(math.sqrt((vol * vol / (n * n)) * float(((fx - mean) ** 2).sum())))
-    value, sigma = _combine(vals, sigmas)
+    value = float(np.mean(vals))
+    sigma = math.sqrt(sum(s * s for s in sigmas)) / len(sigmas)
     return McResult(value, sigma, used, skipped)
 
 

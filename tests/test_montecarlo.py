@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -154,6 +156,30 @@ def test_combine_zero_sigma_iteration_does_not_win():
     assert v == pytest.approx(np.mean([0.0, 0.5, 0.52]))
     assert s == pytest.approx(np.std([0.0, 0.5, 0.52], ddof=1) / np.sqrt(3))
     assert _combine([0.4, 0.4], [0.0, 0.0]) == (0.4, 0.0)
+
+
+def test_iid_samplers_take_the_plain_mean_of_their_iterations():
+    # The box and simplex samplers draw i.i.d. iterations of one estimator:
+    # m iterations read as the plain mean of m one-iteration calls on the
+    # same stream, with sigma = sqrt(sum sigma_i^2) / m.  Weighting them by
+    # 1 / sigma_i^2 would favour the iterations that hit the spike least.
+    def spike(pts):
+        return np.where(np.all(pts < 0.2, axis=1), 25.0, 0.0) * (1.0 + pts[:, 0])
+
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    # 500 points per iteration: the box sampler's samples are per
+    # iteration, the simplex sampler's are split among the iterations
+    samplers = ((lambda cfg, rng: mc_integrate(spike, [(0.0, 1.0)] * 2, cfg, rng), 500),
+                (lambda cfg, rng: probability_over_simplex(verts, spike, cfg, rng), 2_000))
+    for run, samples in samplers:
+        rng = stream(3, 0)
+        singles = [run(McConfig(500, 1), rng) for _ in range(4)]
+        got = run(McConfig(samples, 4), stream(3, 0))
+        assert len({r.sigma for r in singles}) == 4 and min(r.sigma for r in singles) > 0
+        assert got.value == float(np.mean([r.value for r in singles]))
+        assert got.sigma == math.sqrt(sum(r.sigma ** 2 for r in singles)) / 4
+        assert got.chi2_dof == _chi2_dof([r.value for r in singles],
+                                         [r.sigma for r in singles], got.value)
 
 
 def test_chi2_dof_of_iterations():

@@ -10,9 +10,9 @@ import pytest
 from scipy.special import ndtr
 
 import hpng.transient
-from hpng.geometry import vertex_enumeration
+from hpng.geometry import EPS_GEOM, vertex_enumeration
 from hpng.model import DistributionSpec, load_model, parse_model
-from hpng.montecarlo import McConfig, stream, vegas_integrate
+from hpng.montecarlo import FAMILIES, McConfig, stream, vegas_integrate
 from hpng.props import parse_property
 from hpng.simulate import estimate_probability
 from hpng.symbolic import EPS, SymInterval, const, extremal_value, var
@@ -30,7 +30,7 @@ from hpng.transient import (
 )
 from hpng.tree import _nonempty, build_plt
 
-from conftest import MODELS, battery_doc, battery_variant
+from conftest import MODELS, battery_doc, battery_variant, chain_net, race_net
 
 
 # Occupation probabilities of the reservoir tree, straightforward to check
@@ -136,6 +136,37 @@ def test_root_region_is_closed_form(reservoir_tree, method):
     res = transient_probability(reservoir_tree, 4.0, method=method,
                                 cfg=McConfig(samples=100, iterations=2, seed=0))
     assert res.per_location[0] == (0.6, 0.0)
+
+
+def test_regions_lie_inside_the_density_supports(battery_trees):
+    # Every region is clipped to where its density can be positive: each
+    # vertex inside each expired firing's support, and each pending
+    # uniform firing's lower bound at most the end of its support, above
+    # which its survival factor is 0.  Battery tau = 20 at t' = 12 and 16
+    # reaches past the U(0, 10) supports, and U(6, 10) switches at
+    # tau = 12, t' = 8 start inside the box 0 <= s_i <= tau.
+    queries = ((battery_trees[20.0], 12.0), (battery_trees[20.0], 16.0),
+               (build_plt(battery_variant(switch_family=U610), 12.0), 8.0))
+    regions = 0
+    for tree, t_prime in queries:
+        model = tree.model
+        for loc in candidate_locations(tree, t_prime):
+            for _, poly, _ in location_region_terms(model, tree, loc, t_prime):
+                verts = np.zeros((0, 0)) if poly is None else vertex_enumeration(poly)
+                if len(verts) == 0:
+                    continue
+                regions += 1
+                for i, rv in enumerate(loc.rvs):
+                    dist = model.transition(rv.transition).distribution
+                    lo, hi = FAMILIES[dist.family].support(*dist.params)
+                    assert verts[:, i].min() >= lo - EPS_GEOM, (t_prime, loc.id, i)
+                    if hi is not None:
+                        assert verts[:, i].max() <= hi + EPS_GEOM, (t_prime, loc.id, i)
+                for dist, lf in pending_vars(model, loc, t_prime):
+                    if dist.family == "uniform":
+                        lower = verts @ [lf.coeff(i) for i in range(poly.dim)] + lf.const
+                        assert lower.max() <= dist.params[1] + EPS_GEOM, (t_prime, loc.id)
+    assert regions > 0
 
 
 # ---------------------------------------------------------------------------
@@ -588,26 +619,63 @@ def test_exact_simplex_matches_intervals_per_location(battery_trees):
 
 def test_cuts_judge_survival_kinks_on_the_supported_region(monkeypatch):
     # With U(6, 10) switches at tau = 12, t' = 8, no survival kink lies
-    # inside a region once it is cut to the supports, so nothing splits;
-    # judged at the uncut region's vertices, nine regions split.  The
+    # inside a region clipped to the supports, so nothing splits; judged
+    # at the vertices of the box 0 <= s_i <= tau, nine regions split.  The
     # values stay those of the intervals route.
     tree = build_plt(battery_variant(switch_family=U610), 12.0)
-    cuts = hpng.transient._uniform_cuts
+    kinks = hpng.transient._kink_splits
     splits = []
 
     def counted(*args):
-        out = cuts(*args)
-        if out is not None:
-            splits.append(len(out[2]))
+        out = kinks(*args)
+        splits.append(len(out[0]))
         return out
 
-    monkeypatch.setattr(hpng.transient, "_uniform_cuts", counted)
+    monkeypatch.setattr(hpng.transient, "_kink_splits", counted)
     got = transient_probability(tree, 8.0, method="simplex", cfg=McConfig(4_000, 2))
     want = transient_probability(tree, 8.0, method="intervals")
     assert splits and sum(splits) == 0
     assert got.per_location.keys() == want.per_location.keys()
     for lid, (value, _) in got.per_location.items():
         assert abs(value - want.per_location[lid][0]) <= 1e-16, lid
+
+
+# ---------------------------------------------------------------------------
+# closed-form nets: chain(k) and race(k)
+
+def _net_query(net, method, cfg=None):
+    tree = build_plt(net.model, net.tau)
+    return transient_probability(tree, net.t_prime, parse_property(net.prop, net.model),
+                                 method=method, cfg=cfg)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("method", ["intervals", "simplex"])
+def test_chain_deterministic_routes_are_irwin_hall(method, k):
+    # k sequential U(0, 2) firings: both deterministic routes are exact.
+    net = chain_net(k)
+    res = _net_query(net, method)
+    assert abs(res.total - net.exact) <= 1e-12, (res.total, net.exact)
+    assert res.sigma <= 1e-12
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_chain_direct_samples_only_where_the_density_lives(k):
+    # The k-D region of chain(k) is clipped to s_i <= 2, not boxed at
+    # tau = 0.8k + 0.5: sampling its box keeps sigma small and the answer
+    # within 3 sigma of the Irwin-Hall value.
+    net = chain_net(k)
+    res = _net_query(net, "direct", McConfig(20_000, 5, seed=0))
+    assert res.sigma <= 0.005, res.sigma
+    assert abs(res.total - net.exact) <= 3.0 * res.sigma, (res.total, res.sigma, net.exact)
+
+
+def test_race_direct_is_unbiased():
+    # race(6): 720 locations, each a 6-D region that few samples hit.
+    # Weighting the i.i.d. iterations by 1 / sigma_i^2 read 10.8 sigma low.
+    net = race_net(6)
+    res = _net_query(net, "direct", McConfig(20_000, 5, seed=0))
+    assert abs(res.total - net.exact) <= 3.0 * res.sigma, (res.total, res.sigma, net.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -722,8 +790,8 @@ MEASURE_ZERO_ENTRY_TOTALS = {
                   16.0: "0x1.0000000000001p+0", 19.0: "0x1.ffffffffffffap-1"},
     "simplex": {8.0: "0x1.0000000000000p+0", 11.0: "0x1.0000000000001p+0",
                 16.0: "0x1.0000000000001p+0", 19.0: "0x1.ffffffffffffbp-1"},
-    "direct": {8.0: "0x1.ff394bf2d8309p-1", 11.0: "0x1.f539ec83ae5d9p-1",
-               16.0: "0x1.e30fff42c2f22p-1", 19.0: "0x1.d2b1eb82bd90fp-1"},
+    "direct": {8.0: "0x1.00838a2f67c9dp+0", 11.0: "0x1.f60af13d6049fp-1",
+               16.0: "0x1.f49e05d81f394p-1", 19.0: "0x1.f54c72a4934bbp-1"},
 }
 
 

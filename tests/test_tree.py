@@ -391,10 +391,10 @@ def test_simplex_answers_are_pinned(battery_trees):
 
 INTERVALS_T20_AT16_DIGEST = "b2d931aebb63d05059f51248acae4e46cd23ca8de56e965c3a8711c89ec7d6a2"
 SIMPLEX_T8_R5_DIGEST = "20106104c8d75e963d89695c39c8825559212ee2d1f1e2de0f20feec97b1af69"
-SIMPLEX_T8_N72_DIGEST = "b7c9d554d087807bfa3f9865682f9ff5613275eb6a7dddcb0872a0a59988f842"
+SIMPLEX_T8_N72_DIGEST = "8516cc7326f3665885f26c806b45dfcacb22428835079902ac611b89d0fa0042"
 SIMPLEX_T20_AT8_DIGEST = "56101c4ffd0541ba16e84743c3f056b54905508cb46c96193740f4b3fc0b093a"
-DIRECT_T8_R5_DIGEST = "196402ad5bb9575716df9b7709a693e6aebd36ba9be482b634e2536e4b40fed0"
-DIRECT_T20_AT8_DIGEST = "9f196801fdf33640f896412d13cba67fb3f6e3524cb66d35a95b110278cdeb67"
+DIRECT_T8_R5_DIGEST = "fd007c088487d2e6ec54ef935b68a833e89a279d8b7ef2647e470cfcb63f0f33"
+DIRECT_T20_AT8_DIGEST = "e4c9d3d8a92cedc2f190893717ac9329d7ad3d52583bc7bc09eb81213ce1e7cc"
 
 
 def _zero_blind(form):
