@@ -25,13 +25,9 @@ from typing import Optional, Sequence
 from .model import ZONE_TRUTH, HPnGModel, TKind, compare
 from .symbolic import (
     EPS,
-    ComparisonKind,
-    ComparisonOutcome,
     LinearForm,
     SymInterval,
     ZERO,
-    _stripped,
-    compare_remaining_times,
     const,
     extremal_value,
 )
@@ -561,11 +557,7 @@ def min_det_events(events: list[Event], domain: Sequence[SymInterval]) -> list[E
     entire domain; overlapping events survive and get their domains cut
     against each other when children are built.
 
-    Each pair is compared once.  The reverse outcome is derived, not
-    recomputed (``ComparisonOutcome.reversed``): it has the same index and
-    bound with the kind swapped, because IEEE subtraction and negation are
-    antisymmetric.  The bound can differ from a recomputed one only in the
-    sign of a zero, which no dominance decision sees.
+    Each pair is compared once, on the difference of its remaining times.
     """
     det = [ev for ev in events if ev.kind is not EventKind.GENERAL]
     dominated = [False] * len(det)
@@ -573,29 +565,14 @@ def min_det_events(events: list[Event], domain: Sequence[SymInterval]) -> list[E
         for j in range(i + 1, len(det)):
             if dominated[i] and dominated[j]:
                 continue
-            cmp = compare_remaining_times(ev.delta, det[j].delta)
-            dominated[j] = dominated[j] or _beaten(cmp, domain)
-            dominated[i] = dominated[i] or _beaten(cmp.reversed(), domain)
+            diff = det[j].delta - ev.delta
+            if diff.is_constant():
+                dominated[j] = dominated[j] or diff.const > EPS
+                dominated[i] = dominated[i] or diff.const < -EPS
+                continue
+            dominated[j] = dominated[j] or extremal_value(diff, domain, "min") > EPS
+            dominated[i] = dominated[i] or extremal_value(diff, domain, "max") < -EPS
     return [ev for ev, dom in zip(det, dominated) if not dom]
-
-
-def _beaten(cmp: ComparisonOutcome, domain: Sequence[SymInterval]) -> bool:
-    """Whether the second form of ``cmp`` is strictly later everywhere in the domain.
-
-    The slack has the floats of ``var(k) - bound`` (or ``bound - var(k)``).
-    """
-    if cmp.kind is ComparisonKind.ALWAYS_BEFORE:
-        return True
-    if cmp.kind not in (ComparisonKind.UPPER_BOUND, ComparisonKind.LOWER_BOUND):
-        return False
-    b, gap = cmp.bound, (0.0,) * (cmp.index - len(cmp.bound.coeffs))
-    if cmp.kind is ComparisonKind.UPPER_BOUND:
-        # first <= second iff o[k] <= bound, so second <= first needs
-        # o[k] >= bound somewhere in the domain.
-        slack = _stripped(0.0 - b.const, tuple([0.0 - c for c in b.coeffs]) + gap + (1.0,))
-    else:
-        slack = _stripped(b.const, b.coeffs + gap + (-1.0,))
-    return extremal_value(slack, domain, "max") < -EPS
 
 
 def winners(candidates: Sequence[tuple[EventKind, int, float]]) -> list[tuple[int, float]]:

@@ -416,11 +416,14 @@ def estimate_probability(
     ``half_width`` the half width of the Wilson score interval at ``Z``.
     Stops early once that half width drops under ``half_width`` (when
     given), but never before ``MIN_RUNS`` runs.  Raises ``ValueError``
-    unless tau_max is finite and >= 0, t_prime is in [0, tau_max], runs >= 1.
+    unless tau_max is finite and >= 0, t_prime is in [0, tau_max], runs >= 1
+    and a given half_width is > 0.
     """
     check_horizon(tau_max)
     if runs < 1:
         raise ValueError(f"runs must be at least 1, not {runs}")
+    if half_width is not None and not half_width > 0.0:    # nan fails too
+        raise ValueError(f"half width must be > 0, not {half_width}")
     check_observation(t_prime, tau_max)
     net = compile_net(model)    # shared by every run, with its drift and plan memos
     hits = 0

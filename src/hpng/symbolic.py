@@ -223,26 +223,6 @@ class ComparisonOutcome:
     index: Optional[int] = None
     bound: Optional[LinearForm] = None
 
-    def reversed(self) -> "ComparisonOutcome":
-        """The outcome of comparing the two forms the other way round.
-
-        ``compare_remaining_times(b, a)`` has the index and bound of
-        ``compare_remaining_times(a, b)`` with the kind swapped: the
-        difference it solves is the exact negation of this one, because
-        IEEE subtraction is antisymmetric.  Only a zero in the bound may
-        come out with the other sign.
-        """
-        return ComparisonOutcome(_REVERSED[self.kind], self.index, self.bound)
-
-
-_REVERSED = {
-    ComparisonKind.EQUAL: ComparisonKind.EQUAL,
-    ComparisonKind.UPPER_BOUND: ComparisonKind.LOWER_BOUND,
-    ComparisonKind.LOWER_BOUND: ComparisonKind.UPPER_BOUND,
-    ComparisonKind.ALWAYS_BEFORE: ComparisonKind.NEVER_BEFORE,
-    ComparisonKind.NEVER_BEFORE: ComparisonKind.ALWAYS_BEFORE,
-}
-
 
 def compare_remaining_times(dtc: LinearForm, dtstar: LinearForm) -> ComparisonOutcome:
     """Solve dtc <= dtstar for the highest-order variable where they differ.

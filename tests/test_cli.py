@@ -161,6 +161,15 @@ def test_simulate_half_width(capsys):
     assert doc["halfWidth"] <= 0.08
 
 
+@pytest.mark.parametrize("half_width", ["-1", "0", "nan"])
+def test_simulate_half_width_not_positive_exits_one(capsys, half_width):
+    code, out, err = run(capsys, "simulate", RESERVOIR, "--tau-max", "10",
+                         "--time", "4", "--runs", "200", "--half-width", half_width)
+    assert code == 1
+    assert err.startswith("error:") and "half width" in err
+    assert out == ""
+
+
 def test_simulate_error_is_open_when_no_run_hits(capsys):
     # Seed 7 stops at 189 runs with no hit (the exact value is 0.005): the
     # plug-in standard error is 0 there, the Wilson half width is not.

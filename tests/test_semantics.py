@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import hpng.simulate
 from hpng.model import DISCRETE_KINDS, TKind, parse_model
 from hpng.montecarlo import stream
 from hpng.semantics import (
+    Event,
     EventKind,
     SymState,
     compile_net,
@@ -26,7 +28,7 @@ from hpng.semantics import (
     set_marking_guards,
     _water_fill,
 )
-from hpng.symbolic import ZERO, SymInterval, const, var
+from hpng.symbolic import EPS, ZERO, LinearForm, SymInterval, const, var
 from hpng.tree import build_plt
 
 
@@ -343,6 +345,45 @@ def test_min_det_drops_dominated_boundary(reservoir_model):
     events = next_events(s, [], net)
     kept = min_det_events(events, [])
     assert [ev.kind for ev in kept] == [EventKind.DETERMINISTIC]
+
+
+def _corners(domain):
+    """Each variable at its lower or upper bound, given the earlier ones."""
+    points = [[]]
+    for iv in domain:
+        points = [p + [b.evaluate(p)] for p in points for b in (iv.lower, iv.upper)]
+    return points
+
+
+def test_min_det_events_keeps_what_no_other_event_beats_at_every_corner():
+    # An affine form takes its extrema over a triangular domain at the
+    # corners, so an event is beaten everywhere iff it is beaten at each.
+    rng = np.random.default_rng(7)
+    dropped = 0
+    for _ in range(600):
+        n = int(rng.integers(0, 4))
+        domain = []
+        for k in range(n):
+            lower = LinearForm(float(rng.integers(-2, 3)),
+                               tuple(float(c) for c in rng.integers(-1, 2, size=k)))
+            domain.append(SymInterval(lower, lower + float(rng.integers(0, 4))))
+        events = [Event(EventKind.GENERAL, "g", None)]
+        for e in range(int(rng.integers(2, 5))):
+            delta = LinearForm(float(rng.integers(0, 5)),
+                               tuple(float(c) for c in rng.integers(-2, 3, size=n)))
+            events.append(Event(EventKind.DETERMINISTIC, f"t{e}", delta))
+        corners = _corners(domain)
+        det = events[1:]
+
+        def beaten(ev):
+            return any(all(other.delta.evaluate(p) < ev.delta.evaluate(p) - EPS
+                           for p in corners)
+                       for other in det if other is not ev)
+
+        want = [ev for ev in det if not beaten(ev)]
+        assert min_det_events(events, domain) == want
+        dropped += len(det) - len(want)
+    assert dropped > 500
 
 
 def test_guard_crossing_on_symbolic_level():

@@ -250,6 +250,14 @@ def test_estimate_rejects_fewer_than_one_run(reservoir_model, runs):
         estimate_probability(reservoir_model, 10.0, 4.0, [], runs=runs)
 
 
+@pytest.mark.parametrize("half_width", [-1.0, 0.0, float("nan")])
+def test_estimate_rejects_a_half_width_not_positive(reservoir_model, half_width):
+    # no Wilson half width is <= 0 or nan, so these used to spend every run
+    with pytest.raises(ValueError, match="half width"):
+        estimate_probability(reservoir_model, 10.0, 4.0, [], runs=200,
+                             half_width=half_width)
+
+
 @pytest.mark.parametrize("tau", [-2.0, float("inf"), float("nan")])
 def test_estimate_rejects_a_horizon_not_finite_and_non_negative(reservoir_model, tau):
     with pytest.raises(ValueError, match="horizon"):

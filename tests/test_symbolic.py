@@ -15,7 +15,6 @@ from hpng.symbolic import (
     EPS,
     ZERO,
     ComparisonKind,
-    ComparisonOutcome,
     LinearForm,
     RvId,
     SymInterval,
@@ -266,20 +265,6 @@ def test_subtraction_is_adding_the_negation_bit_for_bit(a, b):
             assert got.coeffs == x.coeffs == LinearForm(0.0, x.coeffs).coeffs
 
 
-@settings(max_examples=300, deadline=None)
-@given(a=st.lists(signed, min_size=1, max_size=4), b=st.lists(signed, min_size=1, max_size=4))
-def test_reversed_comparison_is_the_recomputed_one(a, b):
-    x = LinearForm(a[0], tuple(a[1:]))
-    y = LinearForm(b[0], tuple(b[1:]))
-    derived = compare_remaining_times(x, y).reversed()
-    explicit = compare_remaining_times(y, x)
-    assert (derived.kind, derived.index) == (explicit.kind, explicit.index)
-    if explicit.bound is not None:
-        # Equal up to the sign of a zero.
-        assert [v.hex() if v else 0 for v in (derived.bound.const, *derived.bound.coeffs)] == \
-            [v.hex() if v else 0 for v in (explicit.bound.const, *explicit.bound.coeffs)]
-
-
 # ---------------------------------------------------------------------------
 # the slotted kernel against the frozen-dataclass algebra it replaced
 
@@ -407,48 +392,3 @@ def test_extremal_value_is_the_substitution_walk_on_random_domains(seed, n):
                 extremal_value(form, domain, sense)
             continue
         assert extremal_value(form, domain, sense).hex() == want
-
-
-def _beaten_by_forms(cmp, domain):
-    """semantics._beaten with its slack built by form subtraction."""
-    if cmp.kind is ComparisonKind.ALWAYS_BEFORE:
-        return True, None
-    if cmp.kind is ComparisonKind.UPPER_BOUND:
-        slack = var(cmp.index) - cmp.bound
-    elif cmp.kind is ComparisonKind.LOWER_BOUND:
-        slack = cmp.bound - var(cmp.index)
-    else:
-        return False, None
-    return extremal_value(slack, domain, "max") < -EPS, slack
-
-
-def test_beaten_builds_the_subtracted_slack_bit_for_bit(monkeypatch, battery_model):
-    seen = []
-    beaten = hpng.semantics._beaten
-
-    def record(cmp, domain):
-        seen.append((cmp, list(domain)))
-        return beaten(cmp, domain)
-
-    monkeypatch.setattr(hpng.semantics, "_beaten", record)
-    hpng.tree.build_plt(battery_model, 12.0)
-    monkeypatch.undo()
-    # Bounds with signed zeros, stopping short of the variable below them.
-    dom = [SymInterval(const(0.0), const(2.0))] * 4
-    for kind in (ComparisonKind.UPPER_BOUND, ComparisonKind.LOWER_BOUND):
-        for bound in (LinearForm(-0.0, (-0.0, 1.0)), LinearForm(0.5, (0.0, -0.0, 3.0)),
-                      LinearForm(-0.0), LinearForm(1.0, (-0.0, -2.0))):
-            seen.append((ComparisonOutcome(kind, 3, bound), dom))
-    slacks = []
-    monkeypatch.setattr(hpng.semantics, "extremal_value",
-                        lambda form, domain, sense: slacks.append(form) or
-                        extremal_value(form, domain, sense))
-    crossing = 0
-    for cmp, domain in seen:
-        slacks.clear()
-        want, slack = _beaten_by_forms(cmp, domain)
-        assert hpng.semantics._beaten(cmp, domain) is want
-        if slack is not None:
-            crossing += 1
-            assert [_hex(f) for f in slacks] == [_hex(slack)]
-    assert crossing > 100

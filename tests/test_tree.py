@@ -6,16 +6,13 @@ import json
 import numpy as np
 import pytest
 
-import hpng.semantics
 import hpng.tree
 from hpng.montecarlo import McConfig
 from hpng.props import parse_property
 from hpng.semantics import EventKind, ResourceLimitError
 from hpng.symbolic import (
     EPS,
-    ComparisonKind,
     SymInterval,
-    compare_remaining_times,
     const,
     extremal_value,
     var,
@@ -395,30 +392,6 @@ SIMPLEX_T8_N72_DIGEST = "8516cc7326f3665885f26c806b45dfcacb22428835079902ac611b8
 SIMPLEX_T20_AT8_DIGEST = "56101c4ffd0541ba16e84743c3f056b54905508cb46c96193740f4b3fc0b093a"
 DIRECT_T8_R5_DIGEST = "fd007c088487d2e6ec54ef935b68a833e89a279d8b7ef2647e470cfcb63f0f33"
 DIRECT_T20_AT8_DIGEST = "e4c9d3d8a92cedc2f190893717ac9329d7ad3d52583bc7bc09eb81213ce1e7cc"
-
-
-def _zero_blind(form):
-    return [0.0 if x == 0.0 else x.hex() for x in (form.const, *form.coeffs)]
-
-
-def test_derived_reverse_comparison_is_the_recomputed_one(monkeypatch, battery_model):
-    pairs = []
-
-    def record(a, b, *args):
-        pairs.append((a, b))
-        return compare_remaining_times(a, b, *args)
-
-    monkeypatch.setattr(hpng.semantics, "compare_remaining_times", record)
-    build_plt(battery_model, 12.0)
-    crossing = 0
-    for a, b in pairs:
-        derived = compare_remaining_times(a, b).reversed()
-        explicit = compare_remaining_times(b, a)
-        assert (derived.kind, derived.index) == (explicit.kind, explicit.index)
-        if explicit.kind in (ComparisonKind.UPPER_BOUND, ComparisonKind.LOWER_BOUND):
-            crossing += 1
-            assert _zero_blind(derived.bound) == _zero_blind(explicit.bound)
-    assert crossing > 100
 
 
 # ---------------------------------------------------------------------------
