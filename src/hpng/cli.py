@@ -61,16 +61,16 @@ def _mc_config(args) -> McConfig:
     return McConfig(samples=args.samples, iterations=args.iterations, seed=args.seed)
 
 
-def _routes(tree, atoms, args, methods):
+def _routes(tree, atoms, args, cfg, methods):
     """Run each route of ``methods`` at ``args.time``; yield (method, result, wall ms)."""
     for method in methods:
         start = time.perf_counter()
-        res = transient_probability(tree, args.time, atoms, method=method,
-                                    cfg=_mc_config(args))
+        res = transient_probability(tree, args.time, atoms, method=method, cfg=cfg)
         yield method, res, (time.perf_counter() - start) * 1000.0
 
 
 def cmd_transient(args) -> int:
+    cfg = _mc_config(args)      # a bad budget or seed fails before the build
     model = load_model(args.model)
     atoms = parse_property(args.property, model) if args.property else None
     tree = build_plt(model, args.tau_max)
@@ -85,7 +85,7 @@ def cmd_transient(args) -> int:
             for k, (v, s) in sorted(res.per_location.items())
         },
         "wallTimeMs": wall,
-    } for method, res, wall in _routes(tree, atoms, args, methods)]
+    } for method, res, wall in _routes(tree, atoms, args, cfg, methods)]
     payload = results[0] if len(results) == 1 else results
     _write(json.dumps(payload, indent=2), args.output)
     return 0
@@ -115,13 +115,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    cfg = _mc_config(args)
     model = load_model(args.model)
     atoms = parse_property(args.property, model) if args.property else None
     if args.runs < 1:   # before the routes run, not after them
         raise ValueError(f"runs must be at least 1, not {args.runs}")
     tree = build_plt(model, args.tau_max)
     print(f"{'route':<12} {'estimate':>12} {'error':>12} {'ms':>8}")
-    for method, res, wall in _routes(tree, atoms, args, METHODS):
+    for method, res, wall in _routes(tree, atoms, args, cfg, METHODS):
         print(f"{method:<12} {res.total:>12.6f} {res.sigma:>12.2e} {wall:>8.0f}")
     start = time.perf_counter()
     est = estimate_probability(model, args.tau_max, args.time, atoms or [],

@@ -181,6 +181,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 2 or self.iterations < 1:
             raise ValueError("McConfig out of range")
+        if self.seed < 0:       # SeedSequence takes no negative entropy
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
 
 
 def stream(seed: int, task: int = 0) -> np.random.Generator:

@@ -550,29 +550,48 @@ def next_events(state: SymState, domain: Sequence[SymInterval],
     return events
 
 
-def min_det_events(events: list[Event], domain: Sequence[SymInterval]) -> list[Event]:
-    """Deterministic-kind events that are minimal somewhere in the domain.
+def min_det_events(events: list[Event], domain: Sequence[SymInterval]) -> list[list[Event]]:
+    """Deterministic-kind events that are minimal somewhere in the domain,
+    grouped by equal remaining time.
 
     An event is dropped iff another one finishes strictly earlier over the
     entire domain; overlapping events survive and get their domains cut
-    against each other when children are built.
+    against each other when children are built.  Two survivors are
+    coincident when their difference is a constant within EPS; each
+    survivor joins the first group whose first member it is coincident
+    with, or opens a group.  Groups and their members keep event order.
 
-    Each pair is compared once, on the difference of its remaining times.
+    Each pair is compared at most once, on the difference of its remaining
+    times, and not at all once either side is dropped: strict dominance is
+    transitive, so what a dropped event beats, a survivor beats too.
     """
     det = [ev for ev in events if ev.kind is not EventKind.GENERAL]
     dominated = [False] * len(det)
+    coincident: set[tuple[int, int]] = set()
     for i, ev in enumerate(det):
         for j in range(i + 1, len(det)):
-            if dominated[i] and dominated[j]:
+            if dominated[i]:
+                break
+            if dominated[j]:
                 continue
             diff = det[j].delta - ev.delta
             if diff.is_constant():
-                dominated[j] = dominated[j] or diff.const > EPS
-                dominated[i] = dominated[i] or diff.const < -EPS
-                continue
-            dominated[j] = dominated[j] or extremal_value(diff, domain, "min") > EPS
-            dominated[i] = dominated[i] or extremal_value(diff, domain, "max") < -EPS
-    return [ev for ev, dom in zip(det, dominated) if not dom]
+                if diff.const > EPS:
+                    dominated[j] = True
+                elif diff.const < -EPS:
+                    dominated[i] = True
+                else:
+                    coincident.add((i, j))
+            elif extremal_value(diff, domain, "min") > EPS:
+                dominated[j] = True
+            elif extremal_value(diff, domain, "max") < -EPS:
+                dominated[i] = True
+    groups: dict[int, list[Event]] = {}     # keyed by the first member's index
+    for j, ev in enumerate(det):
+        if not dominated[j]:
+            head = next((h for h in groups if (h, j) in coincident), j)
+            groups.setdefault(head, []).append(ev)
+    return list(groups.values())
 
 
 def winners(candidates: Sequence[tuple[EventKind, int, float]]) -> list[tuple[int, float]]:

@@ -416,10 +416,12 @@ def estimate_probability(
     ``half_width`` the half width of the Wilson score interval at ``Z``.
     Stops early once that half width drops under ``half_width`` (when
     given), but never before ``MIN_RUNS`` runs.  Raises ``ValueError``
-    unless tau_max is finite and >= 0, t_prime is in [0, tau_max], runs >= 1
-    and a given half_width is > 0.
+    unless tau_max is finite and >= 0, t_prime is in [0, tau_max], seed >= 0,
+    runs >= 1 and a given half_width is > 0.
     """
     check_horizon(tau_max)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
     if runs < 1:
         raise ValueError(f"runs must be at least 1, not {runs}")
     if half_width is not None and not half_width > 0.0:    # nan fails too

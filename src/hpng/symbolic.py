@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -207,34 +206,21 @@ class SymInterval:
         return f"[{self.lower.text(names)}, {hi}]"
 
 
-class ComparisonKind(Enum):
-    """Outcome of comparing two remaining-time forms dtc vs dtstar."""
-
-    EQUAL = "equal"                # identical forms: simultaneous everywhere
-    UPPER_BOUND = "upper"          # dtc <= dtstar iff o[index] <= bound
-    LOWER_BOUND = "lower"          # dtc <= dtstar iff o[index] >= bound
-    ALWAYS_BEFORE = "always"       # parallel forms, dtc < dtstar everywhere
-    NEVER_BEFORE = "never"         # parallel forms, dtc > dtstar everywhere
-
-
-@dataclass(frozen=True)
-class ComparisonOutcome:
-    kind: ComparisonKind
-    index: Optional[int] = None
-    bound: Optional[LinearForm] = None
-
-
-def compare_remaining_times(dtc: LinearForm, dtstar: LinearForm) -> ComparisonOutcome:
+def compare_remaining_times(dtc: LinearForm, dtstar: LinearForm) -> tuple[int, LinearForm, bool]:
     """Solve dtc <= dtstar for the highest-order variable where they differ.
 
     With dtc = a0 + sum(a_k o_k) and dtstar = b0 + sum(b_k o_k), let k be the
     largest index with a_k != b_k.  Then dtc <= dtstar rewrites to a bound on
     o[k] over lower-order variables: (b0-a0)/(a_k-b_k) + sum_{z<k}
     (b_z-a_z)/(a_k-b_k) o_z, an upper bound when a_k > b_k and a lower bound
-    when a_k < b_k.  Parallel forms (no such k) cannot cross: the smaller
-    constant fires strictly first everywhere, or the forms are equal.
-    The differences b_z - a_z (0.0 for a missing coefficient) are taken
-    once: ``dtstar - dtc`` up to the sign of a zero.
+    when a_k < b_k.  Returns ``(k, bound, upper)``, ``upper`` true for an
+    upper bound.  The differences b_z - a_z (0.0 for a missing coefficient)
+    are taken once: ``dtstar - dtc`` up to the sign of a zero.
+
+    Raises ``ValueError`` for parallel forms (no such k), which never
+    cross.  The tree never passes them: ``min_det_events`` groups parallel
+    events within EPS of each other and drops the later of two parallel
+    events further apart.
     """
     a, b = dtc.coeffs, dtstar.coeffs
     num = [y - x for x, y in zip(a, b)]
@@ -242,21 +228,14 @@ def compare_remaining_times(dtc: LinearForm, dtstar: LinearForm) -> ComparisonOu
         num += [0.0 - x for x in a[len(b):]]
     elif len(b) > len(a):
         num += b[len(a):]           # y - 0.0 is y
-    num_const = dtstar.const - dtc.const    # diff >= 0  <=>  dtc <= dtstar
     k = len(num) - 1
     while k >= 0 and abs(num[k]) <= EPS:
         k -= 1
     if k < 0:
-        if abs(num_const) <= EPS:
-            return ComparisonOutcome(ComparisonKind.EQUAL)
-        if num_const > 0:
-            return ComparisonOutcome(ComparisonKind.ALWAYS_BEFORE)
-        return ComparisonOutcome(ComparisonKind.NEVER_BEFORE)
+        raise ValueError("parallel remaining times never cross")
     denom = -num[k]
-    bound = _new(num_const / denom, [c / denom for c in num[:k]])
-    if denom > 0:
-        return ComparisonOutcome(ComparisonKind.UPPER_BOUND, k, bound)
-    return ComparisonOutcome(ComparisonKind.LOWER_BOUND, k, bound)
+    bound = _new((dtstar.const - dtc.const) / denom, [c / denom for c in num[:k]])
+    return k, bound, denom > 0
 
 
 def extremal_value(form: LinearForm, domain: Sequence[SymInterval], sense: str) -> float:

@@ -42,7 +42,6 @@ from .semantics import (
 )
 from .symbolic import (
     EPS,
-    ComparisonKind,
     LinearForm,
     RvId,
     SymInterval,
@@ -238,26 +237,16 @@ def _nonempty(cuts: list[SymInterval]) -> bool:
     return True
 
 
-def _group_coincident(events: list[Event]) -> list[list[Event]]:
-    groups: list[list[Event]] = []
-    for ev in events:
-        for grp in groups:
-            if compare_remaining_times(ev.delta, grp[0].delta).kind is ComparisonKind.EQUAL:
-                grp.append(ev)
-                break
-        else:
-            groups.append([ev])
-    return groups
-
-
 def _group_cuts(
     groups: list[list[Event]], gi: int, domain: list[SymInterval]
 ) -> list[list[SymInterval]]:
     """Cells of the domain where group gi finishes first; may be empty.
 
-    A cell that no comparison cut is the location's own domain, which was
-    tested for positive measure when the location was spawned; only cells
-    that were cut are tested here.
+    Groups come from ``min_det_events``, so no two representatives are
+    parallel: each other group's representative crosses gi's, and the
+    domain is cut on that crossing.  A cell that no comparison cut is the
+    location's own domain, which was tested for positive measure when the
+    location was spawned; only cells that were cut are tested here.
     """
     pieces = [list(domain)]
     rep = groups[gi][0]
@@ -265,15 +254,10 @@ def _group_cuts(
     for gj, other in enumerate(groups):
         if gj == gi or not pieces:
             continue
-        cmp = compare_remaining_times(rep.delta, other[0].delta)
-        if cmp.kind is ComparisonKind.ALWAYS_BEFORE:
-            continue
-        if cmp.kind is ComparisonKind.NEVER_BEFORE:
-            return []
+        k, bound, upper = compare_remaining_times(rep.delta, other[0].delta)
         refined: list[list[SymInterval]] = []
         for piece in pieces:
-            refined.extend(_apply_bound(piece, cmp.index, cmp.bound,
-                                        cmp.kind is ComparisonKind.UPPER_BOUND))
+            refined.extend(_apply_bound(piece, k, bound, upper))
         cut = cut or refined != pieces
         pieces = refined
     if not cut:
@@ -315,8 +299,7 @@ def build_plt(model: HPnGModel, tau_max: float) -> PLTree:
         loc = locs[lid]
         events = next_events(loc.state, loc.domain, net)
         gens = [ev for ev in events if ev.kind is EventKind.GENERAL]
-        det = min_det_events(events, loc.domain)
-        groups = _group_coincident(det)
+        groups = min_det_events(events, loc.domain)
 
         contexts: list[tuple[Optional[LinearForm], list[SymInterval]]] = []
         for gi, grp in enumerate(groups):

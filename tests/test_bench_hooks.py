@@ -63,8 +63,8 @@ def test_traced_build_goes_through_the_wrapped_names(monkeypatch, battery_model)
     # The build's traffic through the kernel, pinned exactly: a cheaper
     # kernel makes the same calls, and a change that prunes calls re-pins
     # these counts on purpose.
-    assert tracer.aggs["symbolic.extremal_value"].calls == 5361
-    assert tracer.aggs["symbolic.compare_remaining_times"].calls == 415
+    assert tracer.aggs["symbolic.extremal_value"].calls == 4808
+    assert tracer.aggs["symbolic.compare_remaining_times"].calls == 146
 
 
 def test_traced_intervals_query_kernel_traffic(monkeypatch, battery_trees):

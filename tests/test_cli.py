@@ -170,6 +170,21 @@ def test_simulate_half_width_not_positive_exits_one(capsys, half_width):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [("transient", "--method", "intervals"),
+                                  ("transient", "--method", "direct"),
+                                  ("simulate", "--runs", "10"),
+                                  ("compare", "--runs", "10")])
+def test_negative_seed_exits_one(capsys, argv):
+    # intervals and exact simplex draw nothing on the reservoir, so a
+    # negative seed used to pass there unseen
+    command, *options = argv
+    code, out, err = run(capsys, command, RESERVOIR, "--tau-max", "10", "--time", "4",
+                         "--seed", "-1", *options)
+    assert code == 1
+    assert err.startswith("error:") and "seed" in err
+    assert out == ""
+
+
 def test_simulate_error_is_open_when_no_run_hits(capsys):
     # Seed 7 stops at 189 runs with no hit (the exact value is 0.005): the
     # plug-in standard error is 0 there, the Wilson half width is not.

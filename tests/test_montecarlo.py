@@ -140,6 +140,8 @@ def test_mcconfig_validation():
         McConfig(samples=0)
     with pytest.raises(ValueError):
         McConfig(iterations=0)
+    with pytest.raises(ValueError, match="seed"):
+        McConfig(seed=-1)
 
 
 def test_combine_is_inverse_variance_weighted():

@@ -28,7 +28,7 @@ from hpng.semantics import (
     set_marking_guards,
     _water_fill,
 )
-from hpng.symbolic import EPS, ZERO, LinearForm, SymInterval, const, var
+from hpng.symbolic import EPS, ZERO, LinearForm, SymInterval, const, extremal_value, var
 from hpng.tree import build_plt
 
 
@@ -343,7 +343,7 @@ def test_min_det_drops_dominated_boundary(reservoir_model):
     net = compile_net(reservoir_model)
     s = initial_state(net)
     events = next_events(s, [], net)
-    kept = min_det_events(events, [])
+    kept = [ev for grp in min_det_events(events, []) for ev in grp]
     assert [ev.kind for ev in kept] == [EventKind.DETERMINISTIC]
 
 
@@ -355,11 +355,47 @@ def _corners(domain):
     return points
 
 
+def _two_step_groups(events, domain):
+    """Dominance on every pair's difference form, then coincident grouping.
+
+    An event is dropped when another finishes more than EPS before it over
+    the whole domain; each survivor then joins the first group whose first
+    member it equals within EPS (a constant difference), or opens one.
+    """
+    det = [ev for ev in events if ev.kind is not EventKind.GENERAL]
+    dominated = [False] * len(det)
+    for i in range(len(det)):
+        for j in range(i + 1, len(det)):
+            diff = det[j].delta - det[i].delta
+            if diff.is_constant():
+                low = high = diff.const
+            else:
+                low = extremal_value(diff, domain, "min")
+                high = extremal_value(diff, domain, "max")
+            dominated[j] = dominated[j] or low > EPS
+            dominated[i] = dominated[i] or high < -EPS
+    groups = []
+    for ev, dom in zip(det, dominated):
+        if dom:
+            continue
+        for grp in groups:
+            diff = ev.delta - grp[0].delta
+            if diff.is_constant() and abs(diff.const) <= EPS:
+                grp.append(ev)
+                break
+        else:
+            groups.append([ev])
+    return groups
+
+
 def test_min_det_events_keeps_what_no_other_event_beats_at_every_corner():
     # An affine form takes its extrema over a triangular domain at the
     # corners, so an event is beaten everywhere iff it is beaten at each.
+    # Twins of the integer events sit 0, 0.5 EPS or 2 EPS from them, so
+    # some survivors coincide; one sign of 0.5 EPS per domain keeps every
+    # corner difference clear of +-EPS, where rounding would decide.
     rng = np.random.default_rng(7)
-    dropped = 0
+    dropped = shared = 0
     for _ in range(600):
         n = int(rng.integers(0, 4))
         domain = []
@@ -367,13 +403,18 @@ def test_min_det_events_keeps_what_no_other_event_beats_at_every_corner():
             lower = LinearForm(float(rng.integers(-2, 3)),
                                tuple(float(c) for c in rng.integers(-1, 2, size=k)))
             domain.append(SymInterval(lower, lower + float(rng.integers(0, 4))))
-        events = [Event(EventKind.GENERAL, "g", None)]
+        det = []
         for e in range(int(rng.integers(2, 5))):
             delta = LinearForm(float(rng.integers(0, 5)),
                                tuple(float(c) for c in rng.integers(-2, 3, size=n)))
-            events.append(Event(EventKind.DETERMINISTIC, f"t{e}", delta))
+            det.append(Event(EventKind.DETERMINISTIC, f"t{e}", delta))
+        offsets = [0.0, float(rng.choice([-0.5, 0.5])) * EPS, 2 * EPS, -2 * EPS]
+        for e in range(int(rng.integers(0, 3))):
+            base = det[int(rng.integers(len(det)))].delta
+            twin = Event(EventKind.DETERMINISTIC, f"w{e}", base + float(rng.choice(offsets)))
+            det.insert(int(rng.integers(len(det) + 1)), twin)
+        events = [Event(EventKind.GENERAL, "g", None)] + det
         corners = _corners(domain)
-        det = events[1:]
 
         def beaten(ev):
             return any(all(other.delta.evaluate(p) < ev.delta.evaluate(p) - EPS
@@ -381,9 +422,27 @@ def test_min_det_events_keeps_what_no_other_event_beats_at_every_corner():
                        for other in det if other is not ev)
 
         want = [ev for ev in det if not beaten(ev)]
-        assert min_det_events(events, domain) == want
+        groups = min_det_events(events, domain)
+        assert sorted((ev for grp in groups for ev in grp), key=det.index) == want
+        assert groups == _two_step_groups(events, domain)
         dropped += len(det) - len(want)
-    assert dropped > 500
+        shared += len(want) - len(groups)
+    assert dropped > 1000 and shared > 150
+
+
+def test_min_det_events_groups_past_a_dropped_twin():
+    # t is within EPS of s and d, but d finishes more than EPS before t;
+    # s and d are within EPS of each other, so they form one group, and
+    # t's coincidence with s opens none.
+    s = var(0, 1.0, offset=3.0)
+    t = Event(EventKind.DETERMINISTIC, "t", s + 0.5 * EPS)
+    d = Event(EventKind.DETERMINISTIC, "d", s - 0.75 * EPS)
+    s = Event(EventKind.DETERMINISTIC, "s", s)
+    domain = [SymInterval(const(0.0), const(2.0))]
+    for order in ([t, s, d], [s, t, d], [d, t, s]):
+        groups = min_det_events(order, domain)
+        assert groups == _two_step_groups(order, domain)
+        assert len(groups) == 1 and t not in groups[0] and len(groups[0]) == 2
 
 
 def test_guard_crossing_on_symbolic_level():

@@ -258,6 +258,11 @@ def test_estimate_rejects_a_half_width_not_positive(reservoir_model, half_width)
                              half_width=half_width)
 
 
+def test_estimate_rejects_a_negative_seed(reservoir_model):
+    with pytest.raises(ValueError, match="seed"):
+        estimate_probability(reservoir_model, 10.0, 4.0, [], seed=-3, runs=10)
+
+
 @pytest.mark.parametrize("tau", [-2.0, float("inf"), float("nan")])
 def test_estimate_rejects_a_horizon_not_finite_and_non_negative(reservoir_model, tau):
     with pytest.raises(ValueError, match="horizon"):

@@ -14,7 +14,6 @@ from hpng.props import parse_property
 from hpng.symbolic import (
     EPS,
     ZERO,
-    ComparisonKind,
     LinearForm,
     RvId,
     SymInterval,
@@ -215,34 +214,33 @@ coeff = st.floats(min_value=-3, max_value=3, allow_nan=False, width=32)
     o1=st.floats(min_value=0, max_value=5, width=32),
 )
 def test_compare_remaining_times_pointwise(a0, a1, a2, b0, b1, b2, o0, o1):
-    """The reported outcome must agree with direct evaluation anywhere."""
+    """The reported bound must agree with direct evaluation anywhere."""
     dtc = LinearForm(a0, (a1, a2))
     dtstar = LinearForm(b0, (b1, b2))
-    out = compare_remaining_times(dtc, dtstar)
+    if (dtstar - dtc).is_constant():
+        with pytest.raises(ValueError, match="parallel"):
+            compare_remaining_times(dtc, dtstar)
+        return
+    k, bound, upper = compare_remaining_times(dtc, dtstar)
     vals = [o0, o1]
     before = dtc.evaluate(vals) <= dtstar.evaluate(vals)
-    margin = abs(dtc.evaluate(vals) - dtstar.evaluate(vals))
-    if out.kind is ComparisonKind.EQUAL:
-        assert margin <= 1e-5
-    elif out.kind is ComparisonKind.ALWAYS_BEFORE:
-        assert before or margin <= 1e-5
-    elif out.kind is ComparisonKind.NEVER_BEFORE:
-        assert not before or margin <= 1e-5
+    assert bound.top_index() is None or bound.top_index() < k
+    edge = abs(vals[k] - bound.evaluate(vals))
+    if upper:
+        implied = vals[k] <= bound.evaluate(vals)
     else:
-        assert out.bound.top_index() is None or out.bound.top_index() < out.index
-        edge = abs(vals[out.index] - out.bound.evaluate(vals))
-        if out.kind is ComparisonKind.UPPER_BOUND:
-            implied = vals[out.index] <= out.bound.evaluate(vals)
-        else:
-            implied = vals[out.index] >= out.bound.evaluate(vals)
-        assert implied == before or edge <= 1e-5
+        implied = vals[k] >= bound.evaluate(vals)
+    assert implied == before or edge <= 1e-5
 
 
-def test_compare_identical_forms_is_equal():
-    f = var(0, 2.0, offset=1.0)
-    assert compare_remaining_times(f, f + 0.0).kind is ComparisonKind.EQUAL
-    assert compare_remaining_times(f, f + 1.0).kind is ComparisonKind.ALWAYS_BEFORE
-    assert compare_remaining_times(f + 1.0, f).kind is ComparisonKind.NEVER_BEFORE
+def test_compare_parallel_forms_raises():
+    # Parallel forms never cross, whether equal, within EPS or apart.
+    f = var(1, 2.0, offset=1.0)
+    for x, y in ((f, f + 0.0), (f, f + 1.0), (f + 1.0, f), (f, f + 0.5 * EPS),
+                 (f, LinearForm(1.0, (0.5 * EPS, 2.0 - 0.5 * EPS)))):
+        with pytest.raises(ValueError, match="parallel"):
+            compare_remaining_times(x, y)
+    assert compare_remaining_times(f, LinearForm(1.0, (2 * EPS, 2.0)))[:1] == (0,)
 
 
 signed = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-10, 3.0]) | coeff
@@ -343,24 +341,24 @@ def _compare_by_forms(dtc, dtstar):
     diff = dtstar - dtc
     k = diff.top_index()
     if k is None:
-        if abs(diff.const) <= EPS:
-            return ComparisonKind.EQUAL, None, None
-        kind = ComparisonKind.ALWAYS_BEFORE if diff.const > 0 else ComparisonKind.NEVER_BEFORE
-        return kind, None, None
+        return None
     denom = dtc.coeff(k) - dtstar.coeff(k)
     num = [dtstar.coeff(z) - dtc.coeff(z) for z in range(k)]
     bound = LinearForm((dtstar.const - dtc.const) / denom, tuple(c / denom for c in num))
-    kind = ComparisonKind.UPPER_BOUND if denom > 0 else ComparisonKind.LOWER_BOUND
-    return kind, k, _hex(bound)
+    return k, _hex(bound), denom > 0
 
 
 @settings(max_examples=500, deadline=None)
 @given(a=st.lists(value, min_size=1, max_size=6), b=st.lists(value, min_size=1, max_size=6))
 def test_comparison_is_the_form_built_one_bit_for_bit(a, b):
     x, y = LinearForm(a[0], a[1:]), LinearForm(b[0], b[1:])
-    out = compare_remaining_times(x, y)
-    got = (out.kind, out.index, None if out.bound is None else _hex(out.bound))
-    assert got == _compare_by_forms(x, y)
+    want = _compare_by_forms(x, y)
+    if want is None:
+        with pytest.raises(ValueError, match="parallel"):
+            compare_remaining_times(x, y)
+        return
+    k, bound, upper = compare_remaining_times(x, y)
+    assert (k, _hex(bound), upper) == want
 
 
 def _domain_from(rng, n, unbounded=0.2):
